@@ -9,7 +9,7 @@ from .graphs import (Graph, ball, bfs_distances, cheeger_bounds, cheeger_exact,
                      diameter, distance_matrix, expansion_holds, graph_from_edges,
                      is_connected, lambda2, path_graph, petersen_graph,
                      random_regular, spectrum, sphere, tree_like_set)
-from .metrics import (CostMatrix, FiniteMetric, aspect_ratio, cost_matrix,
+from .metrics import (FiniteMetric, aspect_ratio, cost_matrix,
                       is_well_conditioned, lift_assignment, linf_grid, path_metric,
                       snowflake, uniform_metric, validate,
                       well_conditioned_reduction)
@@ -23,7 +23,7 @@ from .extrapolation import (ExtrapolationConstants, check_extrapolation,
 from .embeddings import (EmbeddingReport, GridMap, embedding_distortion,
                          jls_embedding, trunc, universal_space_size,
                          witness_certificate, witness_map)
-from .models import (ModelDraw, SeedTable, canonical_rep, draw_model,
+from .models import (ModelDraw, SeedTable, draw_model,
                      equitable_decomposition, matching_avoidance_mc,
                      random_perfect_matching, restriction_concentration_mc,
                      seed_map_g, seed_map_h, typical_vertex_sets)

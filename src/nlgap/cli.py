@@ -19,7 +19,7 @@ from .embeddings import jls_embedding, universal_space_size, witness_certificate
 from .graphs import (Graph, GraphError, complete_graph, cycle_graph, lambda2,
                      path_graph, petersen_graph, prism_graph, random_regular,
                      random_connected_regular)
-from .io import (CsvDocument, GAMMA_CSV_HEADER, fmt, gamma_report_csv_row,
+from .io import (CsvDocument, GAMMA_CSV_HEADER, csv_row, gamma_report_csv_row,
                  read_graph, read_map, read_metric, write_graph, write_map,
                  write_metric)
 from .metrics import (FiniteMetric, MetricError, linf_grid,
@@ -28,7 +28,7 @@ from .models import (distribution_equality_mc, matching_avoidance_mc,
                      restriction_concentration_mc, typical_sets_experiment)
 from .poincare import (CapExceeded, VertexMap, gamma_exact, gamma_lower_search,
                        gamma_of_map)
-from .rng import derive_rng, worker_count
+from .rng import derive_rng
 from .svg import emit_svg
 
 
@@ -179,12 +179,8 @@ def cmd_nonconc(args) -> None:
     f = read_map(map_path, metric)
     v = check_nonconcentrated(g, f, args.q, args.cr, Fraction(args.tau).limit_denominator(10 ** 6))
     header = "hypothesis_met,ell,log_bound,ave,dirichlet,holds,slack_log"
-    row = ",".join([
-        "1" if v.hypothesis_met else "0", str(v.params.ell), fmt(v.params.log_bound),
-        fmt(v.ave), fmt(v.dirichlet),
-        "" if v.holds is None else ("1" if v.holds else "0"),
-        "" if v.slack_log is None else fmt(v.slack_log),
-    ])
+    row = csv_row(v.hypothesis_met, v.params.ell, v.params.log_bound, v.ave,
+                  v.dirichlet, v.holds, v.slack_log)
     _emit(CsvDocument(_echo(args), __version__, header, [row]), args.out)
     if v.holds is False:
         raise PropertyFailure("non-concentrated bound violated")
@@ -195,30 +191,23 @@ def cmd_witness(args) -> None:
     header = "n,d,k,s,s0,r0,q,ave,dirichlet,ratio,max_edge_cost"
     rows = []
     series = []
+
+    def certify(g: Graph) -> float:
+        r = witness_certificate(g, log_n_points, q=args.q)
+        p = r.params
+        rows.append(csv_row(g.n, p.d, p.k, p.s, p.s0, p.r0, args.q, r.ave,
+                            r.dirichlet, r.ratio, r.max_edge_cost))
+        return r.ratio
+
     if args.sizes:
-        sizes = [int(x) for x in args.sizes.split(",")]
         pts = []
-        for n in sizes:
-            ratios = []
-            for t in range(args.trials):
-                g = random_connected_regular(n, args.d, seed=args.seed + 7919 * t)
-                r = witness_certificate(g, log_n_points, q=args.q)
-                rows.append(",".join([str(n), str(args.d), str(r.params.k),
-                                      str(r.params.s), str(r.params.s0),
-                                      str(r.params.r0), fmt(args.q), fmt(r.ave),
-                                      fmt(r.dirichlet), fmt(r.ratio),
-                                      str(r.max_edge_cost)]))
-                ratios.append(r.ratio)
+        for n in (int(x) for x in args.sizes.split(",")):
+            ratios = [certify(random_connected_regular(n, args.d, seed=args.seed + 1000 * n + t))
+                      for t in range(args.trials)]
             pts.append((math.log(n), sorted(ratios)[len(ratios) // 2]))
         series.append(("median ratio", pts))
     else:
-        g = parse_graph_arg(args.gen, args.graph, args.seed)
-        r = witness_certificate(g, log_n_points, q=args.q)
-        d = g.regular_degree()
-        rows.append(",".join([str(g.n), str(d), str(r.params.k), str(r.params.s),
-                              str(r.params.s0), str(r.params.r0), fmt(args.q),
-                              fmt(r.ave), fmt(r.dirichlet), fmt(r.ratio),
-                              str(r.max_edge_cost)]))
+        certify(parse_graph_arg(args.gen, args.graph, args.seed))
     _emit(CsvDocument(_echo(args), __version__, header, rows), args.out)
     if args.svg and series:
         Path(args.svg).write_text(emit_svg(series, title="witness ratio vs log n",
@@ -233,10 +222,8 @@ def cmd_jls(args) -> None:
     delta = args.delta if args.delta is not None else default_delta(g.n)
     width, log_size = universal_space_size(g.n, delta, args.distortion, args.c1)
     header = "n,attempts,success,lip,colip,distortion,coords,log_space_size"
-    row = ",".join([str(g.n), str(res.attempts), "1" if res.success else "0",
-                    fmt(res.report.lip), fmt(res.report.colip),
-                    fmt(res.report.distortion), str(res.grid.coords.shape[1]),
-                    fmt(log_size)])
+    row = csv_row(g.n, res.attempts, res.success, res.report.lip, res.report.colip,
+                  res.report.distortion, res.grid.coords.shape[1], log_size)
     _emit(CsvDocument(_echo(args), __version__, header, [row]), args.out)
     if args.map_out:
         lines = [f"{res.grid.coords.shape[0]} {res.grid.coords.shape[1]}"]
@@ -257,7 +244,7 @@ def cmd_distort(args) -> None:
     f = read_map(map_path, metric)
     r = embedding_distortion(g, vertex_map_image_distances(f))
     header = "lip,colip,distortion,scale"
-    row = ",".join([fmt(r.lip), fmt(r.colip), fmt(r.distortion), fmt(r.scale)])
+    row = csv_row(r.lip, r.colip, r.distortion, r.scale)
     _emit(CsvDocument(_echo(args), __version__, header, [row]), args.out)
 
 
@@ -272,8 +259,7 @@ def cmd_model(args) -> None:
         r = matching_avoidance_mc(args.l, y, c=args.c, trials=args.trials,
                                   seed=args.seed, eps=args.eps)
         header = "ell,eps,c,trials,empirical,analytic_bound"
-        row = ",".join([str(r.ell), fmt(r.eps), fmt(r.c), str(r.trials),
-                        fmt(r.empirical), fmt(r.analytic_bound)])
+        row = csv_row(r.ell, r.eps, r.c, r.trials, r.empirical, r.analytic_bound)
         _emit(CsvDocument(_echo(args), __version__, header, [row]), args.out)
     elif args.lemma == "restriction":
         metric = uniform_metric(args.points)
@@ -281,8 +267,7 @@ def cmd_model(args) -> None:
         r = restriction_concentration_mc(f, eps=args.eps, k=args.k,
                                          trials=args.trials, seed=args.seed)
         header = "eps,k,trials,frequency,bound,hypothesis_met"
-        row = ",".join([fmt(r.eps), str(r.k), str(r.trials), fmt(r.frequency),
-                        fmt(r.bound), "1" if r.hypothesis_met else "0"])
+        row = csv_row(r.eps, r.k, r.trials, r.frequency, r.bound, r.hypothesis_met)
         _emit(CsvDocument(_echo(args), __version__, header, [row]), args.out)
         if r.hypothesis_met and r.frequency < max(r.bound, 0.0):
             raise PropertyFailure("restriction frequency fell below the bound")
@@ -290,8 +275,7 @@ def cmd_model(args) -> None:
         r = distribution_equality_mc(args.n, args.d, args.l, trials=args.trials,
                                      seed=args.seed)
         header = "n,d,ell,trials,cells,chi2,p_value"
-        row = ",".join([str(r.n), str(r.d), str(r.ell), str(r.trials),
-                        str(r.cells), fmt(r.chi2), fmt(r.p_value)])
+        row = csv_row(r.n, r.d, r.ell, r.trials, r.cells, r.chi2, r.p_value)
         _emit(CsvDocument(_echo(args), __version__, header, [row]), args.out)
         if r.p_value <= args.p_threshold:
             raise PropertyFailure(f"distribution mismatch: p = {r.p_value}")
@@ -299,9 +283,12 @@ def cmd_model(args) -> None:
         rows_data = typical_sets_experiment(args.n, args.d, args.bigk, args.m,
                                             trials=args.trials, seed=args.seed)
         header = "trial,v,v_prime,v_dprime,ell0,k0,f1,f2,f3"
-        rows = [",".join([str(r.trial), str(r.v_size), str(r.v_prime_size),
-                          str(r.v_dprime_size), str(r.ell0), str(r.k0),
-                          fmt(r.f1), fmt(r.f2), fmt(r.f3)]) for r in rows_data]
+        rows = [csv_row(r.trial, r.v_size, r.v_prime_size, r.v_dprime_size, r.ell0,
+                        r.k0, r.f1, r.f2, r.f3) for r in rows_data]
+        if rows_data:
+            hits = [sum(getattr(r, f) for r in rows_data) / len(rows_data)
+                    for f in ("f1", "f2", "f3")]
+            rows.append(csv_row("frequency", *[None] * 5, *hits))
         _emit(CsvDocument(_echo(args), __version__, header, rows), args.out)
     else:
         raise CliError(f"unknown lemma {args.lemma!r}")
@@ -311,22 +298,12 @@ def cmd_spectra(args) -> None:
     n, d = map(int, args.gen_regular.split(","))
     threshold = 2.1 * math.sqrt(d - 1)
 
-    def one(trial: int) -> float:
-        return lambda2(random_regular(n, d, seed=args.seed + 104729 * trial))
-
-    workers = worker_count()
-    if workers > 1:
-        # the eigensolver releases the GIL, so threads pay off here
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(one, range(args.trials)))
-    else:
-        values = [one(t) for t in range(args.trials)]
-    rows = [f"{t},{fmt(l2)},{'1' if l2 <= threshold else '0'}"
-            for t, l2 in enumerate(values)]
+    values = [lambda2(random_regular(n, d, seed=args.seed + 104729 * t))
+              for t in range(args.trials)]
+    rows = [csv_row(t, l2, l2 <= threshold) for t, l2 in enumerate(values)]
     frac = sum(l2 <= threshold for l2 in values) / args.trials
     header = "trial,lambda2,below_threshold"
-    rows.append(f"fraction,{fmt(frac)},")
+    rows.append(csv_row("fraction", frac, None))
     _emit(CsvDocument(_echo(args), __version__, header, rows), args.out)
     if args.min_fraction is not None and frac < args.min_fraction:
         raise PropertyFailure(f"fraction {frac} below {args.min_fraction}")

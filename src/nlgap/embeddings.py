@@ -63,11 +63,6 @@ class GridMap:
     def n(self) -> int:
         return self.coords.shape[0]
 
-    def pair_distance(self, v: int, u: int) -> int:
-        if self.coords.shape[1] == 0:
-            return 0
-        return int(np.abs(self.coords[v] - self.coords[u]).max())
-
     def image_distance_matrix(self, block: int = 256) -> np.ndarray:
         n = self.n
         out = np.empty((n, n), dtype=np.int64)
@@ -78,7 +73,9 @@ class GridMap:
         return out
 
     def edge_costs(self, g: Graph) -> list[int]:
-        return [self.pair_distance(u, v) for u, v in g.edges]
+        e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+        c = self.coords
+        return np.abs(c[e[:, 0]] - c[e[:, 1]]).max(axis=1, initial=0).tolist()
 
 
 def witness_map(g: Graph, log_n_points: float) -> tuple[GridMap, WitnessParams]:

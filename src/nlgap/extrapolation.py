@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import Graph, cheeger_lower_bound
+from .io import csv_row
 from .metrics import FiniteMetric, snowflake
 from .poincare import VertexMap, dirichlet, empirical_average, gamma_exact, is_concentrated
 
@@ -217,9 +218,7 @@ VERDICT_CSV_HEADER = ("instance,p,q,gamma_p,gamma_q,log_c1,log_c2,log_c3,log_c4,
 
 def verdict_csv_row(instance: str, v: ExtrapolationVerdict) -> str:
     c = v.consts
-    fields = [instance, repr(float(v.p)), repr(float(v.q)),
-              repr(v.gamma_p), repr(v.gamma_q),
-              repr(c.log_c1), repr(c.log_c2), repr(c.log_c3), repr(c.log_c4),
-              repr(v.lhs1_log), repr(v.rhs1_log), repr(v.lhs2_log), repr(v.rhs2_log),
-              "1" if v.passed else "0", repr(v.slack1_log), repr(v.slack2_log)]
-    return ",".join(fields)
+    return csv_row(instance, float(v.p), float(v.q), v.gamma_p, v.gamma_q,
+                   c.log_c1, c.log_c2, c.log_c3, c.log_c4,
+                   v.lhs1_log, v.rhs1_log, v.lhs2_log, v.rhs2_log,
+                   v.passed, v.slack1_log, v.slack2_log)

@@ -139,24 +139,16 @@ def relabel(g: Graph, perm) -> Graph:
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """BFS distances from one vertex; unreachable vertices get the value n."""
-    if not 0 <= source < g.n:
-        raise GraphError(f"source {source} out of range")
-    dist = [g.n] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in g.adjacency[v]:
-            if dist[u] == g.n:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
+    return multi_source_distances(g, [source])
 
 
 def multi_source_distances(g: Graph, sources) -> list[int]:
+    """BFS distances from the nearest vertex of a nonempty source set."""
     sources = list(sources)
     if not sources:
         raise GraphError("source set must be nonempty")
+    if min(sources) < 0 or max(sources) >= g.n:
+        raise GraphError(f"source out of range for n={g.n}: {min(sources)}..{max(sources)}")
     dist = [g.n] * g.n
     queue = deque()
     for s in sources:

@@ -1,7 +1,7 @@
-"""Plain-text file formats (graphs, metrics, vertex maps), CSV emission, and
-experiment manifests.  Every writer round-trips bit-exactly: graphs store
-sorted edge lists, metrics full matrix rows with shortest round-trip
-decimals, maps one vertex-point pair per line."""
+"""Plain-text file formats (graphs, metrics, vertex maps) and CSV emission.
+Every writer round-trips bit-exactly: graphs store sorted edge lists,
+metrics full matrix rows with shortest round-trip decimals, maps one
+vertex-point pair per line."""
 from __future__ import annotations
 
 import time
@@ -22,6 +22,13 @@ def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
+
+
+def csv_row(*fields) -> str:
+    """One CSV line: str fields pass through, None is empty, the rest go
+    through fmt."""
+    return ",".join(f if isinstance(f, str) else "" if f is None else fmt(f)
+                    for f in fields)
 
 
 # ---------------------------------------------------------------- graphs
@@ -105,12 +112,9 @@ GAMMA_CSV_HEADER = "n,d,N,q,ave,dirichlet,ratio,Qtau,concentrated"
 
 
 def gamma_report_csv_row(g: Graph, report: GammaReport, n_points: int) -> str:
-    d = g.regular_degree()
-    return ",".join([
-        str(g.n), str(d) if d is not None else "", str(n_points), fmt(report.q),
-        fmt(report.ave), fmt(report.dirichlet), fmt(report.ratio),
-        fmt(report.quantile_tau), "1" if report.concentrated else "0",
-    ])
+    return csv_row(g.n, g.regular_degree(), n_points, report.q, report.ave,
+                   report.dirichlet, report.ratio, report.quantile_tau,
+                   report.concentrated)
 
 
 @dataclass
@@ -133,20 +137,3 @@ class CsvDocument:
         out.extend(self.rows)
         return "\n".join(out) + "\n"
 
-    def body(self) -> str:
-        return "\n".join([self.header] + self.rows) + "\n"
-
-
-def write_manifest(path, **kv) -> None:
-    lines = [f"{k}={kv[k]}" for k in sorted(kv)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_manifest(path) -> dict[str, str]:
-    out = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line and "=" in line:
-            k, v = line.split("=", 1)
-            out[k] = v
-    return out

@@ -44,18 +44,11 @@ class FiniteMetric:
         return float(off.min())
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    """Elementwise q-th power of a metric; for q > 1 this is not a metric."""
-
-    values: np.ndarray
-    q: float
-
-
-def cost_matrix(metric: FiniteMetric, q: float) -> CostMatrix:
+def cost_matrix(metric: FiniteMetric, q: float) -> np.ndarray:
+    """Elementwise q-th power of the distances; for q > 1 this is not a metric."""
     if q <= 0:
         raise MetricError("exponent", (q,), "cost exponent must be positive")
-    return CostMatrix(np.power(metric.dist, q), q)
+    return np.power(metric.dist, q)
 
 
 def validate(dist, labels=None, tol: float | None = None) -> FiniteMetric:

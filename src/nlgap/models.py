@@ -13,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .graphs import (Graph, GraphError, bfs_distances, canonical_form,
+from .graphs import (Graph, GraphError, _pair_index, bfs_distances, canonical_form,
                      graph_from_edges, random_regular, relabel)
 from .poincare import VertexMap, empirical_average, is_concentrated
 from .rng import derive_rng
-
-canonical_rep = canonical_form
 
 
 def _subseed(seed: int, *path) -> int:
@@ -474,10 +472,6 @@ def is_invariant_generator(generator, u: Graph, seed: int, samples: int = 20) ->
 # distributional equality of (H, deleted) with the direct construction
 # ----------------------------------------------------------------------
 
-def _pair_ids(n: int) -> dict[tuple[int, int], int]:
-    return {e: i for i, e in enumerate(itertools.combinations(range(n), 2))}
-
-
 def enumerate_labeled_regular_masks(n: int, d: int) -> list[int]:
     """Edge bitmasks of every labelled d-regular graph on [n] (tiny n only)."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -518,7 +512,7 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int, seed: int,
     """
     if n > 6:
         raise GraphError("the enumerated outcome space is tiny-n only")
-    pair_id = _pair_ids(n)
+    pair_id = _pair_index(n)
     n_pairs = len(pair_id)
     m_edges = n * d // 2
     gen = derive_rng(seed, "dist-eq", n, d, ell)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, distance_matrix, is_connected, lambda2
-from .metrics import FiniteMetric, MetricError
+from .metrics import FiniteMetric, MetricError, cost_matrix
 from .rng import derive_rng
 
 
@@ -70,10 +70,8 @@ def _meets(count: int, tau, nsq: int) -> bool:
 
 def empirical_average(f: VertexMap, q: float) -> float:
     """Mean of pairwise image cost over all n^2 ordered vertex pairs."""
-    if q <= 0:
-        raise ValueError("exponent must be positive")
     cnt = f.point_counts().astype(np.float64)
-    costs = np.power(f.target.dist, q)
+    costs = cost_matrix(f.target, q)
     return float(cnt @ costs @ cnt) / (f.n * f.n)
 
 
@@ -119,7 +117,7 @@ def dirichlet(g: Graph, f: VertexMap, q: float) -> float:
     if g.m == 0:
         raise ValueError("graph has no edges")
     a = f.assignment
-    costs = np.power(f.target.dist, q)
+    costs = cost_matrix(f.target, q)
     return float(sum(costs[a[u], a[v]] for u, v in g.edges)) / g.m
 
 
@@ -173,7 +171,7 @@ def map_cost_sums(g: Graph, metric: FiniteMetric, q: float,
             f"{n_points}^{n} = {total} maps exceeds the exhaustive cap {cap}; "
             "use gamma_lower_search instead"
         )
-    costs = np.power(metric.dist, q)
+    costs = cost_matrix(metric, q)
     pairs = [(v, u) for v in range(n) for u in range(v + 1, n)]
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
@@ -235,7 +233,7 @@ def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
     if not is_connected(g):
         raise ValueError("gamma_lower_search requires a connected graph")
     n, n_points = g.n, metric.size
-    costs = np.power(metric.dist, q)
+    costs = cost_matrix(metric, q)
     scale = g.m / (n * n)  # ratio = scale * pair_sum / edge_sum
 
     def full_sums(a: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -379,7 +377,7 @@ def enumerate_map_statistics(g: Graph, metric: FiniteMetric, qs,
     ave: dict[float, np.ndarray] = {}
     diri: dict[float, np.ndarray] = {}
     for q in qs:
-        costs = np.power(metric.dist, q)
+        costs = cost_matrix(metric, q)
         pair = np.einsum("mx,xy,my->m", counts, costs, counts)
         ave[q] = pair / (n * n)
         edge = np.zeros(total, dtype=np.float64)

@@ -8,7 +8,6 @@ experiments replayable from a single integer.
 """
 from __future__ import annotations
 
-import os
 import zlib
 
 import numpy as np
@@ -28,11 +27,3 @@ def derive_rng(seed: int, *path) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy)
     return np.random.Generator(np.random.Philox(ss))
 
-
-def worker_count() -> int:
-    """Worker cap read from NLGAP_THREADS (default 1, never below 1)."""
-    raw = os.environ.get("NLGAP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -1,7 +1,11 @@
 import subprocess
 import sys
+from pathlib import Path
 
+from nlgap import cli
 from nlgap.io import read_graph, read_metric
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
 def run_cli(*argv, cwd=None):
@@ -136,3 +140,26 @@ class TestWitnessSvg:
         run_cli(*argv)
         assert svg.read_text() == first
         assert first.startswith("<svg")
+
+
+class TestCommittedResults:
+    """The committed results/ files are reproduced by the README commands;
+    a short prefix of each run must match them line for line."""
+
+    @staticmethod
+    def run_main(tmp_path, *argv) -> list[str]:
+        out = tmp_path / "out.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        return body_of(out.read_text()).splitlines()
+
+    def test_friedman_frequency_prefix(self, tmp_path):
+        got = self.run_main(tmp_path, "spectra", "--gen-regular", "1000,3",
+                            "--trials", "3", "--seed", "7")
+        committed = body_of((RESULTS / "friedman_frequency.csv").read_text()).splitlines()
+        assert got[:4] == committed[:4]  # header and trials 0..2
+
+    def test_witness_growth_smallest_size(self, tmp_path):
+        got = self.run_main(tmp_path, "witness", "--sizes", "64", "--trials", "10",
+                            "--seed", "3")
+        committed = body_of((RESULTS / "witness_growth.csv").read_text()).splitlines()
+        assert got == [committed[0]] + [r for r in committed[1:] if r.startswith("64,")]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlgap.embeddings import (embedding_distortion, default_delta,
+from nlgap.embeddings import (GridMap, embedding_distortion, default_delta,
                               grid_embedding_width, jls_embedding, trunc,
                               universal_space_size, vertex_map_image_distances,
                               witness_certificate, witness_map, witness_params)
@@ -47,6 +47,13 @@ class TestWitnessMap:
             g = random_connected_regular(n, 3 + (seed % 2), seed=seed)
             grid, _ = witness_map(g, math.log(10.0) * 50)
             assert max(grid.edge_costs(g)) <= 1
+
+    def test_edge_costs_match_image_distances(self):
+        g = random_connected_regular(24, 3, seed=2)
+        grid, _ = witness_map(g, math.log(10.0) * 50)
+        img = grid.image_distance_matrix()
+        assert grid.edge_costs(g) == [int(img[u, v]) for u, v in g.edges]
+        assert GridMap(np.zeros((5, 0), dtype=np.int16)).edge_costs(cycle_graph(5)) == [0] * 5
 
     def test_seed_vertex_coordinate(self):
         g = random_connected_regular(32, 3, seed=3)

@@ -12,8 +12,8 @@ from nlgap.graphs import (Graph, GraphError, ball, bfs_distances, canonical_form
                           cut_size, cycle_graph, diameter, disjoint_union,
                           distance_matrix, enumerate_regular_graphs,
                           expansion_holds, graph_from_edges, is_connected,
-                          path_graph, random_regular, relabel, spectrum, sphere,
-                          tree_like_set)
+                          multi_source_distances, path_graph, random_regular,
+                          relabel, spectrum, sphere, tree_like_set)
 from nlgap.rng import derive_rng
 
 
@@ -76,6 +76,16 @@ class TestDistances:
 
     def test_complete_graph(self):
         assert bfs_distances(complete_graph(4), 2) == [1, 1, 0, 1]
+
+    @pytest.mark.parametrize("source", [-1, -2, 5, 7])
+    def test_source_out_of_range_rejected(self, source):
+        g = cycle_graph(5)
+        with pytest.raises(GraphError):
+            multi_source_distances(g, [0, source])
+        with pytest.raises(GraphError):
+            bfs_distances(g, source)
+        with pytest.raises(GraphError):
+            ball(g, [source], 1)
 
     def test_matrix_symmetric_zero_diagonal(self, corpus):
         for g in corpus.values():

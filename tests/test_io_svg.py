@@ -1,9 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 
 from nlgap.graphs import cycle_graph, petersen_graph, random_regular
-from nlgap.io import (graph_from_text, graph_to_text, map_assignment_from_text,
-                      map_to_text, metric_from_text, metric_to_text,
-                      read_manifest, write_manifest)
+from nlgap.io import (csv_row, graph_from_text, graph_to_text,
+                      map_assignment_from_text, map_to_text, metric_from_text,
+                      metric_to_text)
 from nlgap.metrics import random_euclidean_metric, uniform_metric
 from nlgap.poincare import VertexMap
 from nlgap.svg import emit_svg
@@ -48,12 +51,25 @@ class TestMapFormat:
         assert map_assignment_from_text(text) == (0, 2, 1, 1, 0)
 
 
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "run.manifest"
-        write_manifest(path, n=6, d=3, ell=2, trials=1000, seed=7)
-        back = read_manifest(path)
-        assert back == {"n": "6", "d": "3", "ell": "2", "trials": "1000", "seed": "7"}
+class TestCsvRow:
+    @pytest.mark.parametrize("field, text", [
+        ("frequency", "frequency"),
+        (None, ""),
+        (True, "1"),
+        (False, "0"),
+        (7, "7"),
+        (np.int64(7), "7"),
+        (np.bool_(True), "1"),
+        (0.1, "0.1"),
+        (1.0, "1.0"),
+        (np.float64(2.5), "2.5"),
+        (math.inf, "inf"),
+    ])
+    def test_field_rules(self, field, text):
+        assert csv_row(field) == text
+
+    def test_fields_joined_with_commas(self):
+        assert csv_row("fraction", 1.0, None) == "fraction,1.0,"
 
 
 class TestSvg:

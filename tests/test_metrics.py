@@ -141,8 +141,8 @@ class TestCostMatrix:
         m = random_euclidean_metric(5, seed=2)
         scaled = validate(m.dist / m.dist.max())
         for p, q in [(1, 2), (1.5, 3), (2, 2.5)]:
-            cp = cost_matrix(scaled, p).values
-            cq = cost_matrix(scaled, q).values
+            cp = cost_matrix(scaled, p)
+            cq = cost_matrix(scaled, q)
             assert (cq <= cp + 1e-12).all()
 
 

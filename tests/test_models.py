@@ -5,11 +5,10 @@ from collections import Counter
 import pytest
 from scipy import stats
 
-from nlgap.graphs import (GraphError, bfs_distances, cycle_graph, diameter,
-                          path_graph, random_regular, relabel)
+from nlgap.graphs import (GraphError, bfs_distances, canonical_form, cycle_graph,
+                          diameter, path_graph, random_regular, relabel)
 from nlgap.metrics import uniform_metric
-from nlgap.models import (all_perfect_matchings, canonical_rep,
-                          distribution_equality_mc, draw_model,
+from nlgap.models import (all_perfect_matchings, distribution_equality_mc, draw_model,
                           enumerate_labeled_regular_masks,
                           equitable_decomposition, is_invariant_generator,
                           matching_avoidance_bound, matching_avoidance_mc,
@@ -24,10 +23,10 @@ class TestCanonicalRep:
     def test_invariant_under_relabelling(self):
         gen = derive_rng(2, "canon")
         for g in (cycle_graph(6), random_regular(6, 3, seed=5)):
-            base = canonical_rep(g).edges
+            base = canonical_form(g).edges
             for _ in range(100):
                 perm = tuple(int(x) for x in gen.permutation(g.n))
-                assert canonical_rep(relabel(g, perm)).edges == base
+                assert canonical_form(relabel(g, perm)).edges == base
 
 
 class TestDrawModel:
@@ -49,7 +48,7 @@ class TestDrawModel:
 
     def test_u_is_canonical(self):
         d = draw_model(6, 3, 1, seed=3)
-        assert d.u.edges == canonical_rep(d.g).edges
+        assert d.u.edges == canonical_form(d.g).edges
         assert relabel(d.u, d.pi).edges == d.h.edges
 
     def test_domain(self):

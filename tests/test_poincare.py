@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from nlgap.graphs import (complete_graph, cut_size, cycle_graph, disjoint_union,
                           path_graph, relabel)
-from nlgap.metrics import (path_metric, random_euclidean_metric, uniform_metric,
-                           validate)
+from nlgap.metrics import (MetricError, path_metric, random_euclidean_metric,
+                           uniform_metric, validate)
 from nlgap.poincare import (CapExceeded, VertexMap, average_distortion, dirichlet,
                             empirical_average, empirical_quantile,
                             enumerate_map_statistics, gamma_euclidean_sq,
@@ -246,6 +246,18 @@ class TestGammaLowerSearch:
         m = uniform_metric(2)
         r = gamma_lower_search(g, m, 1, iters=1, seed=0, start=(0, 0, 0, 0))
         assert r.gamma >= 0.0
+
+
+@pytest.mark.parametrize("q", [0, -1])
+@pytest.mark.parametrize("run", [
+    lambda g, m, q: gamma_exact(g, m, q),
+    lambda g, m, q: dirichlet(g, VertexMap(m, (0, 1, 0, 1)), q),
+    lambda g, m, q: gamma_lower_search(g, m, q, iters=5, seed=0),
+    lambda g, m, q: enumerate_map_statistics(g, m, qs=(q,)),
+], ids=["gamma_exact", "dirichlet", "gamma_lower_search", "enumerate_map_statistics"])
+def test_nonpositive_exponent_rejected(run, q):
+    with pytest.raises(MetricError):
+        run(cycle_graph(4), uniform_metric(2), q)
 
 
 class TestGammaEuclidean:
