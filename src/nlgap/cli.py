@@ -200,6 +200,8 @@ def cmd_witness(args) -> None:
         return r.ratio
 
     if args.sizes:
+        if args.trials < 1:
+            raise CliError(f"--trials must be >= 1, got {args.trials}")
         pts = []
         for n in (int(x) for x in args.sizes.split(",")):
             ratios = [certify(random_connected_regular(n, args.d, seed=args.seed + 1000 * n + t))
@@ -296,6 +298,8 @@ def cmd_model(args) -> None:
 
 def cmd_spectra(args) -> None:
     n, d = map(int, args.gen_regular.split(","))
+    if args.trials < 1:
+        raise CliError(f"--trials must be >= 1, got {args.trials}")
     threshold = 2.1 * math.sqrt(d - 1)
 
     values = [lambda2(random_regular(n, d, seed=args.seed + 104729 * t))
@@ -440,7 +444,7 @@ def main(argv=None) -> int:
     except PropertyFailure as exc:
         print(f"property check failed: {exc}", file=sys.stderr)
         return 2
-    except (CliError, GraphError, MetricError, ValueError, OSError) as exc:
+    except (CliError, CapExceeded, GraphError, MetricError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -312,6 +312,9 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise GraphError(f"degree d={d} must satisfy 3 <= d <= n-1 (n={n})")
     if (n * d) % 2 != 0:
         raise GraphError(f"n*d must be even, got n={n}, d={d}")
+    # a pairing is simple with probability about exp(-(d^2-1)/4)
+    if (d * d - 1) / 4 > math.log(1e6):
+        raise GraphError(f"d={d} needs about exp((d^2-1)/4) > 1e6 pairing draws; use d <= 7")
     gen = derive_rng(seed, "pairing", n, d)
     cap = math.ceil(10.0 * math.exp(d * d))
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
@@ -433,26 +436,21 @@ def expansion_holds(g: Graph, alpha: float, exact_limit: int = 18,
 # ----------------------------------------------------------------------
 
 _CANON_CAP = 8
-_perm_tables: dict[int, tuple[np.ndarray, list[tuple[int, int]]]] = {}
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    return {e: i for i, e in enumerate(itertools.combinations(range(n), 2))}
-
-
-def _perm_table(n: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """For each permutation of [n], where every vertex pair index is sent."""
-    if n not in _perm_tables:
-        pairs = list(itertools.combinations(range(n), 2))
-        idx = _pair_index(n)
-        perms = list(itertools.permutations(range(n)))
-        table = np.empty((len(perms), len(pairs)), dtype=np.int32)
-        for p, perm in enumerate(perms):
-            for e, (u, v) in enumerate(pairs):
-                a, b = perm[u], perm[v]
-                table[p, e] = idx[(a, b) if a < b else (b, a)]
-        _perm_tables[n] = (table, pairs)
-    return _perm_tables[n]
+@lru_cache(maxsize=_CANON_CAP + 1)
+def _pair_action(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The action of the permutations of [n] on its vertex pairs, read-only:
+    the pairs in lexicographic order, the n x n pair-index matrix pid, and
+    img[p, e], the index of pair e's image under the p-th permutation in
+    itertools order."""
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
+    pid = np.zeros((n, n), dtype=np.int8)
+    pid[pairs[:, 0], pairs[:, 1]] = pid[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    img = pid[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]]
+    pairs.flags.writeable = pid.flags.writeable = img.flags.writeable = False
+    return pairs, pid, img
 
 
 @lru_cache(maxsize=65536)
@@ -464,25 +462,13 @@ def canonical_form(g: Graph) -> Graph:
     """
     if g.n > _CANON_CAP:
         raise GraphError(f"canonical form is brute-force only, n <= {_CANON_CAP}")
-    if g.n == 0:
-        return g
-    table, pairs = _perm_table(g.n)
-    idx = _pair_index(g.n)
-    bits = np.zeros(len(pairs), dtype=bool)
-    for e in g.edges:
-        bits[idx[e]] = True
-    candidates = bits[table]  # (n!, C(n,2)) images of the edge indicator
-    packed = np.packbits(candidates, axis=1)
-    # smallest sorted edge list <=> greatest indicator string in pair order
-    order = np.lexsort(packed[:, ::-1].T)
-    best = candidates[order[-1]]
-    return graph_from_edges(g.n, [pairs[i] for i in np.flatnonzero(best)])
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    return canonical_form(g1).edges == canonical_form(g2).edges
+    pairs, pid, img = _pair_action(g.n)
+    # smallest sorted edge list <=> greatest pair indicator read with pair 0
+    # as the most significant bit
+    top = len(pairs) - 1
+    best = int((np.int64(1) << (top - img[:, [pid[e] for e in g.edges]])).sum(axis=1).max())
+    return graph_from_edges(g.n, [pairs[e].tolist() for e in range(top + 1)
+                                  if best >> (top - e) & 1])
 
 
 def enumerate_regular_graphs(n: int, d: int, connected_only: bool = True) -> list[Graph]:

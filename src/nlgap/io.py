@@ -42,7 +42,7 @@ def graph_to_text(g: Graph) -> str:
 def graph_from_text(text: str) -> Graph:
     rows = [r for r in text.splitlines() if r.strip()]
     n, m = map(int, rows[0].split())
-    edges = [tuple(map(int, r.split())) for r in rows[1:m + 1]]
+    edges = [tuple(map(int, r.split())) for r in rows[1:]]
     if len(edges) != m:
         raise ValueError(f"expected {m} edges, found {len(edges)}")
     return graph_from_edges(n, edges)
@@ -68,7 +68,9 @@ def metric_to_text(metric: FiniteMetric) -> str:
 def metric_from_text(text: str) -> FiniteMetric:
     rows = [r for r in text.splitlines() if r.strip()]
     n = int(rows[0])
-    mat = [[float(x) for x in rows[1 + i].split()] for i in range(n)]
+    mat = [[float(x) for x in r.split()] for r in rows[1:]]
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise ValueError(f"expected {n} metric rows of {n} entries each")
     return validate(mat)
 
 
@@ -91,11 +93,10 @@ def map_to_text(f: VertexMap) -> str:
 def map_assignment_from_text(text: str) -> tuple[int, ...]:
     rows = [r for r in text.splitlines() if r.strip()]
     n = int(rows[0])
-    out = [0] * n
-    for r in rows[1:n + 1]:
-        v, p = map(int, r.split())
-        out[v] = p
-    return tuple(out)
+    out = dict(map(int, r.split()) for r in rows[1:])
+    if len(rows) - 1 != n or sorted(out) != list(range(n)):
+        raise ValueError(f"a map on {n} vertices needs one line for each vertex 0..{n - 1}")
+    return tuple(out[v] for v in range(n))
 
 
 def write_map(f: VertexMap, path) -> None:

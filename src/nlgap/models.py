@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .graphs import (Graph, GraphError, _pair_index, bfs_distances, canonical_form,
+from .graphs import (Graph, GraphError, _pair_action, bfs_distances, canonical_form,
                      graph_from_edges, random_regular, relabel)
 from .poincare import VertexMap, empirical_average, is_concentrated
 from .rng import derive_rng
@@ -306,6 +306,8 @@ def matching_avoidance_mc(ell: int, y_pairs, c: float, trials: int, seed: int,
         raise GraphError(f"|Y| = {len(y)} below (1-eps) * C(ell,2) = {(1 - eps) * full}")
     if not 0 < c <= eps <= 0.5:
         raise GraphError(f"need 0 < c <= eps <= 1/2, got c={c}, eps={eps}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     gen = derive_rng(seed, "matching-mc", ell)
     threshold = c * ell / 2.0
     hits = 0
@@ -345,6 +347,8 @@ def restriction_concentration_mc(f: VertexMap, eps, k: int, trials: int,
     n = f.n
     if not 2 <= k <= n:
         raise GraphError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     eps_f = float(eps)
     ave = empirical_average(f, 1.0)
     hypothesis = (is_concentrated(f, 5.0, 1.0, eps) and eps_f <= 1.0 / 31.0
@@ -501,8 +505,11 @@ class DistEqResult:
     p_value: float
 
 
-def distribution_equality_mc(n: int, d: int, ell: int, trials: int, seed: int,
-                             batch: int = 1 << 15) -> DistEqResult:
+_DIST_EQ_BATCH = 1 << 15  # pairings per sampler round; the value fixes the random stream
+
+
+def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
+                             seed: int) -> DistEqResult:
     """Goodness of fit of the staged (H, deleted-edges) sample against the
     exact law of the direct construction, which is uniform over (labelled
     graph, ell-subset of its edges) by enumeration.
@@ -512,87 +519,54 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int, seed: int,
     """
     if n > 6:
         raise GraphError("the enumerated outcome space is tiny-n only")
-    pair_id = _pair_index(n)
-    n_pairs = len(pair_id)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    pairs, pid, img = _pair_action(n)
+    n_pairs = len(pairs)
     m_edges = n * d // 2
     gen = derive_rng(seed, "dist-eq", n, d, ell)
-    perms = list(itertools.permutations(range(n)))
-    combos = list(itertools.combinations(range(m_edges), ell))
+    combos = np.array(list(itertools.combinations(range(m_edges), ell)), dtype=np.intp)
 
-    canon_cache: dict[int, int] = {}
-    canon_tables: list[np.ndarray] = []   # per canonical index: outcome key table
-    canon_masks: list[int] = []
+    def mask_ids(masks) -> np.ndarray:
+        """Sorted pair indices of each edge bitmask, one row per mask."""
+        bits = np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(n_pairs) & 1
+        return np.nonzero(bits)[1].reshape(-1, m_edges)
 
-    def mask_edges(mask: int):
-        pairs = list(pair_id)
-        return [pairs[i] for i in range(n_pairs) if mask >> i & 1]
-
-    def table_for(u_edges) -> np.ndarray:
-        out = np.empty((len(perms), len(combos)), dtype=np.int64)
-        for p, perm in enumerate(perms):
-            ids = []
-            hmask = 0
-            for a, b in u_edges:
-                x, y = perm[a], perm[b]
-                eid = pair_id[(x, y) if x < y else (y, x)]
-                ids.append(eid)
-                hmask |= 1 << eid
-            for ci, combo in enumerate(combos):
-                dmask = 0
-                for i in combo:
-                    dmask |= 1 << ids[i]
-                out[p, ci] = (hmask << n_pairs) | dmask
-        return out
+    def outcome_keys(ids: np.ndarray) -> np.ndarray:
+        """(graph mask << n_pairs) | deleted mask for graphs given by the sorted
+        pair indices in the last axis of ids, over every deletion in combos."""
+        bits = np.int64(1) << ids.astype(np.int64)
+        return (bits.sum(axis=-1)[..., None] << n_pairs) | bits[..., combos].sum(axis=-1)
 
     base = np.repeat(np.arange(n, dtype=np.int64), d)
-    counts: Counter = Counter()
+    masks, perm_idx, combo_idx = [], [], []
     done = 0
     while done < trials:
-        keys = gen.random((batch, base.size))
-        order = np.argsort(keys, axis=1)
-        shuffled = base[order]
-        us, vs = shuffled[:, 0::2], shuffled[:, 1::2]
-        loops = (us == vs).any(axis=1)
-        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        shuffled = base[np.argsort(gen.random((_DIST_EQ_BATCH, base.size)), axis=1)]
+        lo = np.minimum(shuffled[:, 0::2], shuffled[:, 1::2])
+        hi = np.maximum(shuffled[:, 0::2], shuffled[:, 1::2])
         codes = np.sort(lo * n + hi, axis=1)
-        dups = (np.diff(codes, axis=1) == 0).any(axis=1)
-        ok = ~(loops | dups)
-        lo, hi = lo[ok], hi[ok]
-        take = min(lo.shape[0], trials - done)
+        ok = ~((lo == hi).any(axis=1) | (np.diff(codes, axis=1) == 0).any(axis=1))
+        take = min(int(ok.sum()), trials - done)
         if take == 0:
             continue
-        perm_idx = gen.integers(0, len(perms), size=take)
-        combo_idx = gen.integers(0, len(combos), size=take)
-        for row in range(take):
-            mask = 0
-            for a, b2 in zip(lo[row], hi[row]):
-                mask |= 1 << pair_id[(int(a), int(b2))]
-            ui = canon_cache.get(mask)
-            if ui is None:
-                u = canonical_form(graph_from_edges(n, mask_edges(mask)))
-                umask = 0
-                for e in u.edges:
-                    umask |= 1 << pair_id[e]
-                if umask in canon_masks:
-                    ui = canon_masks.index(umask)
-                else:
-                    ui = len(canon_masks)
-                    canon_masks.append(umask)
-                    canon_tables.append(table_for(u.edges))
-                canon_cache[mask] = ui
-            counts[int(canon_tables[ui][perm_idx[row], combo_idx[row]])] += 1
+        masks.append((np.int64(1) << pid[lo[ok][:take], hi[ok][:take]]).sum(axis=1))
+        perm_idx.append(gen.integers(0, len(img), size=take))
+        combo_idx.append(gen.integers(0, len(combos), size=take))
         done += take
 
-    labeled = enumerate_labeled_regular_masks(n, d)
-    cells = []
-    for mask in labeled:
-        edges = mask_edges(mask)
-        ids = [pair_id[e] for e in edges]
-        for combo in itertools.combinations(range(m_edges), ell):
-            dmask = 0
-            for i in combo:
-                dmask |= 1 << ids[i]
-            cells.append((mask << n_pairs) | dmask)
+    # canonical representative U of each sampled labelled graph, then the
+    # outcome of every (pi, U, deletion) in one table
+    labelled, row_graph = np.unique(np.concatenate(masks), return_inverse=True)
+    canon = [[pid[e] for e in canonical_form(graph_from_edges(n, pairs[ids].tolist())).edges]
+             for ids in mask_ids(labelled)]
+    reps, rep_of = np.unique(canon, axis=0, return_inverse=True)
+    outcomes = outcome_keys(img[:, reps])[np.concatenate(perm_idx), rep_of[row_graph],
+                                          np.concatenate(combo_idx)]
+    keys, freq = np.unique(outcomes, return_counts=True)
+    counts = dict(zip(keys.tolist(), freq.tolist()))
+
+    cells = outcome_keys(mask_ids(enumerate_labeled_regular_masks(n, d))).ravel().tolist()
     expected = trials / len(cells)
     chi2 = sum((counts.get(c, 0) - expected) ** 2 / expected for c in cells)
     stray = set(counts) - set(cells)

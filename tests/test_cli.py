@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from nlgap import cli
 from nlgap.io import read_graph, read_metric
 
@@ -127,6 +129,31 @@ class TestModelAndSpectra:
         ha = [l for l in a.stdout.splitlines() if l.startswith("#") and "walltime" not in l]
         hb = [l for l in b.stdout.splitlines() if l.startswith("#") and "walltime" not in l]
         assert ha == hb
+
+
+class TestCleanErrorExits:
+    """Out-of-range input exits 1 with one stderr line, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("spectra", "--gen-regular", "20,3", "--trials", "0"),
+        ("witness", "--sizes", "16", "--trials", "0"),
+        ("model", "--lemma", "matchings", "--trials", "0"),
+        ("model", "--lemma", "dist-eq", "--trials", "0"),
+        ("extrapolate", "--gen", "regular:16,3", "--metric", "uniform:4"),
+        ("gen-graph", "--type", "regular:30,27", "--out", "unused.txt"),
+    ])
+    def test_exit_one(self, argv, capsys):
+        assert cli.main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_distort_rejects_incomplete_map(self, tmp_path, capsys):
+        fpath = tmp_path / "f.txt"
+        fpath.write_text("4\n0 0\n1 1\n")
+        assert cli.main(["distort", "--gen", "cycle:4", "--metric", "uniform:2",
+                         "--map", str(fpath)]) == 1
+        assert "one line for each vertex" in capsys.readouterr().err
 
 
 class TestWitnessSvg:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nlgap.graphs import (Graph, GraphError, ball, bfs_distances, canonical_form,
                           cheeger_bounds, cheeger_exact, complete_graph,
-                          cut_size, cycle_graph, diameter, disjoint_union,
+                          cube_graph, cut_size, cycle_graph, diameter, disjoint_union,
                           distance_matrix, enumerate_regular_graphs,
                           expansion_holds, graph_from_edges, is_connected,
                           multi_source_distances, path_graph, random_regular,
@@ -34,6 +34,12 @@ def brute_force_ball(g, sources, radius):
                     nxt.add(u)
         current = nxt
     return {v for v in range(g.n) if dist[v] <= radius}
+
+
+def brute_force_canonical(g):
+    """Independent oracle: the smallest sorted relabelled edge list."""
+    return min(tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges))
+               for p in itertools.permutations(range(g.n)))
 
 
 def brute_force_cheeger(g):
@@ -224,6 +230,11 @@ class TestRandomRegular:
         with pytest.raises(GraphError):
             random_regular(5, 3, seed=0)
 
+    @pytest.mark.parametrize("n, d", [(9, 8), (30, 27)])
+    def test_infeasible_degree_rejected_before_drawing(self, n, d):
+        with pytest.raises(GraphError, match="1e6"):
+            random_regular(n, d, seed=0)
+
     def test_uniform_over_isomorphism_classes(self):
         # G(6,3) has two classes: the complete bipartite one (10 labelled
         # copies, triangle-free) and the prism one (60), so the class
@@ -301,6 +312,29 @@ class TestCanonical:
         for _ in range(20):
             perm = tuple(int(x) for x in gen.permutation(6))
             assert canonical_form(relabel(g, perm)).edges == base
+
+    def test_every_labelled_graph_up_to_five_vertices(self):
+        checked = 0
+        for n in range(2, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = graph_from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                assert canonical_form(g).edges == brute_force_canonical(g)
+                checked += 1
+        assert checked == 1098
+
+    def test_cube_relabellings(self):
+        g = cube_graph()
+        want = brute_force_canonical(g)
+        gen = derive_rng(11, "canon-cube")
+        for _ in range(5):
+            h = relabel(g, tuple(int(x) for x in gen.permutation(8)))
+            assert canonical_form(h).edges == want
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_vertex_sets(self, n):
+        g = graph_from_edges(n, [])
+        assert canonical_form(g) == g == graph_from_edges(n, brute_force_canonical(g))
 
     def test_enumeration_counts(self):
         assert len(enumerate_regular_graphs(4, 3)) == 1

@@ -51,6 +51,30 @@ class TestMapFormat:
         assert map_assignment_from_text(text) == (0, 2, 1, 1, 0)
 
 
+class TestStrictParsers:
+    @pytest.mark.parametrize("text", [
+        "3\n0 1\n1 0\n",           # vertex 2 missing
+        "3\n0 1\n1 0\n1 1\n",     # vertex 1 twice
+        "3\n0 1\n1 0\n3 1\n",     # vertex 3 out of range
+        "2\n0 1\n1 0\n2 1\n",     # a row beyond n
+    ])
+    def test_map_rejected(self, text):
+        with pytest.raises(ValueError, match="one line for each vertex"):
+            map_assignment_from_text(text)
+
+    def test_graph_rows_beyond_m_rejected(self):
+        with pytest.raises(ValueError, match="expected 1 edges"):
+            graph_from_text("3 1\n0 1\n1 2\n")
+
+    @pytest.mark.parametrize("text", [
+        "2\n0 1\n1 0\n0 1\n",     # a row beyond N
+        "2\n0 1\n1 0 1\n",         # a row of the wrong length
+    ])
+    def test_metric_rejected(self, text):
+        with pytest.raises(ValueError, match="2 metric rows of 2 entries"):
+            metric_from_text(text)
+
+
 class TestCsvRow:
     @pytest.mark.parametrize("field, text", [
         ("frequency", "frequency"),

@@ -290,3 +290,27 @@ class TestDistributionEquality:
         r = distribution_equality_mc(6, 3, 1, trials=40000, seed=12)
         assert r.cells == 630
         assert r.p_value > 0.001
+        # bit for bit: the draws, the cell order and the chi2 summation order fix these
+        assert r.chi2 == 626.7784999999993
+        assert r.p_value == 0.5175096114525949
+
+    def test_two_deletions_pinned(self):
+        r = distribution_equality_mc(6, 3, 2, trials=20000, seed=5)
+        assert r.cells == 2520
+        assert r.chi2 == 2536.8640000000346
+
+
+class TestTrialCount:
+    def test_matchings(self):
+        with pytest.raises(ValueError, match="trials"):
+            matching_avoidance_mc(8, itertools.combinations(range(8), 2), c=0.1,
+                                  trials=0, seed=0, eps=0.2)
+
+    def test_restriction(self):
+        f = VertexMap(uniform_metric(2), (0, 1) * 5)
+        with pytest.raises(ValueError, match="trials"):
+            restriction_concentration_mc(f, eps=1 / 31, k=4, trials=0, seed=0)
+
+    def test_dist_eq(self):
+        with pytest.raises(ValueError, match="trials"):
+            distribution_equality_mc(6, 3, 1, trials=0, seed=0)
