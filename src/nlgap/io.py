@@ -31,6 +31,14 @@ def csv_row(*fields) -> str:
                     for f in fields)
 
 
+def _rows(text: str, what: str) -> list[str]:
+    """The non-blank lines of a file; an empty file is an error."""
+    rows = [r for r in text.splitlines() if r.strip()]
+    if not rows:
+        raise ValueError(f"empty {what} file")
+    return rows
+
+
 # ---------------------------------------------------------------- graphs
 
 def graph_to_text(g: Graph) -> str:
@@ -40,7 +48,7 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    rows = [r for r in text.splitlines() if r.strip()]
+    rows = _rows(text, "graph")
     n, m = map(int, rows[0].split())
     edges = [tuple(map(int, r.split())) for r in rows[1:]]
     if len(edges) != m:
@@ -66,7 +74,7 @@ def metric_to_text(metric: FiniteMetric) -> str:
 
 
 def metric_from_text(text: str) -> FiniteMetric:
-    rows = [r for r in text.splitlines() if r.strip()]
+    rows = _rows(text, "metric")
     n = int(rows[0])
     mat = [[float(x) for x in r.split()] for r in rows[1:]]
     if len(mat) != n or any(len(row) != n for row in mat):
@@ -91,7 +99,7 @@ def map_to_text(f: VertexMap) -> str:
 
 
 def map_assignment_from_text(text: str) -> tuple[int, ...]:
-    rows = [r for r in text.splitlines() if r.strip()]
+    rows = _rows(text, "map")
     n = int(rows[0])
     out = dict(map(int, r.split()) for r in rows[1:])
     if len(rows) - 1 != n or sorted(out) != list(range(n)):

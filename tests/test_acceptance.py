@@ -5,6 +5,7 @@ lines; the whole suite is also part of the default pytest run.
 """
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -28,8 +29,19 @@ from nlgap.rng import derive_rng
 TAU_HALF = Fraction(1, 2)
 
 
+_started = 0.0
+
+
+@pytest.fixture(autouse=True)
+def _clock():
+    """Record when each test starts; module-scoped fixtures are built before."""
+    global _started
+    _started = time.perf_counter()
+
+
 def report(cid: int, name: str, ok: bool, detail: str = ""):
-    print(f"\n[acceptance {cid:2d}] {name}: {'PASS' if ok else 'FAIL'} {detail}")
+    wall = time.perf_counter() - _started
+    print(f"\n[acceptance {cid:2d}] {name}: {'PASS' if ok else 'FAIL'} {detail} ({wall:.2f} s)")
     assert ok, f"criterion {cid} ({name}) failed: {detail}"
 
 

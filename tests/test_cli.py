@@ -155,6 +155,14 @@ class TestCleanErrorExits:
                          "--map", str(fpath)]) == 1
         assert "one line for each vertex" in capsys.readouterr().err
 
+    def test_distort_rejects_empty_map(self, tmp_path, capsys):
+        fpath = tmp_path / "f.txt"
+        fpath.write_text("")
+        assert cli.main(["distort", "--gen", "cycle:4", "--metric", "uniform:2",
+                         "--map", str(fpath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: empty map file\n"
+
 
 class TestWitnessSvg:
     def test_svg_written_and_deterministic(self, tmp_path):

@@ -74,6 +74,13 @@ class TestStrictParsers:
         with pytest.raises(ValueError, match="2 metric rows of 2 entries"):
             metric_from_text(text)
 
+    @pytest.mark.parametrize("parse", [graph_from_text, metric_from_text,
+                                       map_assignment_from_text])
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_empty_rejected(self, parse, text):
+        with pytest.raises(ValueError, match="empty"):
+            parse(text)
+
 
 class TestCsvRow:
     @pytest.mark.parametrize("field, text", [

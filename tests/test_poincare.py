@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlgap.graphs import (complete_graph, cut_size, cycle_graph, disjoint_union,
-                          path_graph, relabel)
-from nlgap.metrics import (MetricError, path_metric, random_euclidean_metric,
-                           uniform_metric, validate)
+from nlgap.graphs import (complete_bipartite_graph, complete_graph, cut_size,
+                          cycle_graph, disjoint_union, path_graph,
+                          random_connected_regular, relabel)
+from nlgap.metrics import (MetricError, cost_matrix, linf_grid, path_metric,
+                           random_euclidean_metric, uniform_metric, validate)
 from nlgap.poincare import (CapExceeded, VertexMap, average_distortion, dirichlet,
                             empirical_average, empirical_quantile,
                             enumerate_map_statistics, gamma_euclidean_sq,
                             gamma_exact, gamma_lower_search, gamma_of_map,
                             is_concentrated)
+from nlgap.rng import derive_rng
 
 
 def two_point_gamma_oracle(g):
@@ -246,6 +248,128 @@ class TestGammaLowerSearch:
         m = uniform_metric(2)
         r = gamma_lower_search(g, m, 1, iters=1, seed=0, start=(0, 0, 0, 0))
         assert r.gamma >= 0.0
+
+    @pytest.mark.parametrize("start, problem", [
+        ((0, 1, 0, 1, 1), "5 entries"),
+        ((0, 1, 0), "3 entries"),
+        ((0, 1, 2, 1), r"\[0, 2\)"),
+        ((0, -1, 0, 1), r"\[0, 2\)"),
+        ((0, 1, 0.5, 1), r"\[0, 2\)"),
+    ], ids=["long", "short", "too-large", "negative", "fractional"])
+    def test_bad_start_rejected(self, start, problem):
+        with pytest.raises(ValueError, match=problem):
+            gamma_lower_search(cycle_graph(4), uniform_metric(2), 1, iters=5, seed=0,
+                               start=start)
+
+
+def search_reference(g, metric, q, iters, seed, start=None):
+    """The search as one Python loop over the vertices per step; the slow
+    reference for gamma_lower_search, which must follow it move for move."""
+    n, n_points = g.n, metric.size
+    costs = cost_matrix(metric, q)
+    scale = g.m / (n * n)
+
+    def full_sums(a):
+        cnt = np.bincount(a, minlength=n_points).astype(np.float64)
+        pair = float(cnt @ costs @ cnt)
+        edge = float(sum(costs[a[u], a[v]] for u, v in g.edges))
+        return cnt, pair, edge
+
+    def ratio(pair, edge):
+        return scale * pair / edge if edge > 0 else -math.inf
+
+    def fresh(restart):
+        gen = derive_rng(seed, "gamma-search", restart)
+        a = gen.integers(0, n_points, size=n)
+        if len(set(a.tolist())) <= 1 and n_points > 1:
+            a[int(gen.integers(0, n))] = (a[0] + 1) % n_points
+        return a
+
+    if start is not None:
+        current = np.asarray(start, dtype=np.int64).copy()
+        if len(set(current.tolist())) <= 1 and n_points > 1:
+            current[0] = (current[0] + 1) % n_points
+    else:
+        current = fresh(0)
+    cnt, pair, edge = full_sums(current)
+    best = ratio(pair, edge)
+    best_map = current.copy()
+    restart = 0
+    steps = 0
+    while steps < iters:
+        base = ratio(pair, edge)
+        move = None
+        move_ratio = base
+        for v in range(n):
+            old = int(current[v])
+            nbr_vals = current[[u for u in g.adjacency[v]]]
+            pair_new = pair + 2.0 * (costs @ cnt - costs[old] @ cnt - costs[:, old])
+            edge_new = edge + costs[:, nbr_vals].sum(axis=1) - costs[old, nbr_vals].sum()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(edge_new > 0, scale * pair_new / edge_new, -math.inf)
+            ratios[old] = -math.inf
+            x = int(np.argmax(ratios))
+            if ratios[x] > move_ratio:
+                move_ratio = float(ratios[x])
+                move = (v, x, float(pair_new[x]), float(edge_new[x]))
+        if move is not None:
+            v, x, pair, edge = move
+            cnt[current[v]] -= 1
+            cnt[x] += 1
+            current[v] = x
+            steps += 1
+            if move_ratio > best:
+                cnt, pair, edge = full_sums(current)
+                exact_now = ratio(pair, edge)
+                if exact_now > best:
+                    best, best_map = exact_now, current.copy()
+        else:
+            restart += 1
+            steps += 1
+            current = fresh(restart)
+            cnt, pair, edge = full_sums(current)
+            r = ratio(pair, edge)
+            if r > best:
+                best, best_map = r, current.copy()
+    if best == -math.inf:
+        return None, None, steps
+    return best, tuple(int(x) for x in best_map), steps
+
+
+def oracle_instance(seed):
+    """A small seeded (graph, metric, q, start) case; complete graphs reach
+    degree 11 and complete bipartite ones mix two degrees."""
+    gen = np.random.default_rng(seed)
+    kind = seed % 4
+    if kind == 0:
+        g = cycle_graph(int(gen.integers(3, 13)))
+    elif kind == 1:
+        g = complete_graph(int(gen.integers(2, 13)))
+    elif kind == 2:
+        g = random_connected_regular(2 * int(gen.integers(2, 7)), 3, seed=seed)
+    else:
+        g = complete_bipartite_graph(int(gen.integers(1, 4)), int(gen.integers(2, 10)))
+    n_points = int(gen.integers(2, 7))
+    metric = random_euclidean_metric(n_points, seed=seed)
+    q = (1.0, 1.5, 2.0)[seed % 3]
+    start = tuple(int(x) for x in gen.integers(0, n_points, g.n)) if seed % 2 else None
+    return g, metric, q, start
+
+
+class TestSearchAgainstReference:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_small_instances(self, seed):
+        g, metric, q, start = oracle_instance(seed)
+        got = gamma_lower_search(g, metric, q, iters=100, seed=seed, start=start)
+        assert (got.gamma, got.witness.assignment, got.maps_evaluated) == \
+            search_reference(g, metric, q, 100, seed, start)
+
+    def test_large_grid_instance(self):
+        g = random_connected_regular(200, 3, seed=7)
+        grid = linf_grid(1, 2)
+        got = gamma_lower_search(g, grid, 1.0, iters=100, seed=11)
+        assert (got.gamma, got.witness.assignment, got.maps_evaluated) == \
+            search_reference(g, grid, 1.0, 100, 11)
 
 
 @pytest.mark.parametrize("q", [0, -1])
