@@ -200,6 +200,8 @@ def jls_embedding(g: Graph, distortion_target: float, c1: float, seed: int,
     sets from a fresh derived stream until the distortion target is met or
     the retry cap is exhausted; the best map found is returned either way.
     """
+    if retries < 1:
+        raise ValueError(f"retries must be >= 1, got {retries}")
     if not is_connected(g):
         raise GraphError("the embedding needs a connected graph")
     n = g.n
@@ -227,5 +229,4 @@ def jls_embedding(g: Graph, distortion_target: float, c1: float, seed: int,
             return candidate
         if best is None or report.distortion < best.report.distortion:
             best = candidate
-    assert best is not None
     return JlsResult(best.grid, retries, best.report, False)

@@ -46,8 +46,8 @@ class FiniteMetric:
 
 def cost_matrix(metric: FiniteMetric, q: float) -> np.ndarray:
     """Elementwise q-th power of the distances; for q > 1 this is not a metric."""
-    if q <= 0:
-        raise MetricError("exponent", (q,), "cost exponent must be positive")
+    if not (math.isfinite(q) and q > 0):
+        raise MetricError("exponent", (q,), f"cost exponent must be finite and positive, got {q}")
     return np.power(metric.dist, q)
 
 

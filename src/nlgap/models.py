@@ -521,9 +521,11 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
         raise GraphError("the enumerated outcome space is tiny-n only")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    m_edges = n * d // 2
+    if not 0 <= ell <= m_edges:
+        raise GraphError(f"need 0 <= ell <= dn/2, got ell={ell}")
     pairs, pid, img = _pair_action(n)
     n_pairs = len(pairs)
-    m_edges = n * d // 2
     gen = derive_rng(seed, "dist-eq", n, d, ell)
     combos = np.array(list(itertools.combinations(range(m_edges), ell)), dtype=np.intp)
 

@@ -8,6 +8,7 @@ normalized by |E|.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,8 +62,9 @@ class GammaReport:
     concentrated: bool
 
 
-def _meets(count: int, tau, nsq: int) -> bool:
-    """count >= tau * nsq, exactly when tau is a Fraction."""
+def _meets(count, tau, nsq: int):
+    """count >= tau * nsq, exactly when tau is a Fraction; count may be an
+    array of whole numbers."""
     if isinstance(tau, Fraction):
         return count * tau.denominator >= tau.numerator * nsq
     return count >= tau * nsq
@@ -146,44 +148,51 @@ def gamma_of_map(g: Graph, f: VertexMap, q: float,
 # bulk enumeration over all maps
 # ----------------------------------------------------------------------
 
-def _decode_maps(indices: np.ndarray, n: int, n_points: int) -> np.ndarray:
-    """Mixed-radix decode; vertex 0 is the most significant digit, so row
-    order equals lexicographic order of assignment tuples."""
-    out = np.empty((indices.size, n), dtype=np.int64)
-    rem = indices.copy()
-    for v in range(n - 1, -1, -1):
-        out[:, v] = rem % n_points
-        rem //= n_points
-    return out
+# maps per block: the low block holds the last b vertices, the most with
+# N^b <= _BLOCK_MAPS, so b depends only on (n, N)
+_BLOCK_MAPS = 1 << 14
 
 
-def map_cost_sums(g: Graph, metric: FiniteMetric, q: float,
-                  chunk: int = 1 << 18, cap: int = 10 ** 8):
-    """Yield (indices, pair_sum, edge_sum) over all N^n maps in chunks.
+def _map_blocks(g: Graph, n_points: int, forms, costs):
+    """Yield (block, form_sums, edge_sums) over all N^n maps of g, in blocks
+    of consecutive indices of the base-N counter with vertex 0 the most
+    significant digit, i.e. in lexicographic order of assignment tuples.
 
-    pair_sum is the sum over ordered vertex pairs of the image cost and
-    edge_sum the plain sum over edges; divide by n^2 and |E| for averages.
+    For map k of the slice `block`, with point counts cnt, form_sums[i][k]
+    is cnt @ forms[i] @ cnt (every form must be symmetric) and
+    edge_sums[j][k] sums costs[j] over the edges of g.  The low block's
+    counts, forms and internal edge sums are computed once; each assignment
+    of the outer vertices adds a matrix-vector product per form and a
+    gather per edge at an outer vertex.
     """
-    n, n_points = g.n, metric.size
-    total = n_points ** n
-    if total > cap:
-        raise CapExceeded(
-            f"{n_points}^{n} = {total} maps exceeds the exhaustive cap {cap}; "
-            "use gamma_lower_search instead"
-        )
-    costs = cost_matrix(metric, q)
-    pairs = [(v, u) for v in range(n) for u in range(v + 1, n)]
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        maps = _decode_maps(idx, n, n_points)
-        pair_sum = np.zeros(idx.size, dtype=np.float64)
-        for v, u in pairs:
-            pair_sum += costs[maps[:, v], maps[:, u]]
-        pair_sum *= 2.0  # ordered pairs; diagonal contributes 0
-        edge_sum = np.zeros(idx.size, dtype=np.float64)
-        for v, u in g.edges:
-            edge_sum += costs[maps[:, v], maps[:, u]]
-        yield idx, maps, pair_sum, edge_sum
+    n = g.n
+    b = 0
+    while b < n and n_points ** (b + 1) <= _BLOCK_MAPS:
+        b += 1
+    outer = n - b
+    size = n_points ** b
+    # row j: the point of vertex outer + j in each map of the block
+    low = np.indices((n_points,) * b).reshape(b, size)
+    cnt_low = (low[:, :, None] == np.arange(n_points)).sum(axis=0).astype(np.float64)
+    low_forms = [np.einsum("mx,xy,my->m", cnt_low, f, cnt_low) for f in forms]
+    # edges are stored with u < v, so an edge touches the outer vertices iff u does
+    inner = [(u - outer, v - outer) for u, v in g.edges if u >= outer]
+    touching = [(u, v) for u, v in g.edges if u < outer]
+    low_edges = [sum((c[low[u], low[v]] for u, v in inner), np.zeros(size)) for c in costs]
+    for k, head in enumerate(itertools.product(range(n_points), repeat=outer)):
+        cnt_out = np.bincount(np.array(head, dtype=np.int64), minlength=n_points).astype(np.float64)
+        form_sums = []
+        for f, base in zip(forms, low_forms):
+            f_out = f @ cnt_out
+            form_sums.append(base + (cnt_out @ f_out + 2.0 * (cnt_low @ f_out)))
+        points = [*head, *low]
+        edge_sums = []
+        for c, base in zip(costs, low_edges):
+            edge = base.copy()
+            for u, v in touching:
+                edge += c[points[u]][points[v]]  # a row, then a gather: u is outer
+            edge_sums.append(edge)
+        yield slice(k * size, (k + 1) * size), form_sums, edge_sums
 
 
 @dataclass(frozen=True)
@@ -198,25 +207,31 @@ def gamma_exact(g: Graph, metric: FiniteMetric, q: float,
     """Supremum of ave/dirichlet over all non-degenerate maps, by exhaustion.
 
     Degenerate 0/0 maps (constant per component) impose no constraint and
-    are skipped.  The witness is the lexicographically smallest argmax.
+    are skipped.  The witness is the lexicographically first map attaining
+    the floating-point maximum.
     """
     if not is_connected(g):
         raise ValueError("gamma_exact requires a connected graph")
     n, n_points = g.n, metric.size
+    total = n_points ** n
+    if total > cap:
+        raise CapExceeded(
+            f"{n_points}^{n} = {total} maps exceeds the exhaustive cap {cap}; "
+            "use gamma_lower_search instead"
+        )
+    costs = cost_matrix(metric, q)
     best = -math.inf
-    best_assignment: tuple[int, ...] | None = None
-    total = 0
-    for idx, maps, pair_sum, edge_sum in map_cost_sums(g, metric, q, cap=cap):
-        total += idx.size
-        with np.errstate(divide="ignore", invalid="ignore"):
+    best_index: int | None = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for block, (pair_sum,), (edge_sum,) in _map_blocks(g, n_points, [costs], [costs]):
             ratio = np.where(edge_sum > 0, (pair_sum / (n * n)) / (edge_sum / g.m), -math.inf)
-        pos = int(np.argmax(ratio))
-        if ratio[pos] > best:
-            best = float(ratio[pos])
-            best_assignment = tuple(int(x) for x in maps[pos])
-    if best_assignment is None or best == -math.inf:
+            pos = int(np.argmax(ratio))
+            if ratio[pos] > best:
+                best, best_index = float(ratio[pos]), block.start + pos
+    if best_index is None:
         return GammaExactResult(None, None, total)
-    return GammaExactResult(best, VertexMap(metric, best_assignment), total)
+    assignment = tuple(int(x) for x in np.unravel_index(best_index, (n_points,) * n))
+    return GammaExactResult(best, VertexMap(metric, assignment), total)
 
 
 def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
@@ -385,6 +400,11 @@ class MapStatistics:
     quantile: dict[object, np.ndarray]   # keyed by tau
     nondegenerate: np.ndarray            # edge sum positive
 
+    def ratio(self, q: float) -> np.ndarray:
+        """ave/dirichlet at exponent q per map; -inf on degenerate maps."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.nondegenerate, self.ave[q] / self.dirichlet[q], -math.inf)
+
 
 def enumerate_map_statistics(g: Graph, metric: FiniteMetric, qs,
                              taus=(Fraction(1, 2),), cap: int = 10 ** 7) -> MapStatistics:
@@ -397,38 +417,24 @@ def enumerate_map_statistics(g: Graph, metric: FiniteMetric, qs,
     total = n_points ** n
     if total > cap:
         raise CapExceeded(f"{total} maps exceed bulk-statistics cap {cap}")
-    qs = tuple(qs)
-    idx = np.arange(total, dtype=np.int64)
-    maps = _decode_maps(idx, n, n_points)
-    counts = np.zeros((total, n_points), dtype=np.int64)
-    for x in range(n_points):
-        counts[:, x] = (maps == x).sum(axis=1)
-    ave: dict[float, np.ndarray] = {}
-    diri: dict[float, np.ndarray] = {}
-    for q in qs:
-        costs = cost_matrix(metric, q)
-        pair = np.einsum("mx,xy,my->m", counts, costs, counts)
-        ave[q] = pair / (n * n)
-        edge = np.zeros(total, dtype=np.float64)
-        for v, u in g.edges:
-            edge += costs[maps[:, v], maps[:, u]]
-        diri[q] = edge / g.m
-    quant: dict[object, np.ndarray] = {}
-    dist = metric.dist
-    values = [float(v) for v in np.unique(dist) if v > 0]
-    for tau in taus:
-        nsq = n * n
-        thresh = (float(Fraction(tau)) if isinstance(tau, Fraction) else float(tau)) * nsq
-        cum = np.einsum("mx,xy,my->m", counts, (dist == 0).astype(np.int64), counts)
-        out = np.full(total, np.nan)
-        done = cum >= thresh - 1e-9  # counts are integers; threshold is tau*n^2
-        out[done] = 0.0
-        for t in values:
-            mask = (dist > 0) & (dist <= t)
-            cum_t = cum + np.einsum("mx,xy,my->m", counts, mask.astype(np.int64), counts)
-            newly = (~done) & (cum_t >= thresh - 1e-9)
-            out[newly] = t
-            done |= newly
-        quant[tau] = out
-    nondeg = diri[qs[0]] > 0
-    return MapStatistics(qs=qs, ave=ave, dirichlet=diri, quantile=quant, nondegenerate=nondeg)
+    qs, taus = tuple(qs), tuple(taus)
+    if any(not 0 < tau < 1 for tau in taus):
+        raise ValueError("quantile level must lie in (0,1)")
+    costs = [cost_matrix(metric, q) for q in qs]
+    # cnt @ (dist <= t) @ cnt counts the ordered pairs within distance t
+    levels = np.unique(metric.dist)
+    sublevels = [(metric.dist <= t).astype(np.float64) for t in levels]
+    nsq = n * n
+    ave = {q: np.empty(total) for q in qs}
+    diri = {q: np.empty(total) for q in qs}
+    quant = {tau: np.empty(total) for tau in taus}
+    for block, form_sums, edge_sums in _map_blocks(g, n_points, costs + sublevels, costs):
+        for q, pair_sum, edge_sum in zip(qs, form_sums, edge_sums):
+            ave[q][block] = pair_sum / nsq
+            diri[q][block] = edge_sum / g.m
+        within = form_sums[len(qs):]
+        for tau in taus:
+            # the top level holds every pair, so each map meets some level
+            quant[tau][block] = levels[np.argmax([_meets(c, tau, nsq) for c in within], axis=0)]
+    return MapStatistics(qs=qs, ave=ave, dirichlet=diri, quantile=quant,
+                         nondegenerate=diri[qs[0]] > 0)

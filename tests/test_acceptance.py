@@ -66,13 +66,7 @@ def cubic_universe():
         for mi, metric in enumerate(metrics):
             stats = enumerate_map_statistics(g, metric, qs=(1.0, 2.0, 3.0),
                                              taus=(TAU_HALF,))
-            gammas = {}
-            for q in (1.0, 2.0, 3.0):
-                ratio = np.where(stats.nondegenerate,
-                                 stats.ave[q] / np.where(stats.nondegenerate,
-                                                         stats.dirichlet[q], 1.0),
-                                 -np.inf)
-                gammas[q] = float(ratio.max())
+            gammas = {q: float(stats.ratio(q).max()) for q in (1.0, 2.0, 3.0)}
             entries.append({"gid": gi, "mid": mi, "g": g, "metric": metric,
                             "h": h, "stats": stats, "gammas": gammas})
     return entries
@@ -125,13 +119,11 @@ def test_criterion_3_one_sided_functional(cubic_universe):
     checked = 0
     for e in cubic_universe:
         stats = e["stats"]
-        nondeg = stats.nondegenerate
         for (p, q) in ((1.0, 1.0), (1.0, 2.0), (1.0, 3.0), (2.0, 3.0)):
-            ratio_p = np.where(nondeg, stats.ave[p] /
-                               np.where(nondeg, stats.dirichlet[p], 1.0), np.inf)
+            ratio_p = stats.ratio(p)
             for c in (1.0, 2.0):
                 log_gamma = one_sided_gamma(3, e["h"], p, q, c)
-                sel = nondeg & (ratio_p <= c)
+                sel = stats.nondegenerate & (ratio_p <= c)
                 ave_q = stats.ave[q][sel]
                 dir_q = stats.dirichlet[q][sel]
                 with np.errstate(divide="ignore"):

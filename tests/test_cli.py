@@ -141,12 +141,20 @@ class TestCleanErrorExits:
         ("model", "--lemma", "dist-eq", "--trials", "0"),
         ("extrapolate", "--gen", "regular:16,3", "--metric", "uniform:4"),
         ("gen-graph", "--type", "regular:30,27", "--out", "unused.txt"),
+        ("jls-embed", "--gen", "cycle:16", "--distortion", "3", "--retries", "0"),
     ])
     def test_exit_one(self, argv, capsys):
         assert cli.main(list(argv)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("q", ["nan", "inf"])
+    def test_gamma_rejects_non_finite_exponent(self, q, capsys):
+        assert cli.main(["gamma", "--gen", "cycle:4", "--metric", "uniform:2",
+                         "--q", q, "--heuristic"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cost exponent must be finite and positive, got {q}\n"
 
     def test_distort_rejects_incomplete_map(self, tmp_path, capsys):
         fpath = tmp_path / "f.txt"

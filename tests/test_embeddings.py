@@ -151,6 +151,11 @@ class TestJls:
             ok += res.success
         assert ok / trials >= 0.9
 
+    @pytest.mark.parametrize("retries", [0, -1])
+    def test_retries_below_one_rejected(self, retries):
+        with pytest.raises(ValueError, match="retries"):
+            jls_embedding(cycle_graph(16), 3.0, 1.0, seed=0, retries=retries)
+
     def test_diameter_guard(self):
         from nlgap.graphs import GraphError
         with pytest.raises(GraphError):

@@ -299,6 +299,11 @@ class TestDistributionEquality:
         assert r.cells == 2520
         assert r.chi2 == 2536.8640000000346
 
+    @pytest.mark.parametrize("ell", [-1, 10])
+    def test_deletions_out_of_range(self, ell):
+        with pytest.raises(GraphError, match="ell"):
+            distribution_equality_mc(6, 3, ell, trials=10, seed=0)
+
 
 class TestTrialCount:
     def test_matchings(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlgap.graphs import (complete_bipartite_graph, complete_graph, cut_size,
-                          cycle_graph, disjoint_union, path_graph,
+                          cycle_graph, disjoint_union, graph_from_edges, path_graph,
                           random_connected_regular, relabel)
 from nlgap.metrics import (MetricError, cost_matrix, linf_grid, path_metric,
                            random_euclidean_metric, uniform_metric, validate)
@@ -372,7 +373,7 @@ class TestSearchAgainstReference:
             search_reference(g, grid, 1.0, 100, 11)
 
 
-@pytest.mark.parametrize("q", [0, -1])
+@pytest.mark.parametrize("q", [0, -1, math.nan, math.inf])
 @pytest.mark.parametrize("run", [
     lambda g, m, q: gamma_exact(g, m, q),
     lambda g, m, q: dirichlet(g, VertexMap(m, (0, 1, 0, 1)), q),
@@ -468,3 +469,88 @@ class TestBulkStatistics:
                 assert stats.dirichlet[q][idx] == pytest.approx(dirichlet(g, f, q))
             assert stats.quantile[Fraction(1, 2)][idx] == pytest.approx(
                 empirical_quantile(f, Fraction(1, 2)))
+
+
+def random_irregular_graph(n, gen):
+    """A random tree on n vertices plus a few random chords."""
+    edges = {(int(gen.integers(0, v)), v) for v in range(1, n)}
+    for _ in range(int(gen.integers(0, n))):
+        u, v = sorted(int(x) for x in gen.choice(n, size=2, replace=False))
+        edges.add((u, v))
+    return graph_from_edges(n, sorted(edges))
+
+
+def universe_instance(seed):
+    """A seeded (graph, metric, q, tau) case for the map-universe kernel.
+    Seeds 0 and 1 have more maps than one block holds (3^10 and 2^15), so
+    the loop over the outer vertices runs; the rest fit in one block."""
+    gen = np.random.default_rng(seed)
+    if seed == 0:
+        g, n_points = cycle_graph(10), 3
+    elif seed == 1:
+        g, n_points = random_irregular_graph(15, gen), 2
+    else:
+        kind = seed % 3
+        if kind == 0:
+            g = cycle_graph(int(gen.integers(3, 8)))
+        elif kind == 1:
+            g = random_connected_regular(2 * int(gen.integers(2, 4)), 3, seed=seed)
+        else:
+            g = random_irregular_graph(int(gen.integers(3, 7)), gen)
+        n_points = int(gen.integers(2, 6))
+        while n_points > 2 and n_points ** g.n > 5000:
+            n_points -= 1
+    metric = random_euclidean_metric(n_points, seed=seed)
+    q = (0.5, 1.0, 2.0, 3.0)[seed % 4]
+    tau = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))[seed % 3]
+    return g, metric, q, tau
+
+
+class TestMapUniverseKernel:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_against_one_map_at_a_time(self, seed):
+        g, metric, q, tau = universe_instance(seed)
+        stats = enumerate_map_statistics(g, metric, qs=(q,), taus=(tau,))
+        rows = []
+        for a in itertools.product(range(metric.size), repeat=g.n):
+            f = VertexMap(metric, a)
+            rows.append((empirical_average(f, q), dirichlet(g, f, q),
+                         empirical_quantile(f, tau)))
+        ave, diri, quant = np.array(rows).T
+        np.testing.assert_allclose(stats.ave[q], ave, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(stats.dirichlet[q], diri, rtol=1e-12, atol=0)
+        assert np.array_equal(stats.quantile[tau], quant)
+        res = gamma_exact(g, metric, q)
+        ratio = stats.ratio(q)
+        assert res.maps_evaluated == metric.size ** g.n == ratio.size
+        assert res.gamma == ratio.max()
+        first = np.ravel_multi_index(res.witness.assignment, (metric.size,) * g.n)
+        assert first == np.argmax(ratio)
+
+    @pytest.mark.parametrize("tau", [0, 1, Fraction(3, 2)])
+    def test_quantile_level_out_of_range(self, tau):
+        with pytest.raises(ValueError, match="quantile level"):
+            enumerate_map_statistics(cycle_graph(4), uniform_metric(2), qs=(1.0,), taus=(tau,))
+
+    def test_gamma_exact_peak_memory(self):
+        g = random_connected_regular(14, 3, seed=1)
+        tracemalloc.start()
+        try:
+            gamma_exact(g, uniform_metric(3), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 10 ** 6
+
+    def test_statistics_peak_memory(self):
+        g = random_connected_regular(12, 3, seed=1)
+        tracemalloc.start()
+        try:
+            stats = enumerate_map_statistics(g, random_euclidean_metric(3, seed=2),
+                                             qs=(1.0, 2.0, 3.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [*stats.ave.values(), *stats.dirichlet.values(),
+                  *stats.quantile.values(), stats.nondegenerate]
+        assert peak < 2 * sum(a.nbytes for a in arrays)
