@@ -89,11 +89,18 @@ def parse_metric_arg(spec: str, seed: int) -> FiniteMetric:
 
 
 def parse_log_cardinality(text: str) -> float:
-    """Accept '1000', '1e100' or '10^100'; returns the natural log."""
-    if "^" in text:
-        base, exp = text.split("^", 1)
-        return float(exp) * math.log(float(base))
-    return math.log(float(text))
+    """Accept '1000', '1e100' or '10^100'; returns the natural log, which
+    must be finite and positive."""
+    base, caret, exp = text.partition("^")
+    try:
+        b, e = float(base), float(exp) if caret else 1.0
+    except ValueError:
+        raise CliError(f"--N must be a number or BASE^EXP, got {text!r}") from None
+    log_n = e * math.log(b) if b > 0 else math.nan
+    if not 0 < log_n < math.inf:
+        raise CliError(f"--N must exceed 1 and have a finite log "
+                       f"(write large values as BASE^EXP), got {text!r}")
+    return log_n
 
 
 def _emit(doc: CsvDocument, out: str | None) -> None:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (Graph, GraphError, bfs_distances, diameter, distance_matrix,
-                     is_connected, multi_source_distances)
+from .graphs import Graph, GraphError, bfs_distances, distance_matrix, is_connected
+from .metrics import _check_exponent, sup_distance_blocks
 from .rng import derive_rng
 
 
@@ -40,6 +40,8 @@ def witness_params(g: Graph, log_n_points: float) -> WitnessParams:
     d = g.regular_degree()
     if d is None or d < 3:
         raise GraphError("witness construction requires a d-regular graph with d >= 3")
+    if not math.isfinite(log_n_points):
+        raise ValueError(f"target cardinality must be finite, got log N = {log_n_points}")
     if log_n_points < math.e:
         raise ValueError("target cardinality too small: need log N >= e so k >= 1")
     k = math.floor(math.log(log_n_points))
@@ -57,20 +59,14 @@ class GridMap:
     vertex and pairwise distances are evaluated on demand.
     """
 
-    coords: np.ndarray  # (n, width) integer array
+    coords: np.ndarray  # (n, width) integers; the dtype holds any difference
 
     @property
     def n(self) -> int:
         return self.coords.shape[0]
 
-    def image_distance_matrix(self, block: int = 256) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n), dtype=np.int64)
-        c = self.coords.astype(np.int64)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            out[start:stop] = np.abs(c[start:stop, None, :] - c[None, :, :]).max(axis=2)
-        return out
+    def image_distance_matrix(self) -> np.ndarray:
+        return np.concatenate(list(sup_distance_blocks(self.coords))).astype(np.int64)
 
     def edge_costs(self, g: Graph) -> list[int]:
         e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
@@ -87,12 +83,8 @@ def witness_map(g: Graph, log_n_points: float) -> tuple[GridMap, WitnessParams]:
     if not is_connected(g):
         raise GraphError("witness construction requires a connected graph")
     p = witness_params(g, log_n_points)
-    coords = np.zeros((g.n, p.s0), dtype=np.int16)
-    for i in range(p.s0):
-        row = bfs_distances(g, i)
-        for v in range(g.n):
-            coords[v, i] = int(trunc(p.k, row[v] - p.r0))
-    return GridMap(coords), p
+    dist = np.stack([bfs_distances(g, i) for i in range(p.s0)], axis=1)
+    return GridMap(np.clip(dist - p.r0, -p.k, p.k).astype(np.int16)), p
 
 
 @dataclass(frozen=True)
@@ -109,16 +101,10 @@ def witness_certificate(g: Graph, log_n_points: float, q: float = 1.0) -> Witnes
     """Cost-ratio report of the witness map; a certified lower bound on the
     optimal ratio for the ambient grid metric since it is the ratio of an
     actual map.  Every edge cost is at most 1 by construction."""
+    _check_exponent(q)
     grid, p = witness_map(g, log_n_points)
-    n = g.n
-    c = grid.coords.astype(np.int16)
-    total = 0.0
-    block = max(1, (1 << 22) // max(1, n * p.s0))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        d = np.abs(c[start:stop, None, :] - c[None, :, :]).max(axis=2)
-        total += float(np.power(d.astype(np.float64), q).sum())
-    ave = total / (n * n)
+    ave = sum(float(np.power(d.astype(np.float64), q).sum())
+              for d in sup_distance_blocks(grid.coords)) / (g.n * g.n)
     edge_costs = grid.edge_costs(g)
     dir_ = float(np.power(np.asarray(edge_costs, dtype=np.float64), q).mean())
     ratio = math.inf if dir_ == 0 and ave > 0 else (ave / dir_ if dir_ > 0 else math.nan)
@@ -164,10 +150,14 @@ def vertex_map_image_distances(f) -> np.ndarray:
 
 def grid_embedding_width(n: int, distortion_target: float, c1: float) -> tuple[int, int, int]:
     """(m, K, r): level count, total coordinates, repetitions per level."""
-    if n < 2 or distortion_target < 1 or c1 <= 0:
-        raise ValueError(f"domain violation: {(n, distortion_target, c1)}")
+    if n < 2 or not distortion_target >= 1 or not 0 < c1 < math.inf:
+        raise ValueError("grid width needs n >= 2, distortion >= 1 and finite c1 > 0, "
+                         f"got {(n, distortion_target, c1)}")
     m = math.ceil(math.log2(n)) + 1
-    r = math.ceil((2.0 / c1) * n ** (3.0 / distortion_target) * math.log(n))
+    reps = (2.0 / c1) * n ** (3.0 / distortion_target) * math.log(n)
+    if not 0 < reps < math.inf:
+        raise ValueError(f"repetitions per level must be finite and >= 1, got {reps}")
+    r = math.ceil(reps)
     return m, m * r, r
 
 
@@ -181,6 +171,9 @@ def universal_space_size(n: int, delta: int, distortion_target: float,
 
 def default_delta(n: int) -> int:
     return math.floor(500.0 * math.log(n))
+
+
+_JLS_COORD_BYTES = 1 << 30   # largest coordinate array jls_embedding will allocate
 
 
 @dataclass(frozen=True)
@@ -207,19 +200,24 @@ def jls_embedding(g: Graph, distortion_target: float, c1: float, seed: int,
     n = g.n
     if delta is None:
         delta = default_delta(n)
-    if diameter(g) > delta:
-        raise GraphError(f"diam(g) = {diameter(g)} exceeds delta = {delta}")
     m, width, r = grid_embedding_width(n, distortion_target, c1)
+    dtype = np.min_scalar_type(-delta)   # signed, so differences of coordinates fit
+    if n * width * dtype.itemsize > _JLS_COORD_BYTES:
+        raise ValueError(f"coordinates of width {width} at n = {n} exceed "
+                         f"the {_JLS_COORD_BYTES}-byte budget")
+    dist = distance_matrix(g)
+    if dist.max() > delta:
+        raise GraphError(f"diam(g) = {dist.max()} exceeds delta = {delta}")
     best: JlsResult | None = None
     for attempt in range(1, retries + 1):
         gen = derive_rng(seed, "jls", attempt)
-        coords = np.empty((n, width), dtype=np.int64)
+        coords = np.empty((n, width), dtype=dtype)
         col = 0
         for k in range(m):
             size = min(2 ** k, n)
             for _ in range(r):
                 subset = gen.choice(n, size=size, replace=False)
-                coords[:, col] = multi_source_distances(g, subset.tolist())
+                coords[:, col] = dist[subset].min(axis=0)
                 col += 1
         grid = GridMap(coords)
         report = embedding_distortion(g, grid.image_distance_matrix())

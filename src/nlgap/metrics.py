@@ -44,11 +44,27 @@ class FiniteMetric:
         return float(off.min())
 
 
-def cost_matrix(metric: FiniteMetric, q: float) -> np.ndarray:
-    """Elementwise q-th power of the distances; for q > 1 this is not a metric."""
+def _check_exponent(q: float) -> None:
     if not (math.isfinite(q) and q > 0):
         raise MetricError("exponent", (q,), f"cost exponent must be finite and positive, got {q}")
+
+
+def cost_matrix(metric: FiniteMetric, q: float) -> np.ndarray:
+    """Elementwise q-th power of the distances; for q > 1 this is not a metric."""
+    _check_exponent(q)
     return np.power(metric.dist, q)
+
+
+_SUP_BLOCK = 1 << 22   # elements of the difference array behind one row block
+
+
+def sup_distance_blocks(coords: np.ndarray):
+    """Yield the sup-norm distance matrix of the points coords[i] in blocks of
+    max(1, _SUP_BLOCK // (n * width)) rows, in the dtype of coords."""
+    n, width = coords.shape
+    rows = max(1, _SUP_BLOCK // max(1, n * width))
+    for a in range(0, n, rows):
+        yield np.abs(coords[a:a + rows, None, :] - coords[None, :, :]).max(axis=2, initial=0)
 
 
 def validate(dist, labels=None, tol: float | None = None) -> FiniteMetric:
@@ -126,11 +142,11 @@ def path_metric(g: Graph) -> FiniteMetric:
     return validate(distance_matrix(g).astype(np.float64))
 
 
-def linf_grid(k: int, s: int, point_cap: int = 10 ** 6) -> FiniteMetric:
+def linf_grid(k: int, s: int, point_cap: int = 10 ** 3) -> FiniteMetric:
     """Sup-norm metric on the integer grid {-k,..,k}^s, with coordinate labels.
 
-    Stores the full dense matrix, so keep (2k+1)^s small; point_cap guards
-    the point count only.
+    Stores the full dense matrix and validates it in O(N^3), so point_cap
+    bounds the point count N = (2k+1)^s.
     """
     if k < 0 or s < 1:
         raise MetricError("parameters", (k, s), "need k >= 0 and s >= 1")
@@ -138,7 +154,7 @@ def linf_grid(k: int, s: int, point_cap: int = 10 ** 6) -> FiniteMetric:
     if count > point_cap:
         raise MetricError("cap", (count,), f"(2k+1)^s = {count} exceeds cap {point_cap}")
     pts = np.array(list(itertools.product(range(-k, k + 1), repeat=s)), dtype=np.int64)
-    dist = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2).astype(np.float64)
+    dist = np.concatenate(list(sup_distance_blocks(pts))).astype(np.float64)
     return validate(dist, labels=[tuple(p) for p in pts])
 
 

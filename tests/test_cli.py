@@ -172,6 +172,37 @@ class TestCleanErrorExits:
         assert captured.err == "error: empty map file\n"
 
 
+class TestInputDomainExits:
+    """Each out-of-domain value exits 1 with one stderr line naming the
+    problem: no traceback, no overflow, no allocation beyond a budget."""
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (("gen-metric", "--type", "grid:1,12", "--out", "unused.txt"), "exceeds cap 1000"),
+        (("gamma", "--gen", "cycle:4", "--metric", "grid:1,9", "--heuristic"),
+         "exceeds cap 1000"),
+        (("witness", "--sizes", "16", "--q", "nan"), "cost exponent"),
+        (("witness", "--sizes", "16", "--q", "-1"), "cost exponent"),
+        (("witness", "--sizes", "16", "--N", "inf"), "--N must exceed 1"),
+        (("witness", "--sizes", "16", "--N", "1e400"), "--N must exceed 1"),
+        (("witness", "--sizes", "16", "--N", "10^1e400"), "--N must exceed 1"),
+        (("witness", "--sizes", "16", "--N", "0"), "--N must exceed 1"),
+        (("witness", "--sizes", "16", "--N", "-5"), "--N must exceed 1"),
+        (("witness", "--sizes", "16", "--N", "nan"), "--N must exceed 1"),
+        (("witness", "--sizes", "16", "--N", "10^x"), "--N must be a number"),
+        (("witness", "--sizes", "16", "--N", "2"), "target cardinality too small"),
+        (("jls-embed", "--gen", "cycle:16", "--distortion", "nan"), "distortion >= 1"),
+        (("jls-embed", "--gen", "cycle:16", "--c1", "nan"), "finite c1 > 0"),
+        (("jls-embed", "--gen", "cycle:16", "--c1", "inf"), "finite c1 > 0"),
+        (("jls-embed", "--gen", "cycle:16", "--c1", "1e-300"), "byte budget"),
+    ])
+    def test_exit_one(self, argv, fragment, capsys):
+        assert cli.main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert fragment in captured.err and "Traceback" not in captured.err
+
+
 class TestWitnessSvg:
     def test_svg_written_and_deterministic(self, tmp_path):
         svg = tmp_path / "a.svg"

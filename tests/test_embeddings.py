@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from nlgap.embeddings import (GridMap, embedding_distortion, default_delta,
                               grid_embedding_width, jls_embedding, trunc,
                               universal_space_size, vertex_map_image_distances,
                               witness_certificate, witness_map, witness_params)
-from nlgap.graphs import (complete_graph, cycle_graph, diameter, distance_matrix,
-                          path_graph, random_connected_regular)
-from nlgap.metrics import path_metric, uniform_metric
+from nlgap.graphs import (bfs_distances, complete_graph, cycle_graph, diameter,
+                          distance_matrix, graph_from_edges, multi_source_distances,
+                          path_graph, petersen_graph, random_connected_regular)
+from nlgap.metrics import MetricError, path_metric, uniform_metric
 from nlgap.poincare import VertexMap
+from nlgap.rng import derive_rng
 
 
 class TestTrunc:
@@ -37,6 +40,11 @@ class TestWitnessParams:
     def test_small_target_rejected(self):
         with pytest.raises(ValueError):
             witness_params(complete_graph(4), 2.0)
+
+    @pytest.mark.parametrize("log_n_points", [math.inf, math.nan])
+    def test_params_reject_non_finite_cardinality(self, log_n_points):
+        with pytest.raises(ValueError, match="finite"):
+            witness_params(complete_graph(4), log_n_points)
 
 
 class TestWitnessMap:
@@ -71,6 +79,11 @@ class TestWitnessMap:
         r = witness_certificate(complete_graph(4), math.log(1e9))
         assert r.ratio >= 0.0
 
+    @pytest.mark.parametrize("q", [math.nan, -1.0, 0.0])
+    def test_certificate_rejects_bad_exponent(self, q):
+        with pytest.raises(MetricError, match="cost exponent"):
+            witness_certificate(complete_graph(4), math.log(1e9), q=q)
+
     def test_growth_trend(self):
         log_n_points = math.log(10.0) * 100
         medians = []
@@ -81,6 +94,25 @@ class TestWitnessMap:
                 ratios.append(witness_certificate(g, log_n_points).ratio)
             medians.append(sorted(ratios)[1])
         assert medians[1] > medians[0]
+
+
+class TestWitnessMapOracle:
+    """The vectorized witness coordinates equal the scalar trunc loop."""
+
+    @pytest.mark.parametrize("n,d,seed,log_n_points", [
+        (16, 3, 1, math.log(10.0) * 100), (24, 4, 2, math.log(10.0) * 50),
+        (64, 3, 3, math.log(1e9)), (100, 3, 4, math.log(10.0) * 300),
+    ])
+    def test_matches_scalar_loop(self, n, d, seed, log_n_points):
+        g = random_connected_regular(n, d, seed=seed)
+        grid, p = witness_map(g, log_n_points)
+        ref = np.zeros((n, p.s0), dtype=np.int16)
+        for i in range(p.s0):
+            row = bfs_distances(g, i)
+            for v in range(n):
+                ref[v, i] = int(trunc(p.k, row[v] - p.r0))
+        assert grid.coords.dtype == np.int16
+        assert np.array_equal(grid.coords, ref)
 
 
 class TestDistortion:
@@ -160,6 +192,61 @@ class TestJls:
         from nlgap.graphs import GraphError
         with pytest.raises(GraphError):
             jls_embedding(cycle_graph(16), 3.0, 1.0, seed=0, delta=4)
+
+    @pytest.mark.parametrize("distortion,c1,match", [
+        (math.nan, 1.0, "distortion"), (3.0, math.nan, "c1"), (3.0, math.inf, "c1"),
+        (3.0, 0.0, "c1"), (3.0, 1e-320, "repetitions"),
+    ])
+    def test_width_rejects_out_of_domain(self, distortion, c1, match):
+        with pytest.raises(ValueError, match=match):
+            grid_embedding_width(16, distortion, c1)
+
+    def test_coordinate_budget_refused_before_allocation(self):
+        with pytest.raises(ValueError, match="width [0-9]+ at n = 16 exceed"):
+            jls_embedding(cycle_graph(16), 3.0, 1e-300, seed=0)
+
+
+def _jls_reference_coords(g, distortion, c1, seed):
+    """One BFS per coordinate, drawing the sets exactly as jls_embedding does."""
+    m, width, r = grid_embedding_width(g.n, distortion, c1)
+    gen = derive_rng(seed, "jls", 1)   # the first attempt
+    cols = [multi_source_distances(g, gen.choice(g.n, size=min(2 ** k, g.n),
+                                                 replace=False).tolist())
+            for k in range(m) for _ in range(r)]
+    return np.array(cols, dtype=np.int64).T
+
+
+_IRREGULAR = graph_from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4),
+                                  (4, 5), (5, 6), (6, 7), (5, 8), (8, 7)])
+
+
+class TestJlsOracle:
+    @pytest.mark.parametrize("g", [
+        cycle_graph(9), cycle_graph(16),
+        random_connected_regular(20, 3, seed=1), random_connected_regular(32, 3, seed=2),
+        random_connected_regular(18, 4, seed=3), random_connected_regular(30, 4, seed=4),
+        complete_graph(6), petersen_graph(), _IRREGULAR, path_graph(12),
+    ], ids=["C9", "C16", "cubic20", "cubic32", "quartic18", "quartic30", "K6",
+            "petersen", "irregular9", "P12"])
+    def test_coordinates_match_bfs_reference(self, g):
+        res = jls_embedding(g, 4.0, 2.0, seed=17, retries=1)
+        assert res.grid.coords.dtype == np.int16
+        assert np.array_equal(res.grid.coords, _jls_reference_coords(g, 4.0, 2.0, 17))
+        img = res.grid.image_distance_matrix()
+        assert img.dtype == np.int64
+        assert res.report == embedding_distortion(g, img)
+
+    @pytest.mark.parametrize("n,budget_mib", [(100, 48), (400, 64)])
+    def test_traced_memory_bounded(self, n, budget_mib):
+        g = random_connected_regular(n, 3, seed=n)
+        tracemalloc.start()
+        try:
+            res = jls_embedding(g, 4.0, 1.0, seed=1, retries=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.attempts == 1
+        assert peak < budget_mib * 2 ** 20
 
 
 class TestDistortionGammaConsistency:

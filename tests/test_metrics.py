@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlgap.graphs import cycle_graph, path_graph
-from nlgap.metrics import (MetricError, aspect_ratio, cost_matrix,
+from nlgap.metrics import (_SUP_BLOCK, MetricError, aspect_ratio, cost_matrix,
                            is_well_conditioned, lift_assignment, linf_grid,
                            path_metric, random_euclidean_metric, snowflake,
-                           uniform_metric, validate, well_conditioned_reduction)
+                           sup_distance_blocks, uniform_metric, validate,
+                           well_conditioned_reduction)
 
 
 class TestValidate:
@@ -117,6 +118,11 @@ class TestGridAndUniform:
         with pytest.raises(MetricError):
             linf_grid(10, 10, point_cap=10 ** 6)
 
+    def test_grid_default_cap(self):
+        # 3^7 points would take minutes in validate's O(N^3) triangle scan
+        with pytest.raises(MetricError, match="2187 exceeds cap 1000"):
+            linf_grid(1, 7)
+
     def test_uniform(self):
         m = uniform_metric(3)
         assert (m.dist[~np.eye(3, dtype=bool)] == 1).all()
@@ -134,6 +140,25 @@ class TestGridAndUniform:
         g = disjoint_union(path_graph(2), path_graph(2))
         with pytest.raises(MetricError):
             path_metric(g)
+
+
+class TestSupDistanceBlocks:
+    """The stacked row blocks equal the dense sup-norm formula."""
+
+    @pytest.mark.parametrize("n,width,dtype,rows", [
+        (3, (_SUP_BLOCK // 3) + 1, np.int8, 1),              # one row exceeds the block
+        (2100, 1, np.int16, _SUP_BLOCK // 2100),             # many rows per block
+        (5, 0, np.int16, _SUP_BLOCK),                        # no coordinates at all
+    ])
+    def test_blocks_match_dense(self, n, width, dtype, rows):
+        gen = np.random.Generator(np.random.Philox(n))
+        c = gen.integers(-50, 51, size=(n, width)).astype(dtype)
+        blocks = list(sup_distance_blocks(c))
+        assert [len(b) for b in blocks] == [min(rows, n - a) for a in range(0, n, rows)]
+        dense = np.abs(c[:, None, :] - c[None, :, :]).max(axis=2, initial=0)
+        assert np.array_equal(np.concatenate(blocks), dense)
+        if width == 0:
+            assert not dense.any()
 
 
 class TestCostMatrix:
