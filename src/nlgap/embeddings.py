@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -156,7 +157,7 @@ def grid_embedding_width(n: int, distortion_target: float, c1: float) -> tuple[i
     m = math.ceil(math.log2(n)) + 1
     reps = (2.0 / c1) * n ** (3.0 / distortion_target) * math.log(n)
     if not 0 < reps < math.inf:
-        raise ValueError(f"repetitions per level must be finite and >= 1, got {reps}")
+        raise ValueError(f"repetitions per level must be finite and positive, got {reps}")
     r = math.ceil(reps)
     return m, m * r, r
 
@@ -201,9 +202,11 @@ def jls_embedding(g: Graph, distortion_target: float, c1: float, seed: int,
     if delta is None:
         delta = default_delta(n)
     m, width, r = grid_embedding_width(n, distortion_target, c1)
-    dtype = np.min_scalar_type(-delta)   # signed, so differences of coordinates fit
+    # coordinates lie in 0..diam(g) and diam(g) <= min(delta, n - 1), so a
+    # signed type holding -min(delta, n - 1) - 1 holds every difference
+    dtype = np.min_scalar_type(-min(delta, n - 1) - 1)
     if n * width * dtype.itemsize > _JLS_COORD_BYTES:
-        raise ValueError(f"coordinates of width {width} at n = {n} exceed "
+        raise ValueError(f"coordinates of width {Decimal(width):.3g} at n = {n} exceed "
                          f"the {_JLS_COORD_BYTES}-byte budget")
     dist = distance_matrix(g)
     if dist.max() > delta:

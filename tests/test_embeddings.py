@@ -201,9 +201,11 @@ class TestJls:
         with pytest.raises(ValueError, match=match):
             grid_embedding_width(16, distortion, c1)
 
-    def test_coordinate_budget_refused_before_allocation(self):
-        with pytest.raises(ValueError, match="width [0-9]+ at n = 16 exceed"):
-            jls_embedding(cycle_graph(16), 3.0, 1e-300, seed=0)
+    @pytest.mark.parametrize("c1,width", [(1e-300, r"4\.44e\+302"), (1e-306, r"4\.44e\+308")])
+    def test_coordinate_budget_refused_before_allocation(self, c1, width):
+        """The width is named in three digits, also beyond the float range."""
+        with pytest.raises(ValueError, match=f"width {width} at n = 16 exceed"):
+            jls_embedding(cycle_graph(16), 3.0, c1, seed=0)
 
 
 def _jls_reference_coords(g, distortion, c1, seed):
@@ -230,11 +232,28 @@ class TestJlsOracle:
             "petersen", "irregular9", "P12"])
     def test_coordinates_match_bfs_reference(self, g):
         res = jls_embedding(g, 4.0, 2.0, seed=17, retries=1)
-        assert res.grid.coords.dtype == np.int16
+        assert res.grid.coords.dtype == np.int8
         assert np.array_equal(res.grid.coords, _jls_reference_coords(g, 4.0, 2.0, 17))
         img = res.grid.image_distance_matrix()
         assert img.dtype == np.int64
         assert res.report == embedding_distortion(g, img)
+
+    @pytest.mark.parametrize("g,delta,dtype", [
+        (cycle_graph(256), 128, np.int16), (cycle_graph(254), 127, np.int8),
+        (cycle_graph(256), 32768, np.int16), (cycle_graph(256), 10 ** 30, np.int16),
+    ], ids=["C256-128", "C254-127", "C256-32768", "C256-huge"])
+    def test_coordinates_at_diameter_delta(self, g, delta, dtype):
+        """diam(g) filling the signed range of a type still fits the coordinates;
+        on a cycle every singleton set reaches the antipode, so the image
+        distances attain the diameter."""
+        res = jls_embedding(g, 4.0, 20.0, seed=5, retries=1, delta=delta)
+        assert res.grid.coords.dtype == dtype
+        ref = _jls_reference_coords(g, 4.0, 20.0, 5)
+        assert np.array_equal(res.grid.coords, ref)
+        img = res.grid.image_distance_matrix()
+        assert np.array_equal(img, GridMap(ref).image_distance_matrix())
+        assert res.report == embedding_distortion(g, GridMap(ref).image_distance_matrix())
+        assert img.max() == diameter(g)
 
     @pytest.mark.parametrize("n,budget_mib", [(100, 48), (400, 64)])
     def test_traced_memory_bounded(self, n, budget_mib):
