@@ -202,9 +202,7 @@ def jls_embedding(g: Graph, distortion_target: float, c1: float, seed: int,
     if delta is None:
         delta = default_delta(n)
     m, width, r = grid_embedding_width(n, distortion_target, c1)
-    # coordinates lie in 0..diam(g) and diam(g) <= min(delta, n - 1), so a
-    # signed type holding -min(delta, n - 1) - 1 holds every difference
-    dtype = np.min_scalar_type(-min(delta, n - 1) - 1)
+    dtype = np.min_scalar_type(-min(delta, n - 1) - 1)   # holds ±diam(g), so any difference
     if n * width * dtype.itemsize > _JLS_COORD_BYTES:
         raise ValueError(f"coordinates of width {Decimal(width):.3g} at n = {n} exceed "
                          f"the {_JLS_COORD_BYTES}-byte budget")
