@@ -260,6 +260,9 @@ def cmd_distort(args) -> None:
 def cmd_model(args) -> None:
     if args.lemma == "matchings":
         import itertools
+        for flag, value in (("--eps", args.eps), ("--c", args.c)):
+            if not math.isfinite(value):
+                raise CliError(f"{flag} must be finite, got {value}")
         pairs = list(itertools.combinations(range(args.l), 2))
         gen = derive_rng(args.seed, "cli-y")
         drop_count = round(args.eps * len(pairs))
@@ -294,10 +297,9 @@ def cmd_model(args) -> None:
         header = "trial,v,v_prime,v_dprime,ell0,k0,f1,f2,f3"
         rows = [csv_row(r.trial, r.v_size, r.v_prime_size, r.v_dprime_size, r.ell0,
                         r.k0, r.f1, r.f2, r.f3) for r in rows_data]
-        if rows_data:
-            hits = [sum(getattr(r, f) for r in rows_data) / len(rows_data)
-                    for f in ("f1", "f2", "f3")]
-            rows.append(csv_row("frequency", *[None] * 5, *hits))
+        hits = [sum(getattr(r, f) for r in rows_data) / len(rows_data)
+                for f in ("f1", "f2", "f3")]
+        rows.append(csv_row("frequency", *[None] * 5, *hits))
         _emit(CsvDocument(_echo(args), __version__, header, rows), args.out)
     else:
         raise CliError(f"unknown lemma {args.lemma!r}")

@@ -137,31 +137,46 @@ def relabel(g: Graph, perm) -> Graph:
 # distances
 # ----------------------------------------------------------------------
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """BFS distances from one vertex; unreachable vertices get the value n."""
-    return multi_source_distances(g, [source])
+def bfs_distances(g: Graph, source: int, radius: int | None = None) -> list[int]:
+    """BFS distances from one vertex; unreachable vertices, and with a radius
+    the vertices beyond it, get the value n."""
+    return multi_source_distances(g, [source], radius)
 
 
-def multi_source_distances(g: Graph, sources) -> list[int]:
-    """BFS distances from the nearest vertex of a nonempty source set."""
+def multi_source_distances(g: Graph, sources, radius: int | None = None) -> list[int]:
+    """BFS distances from the nearest vertex of a nonempty source set.
+
+    With a radius the search stops at that depth and every vertex beyond it
+    keeps the value n, so entries up to the radius equal the full BFS."""
+    return _bfs(g, sources, radius)[0]
+
+
+def _bfs(g: Graph, sources, radius: int | None) -> tuple[list[int], list[int]]:
+    """The one BFS loop: the distances and the layer at the last depth reached."""
     sources = list(sources)
     if not sources:
         raise GraphError("source set must be nonempty")
     if min(sources) < 0 or max(sources) >= g.n:
         raise GraphError(f"source out of range for n={g.n}: {min(sources)}..{max(sources)}")
-    dist = [g.n] * g.n
-    queue = deque()
+    n, adjacency = g.n, g.adjacency
+    dist = [n] * n
+    layer = []
     for s in sources:
-        if dist[s] == g.n:
+        if dist[s] == n:
             dist[s] = 0
-            queue.append(s)
-    while queue:
-        v = queue.popleft()
-        for u in g.adjacency[v]:
-            if dist[u] == g.n:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
+            layer.append(s)
+    depth = 0
+    limit = n if radius is None else radius
+    while layer and depth < limit:
+        depth += 1
+        reached = []
+        for v in layer:
+            for u in adjacency[v]:
+                if dist[u] == n:
+                    dist[u] = depth
+                    reached.append(u)
+        layer = reached
+    return dist, layer
 
 
 @lru_cache(maxsize=128)
@@ -188,13 +203,15 @@ def is_connected(g: Graph) -> bool:
 
 def ball(g: Graph, S, radius: int) -> set[int]:
     """All vertices at distance <= radius from the set S."""
-    dist = multi_source_distances(g, S)
+    dist = multi_source_distances(g, S, radius)
     return {v for v in range(g.n) if dist[v] <= radius}
 
 
 def sphere(g: Graph, S, radius: int) -> set[int]:
     """All vertices at distance exactly radius from the set S."""
-    dist = multi_source_distances(g, S)
+    dist, layer = _bfs(g, S, radius)
+    if 0 <= radius < g.n:
+        return set(layer)
     return {v for v in range(g.n) if dist[v] == radius}
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .graphs import (Graph, GraphError, _pair_action, bfs_distances, canonical_form,
-                     graph_from_edges, random_regular, relabel)
+                     graph_from_edges, random_regular, relabel, sphere)
 from .poincare import VertexMap, empirical_average, is_concentrated
 from .rng import derive_rng
 
@@ -103,9 +103,8 @@ class SeedTable:
 def _assign_by_priority(g: Graph, m: int, seeds_by_priority) -> list[int | None]:
     out: list[int | None] = [None] * g.n
     for s in seeds_by_priority:
-        row = bfs_distances(g, s)
-        for v in range(g.n):
-            if out[v] is None and row[v] == m:
+        for v in sphere(g, [s], m):
+            if out[v] is None:
                 out[v] = s
     return out
 
@@ -184,7 +183,7 @@ def equitable_decomposition(g: Graph, w, m: int, d: int | None = None,
     conflicts: dict[int, set[int]] = {v: set() for v in w}
     wset = set(w)
     for v in w:
-        row = bfs_distances(g, v)
+        row = bfs_distances(g, v, 2 * m)
         for u in wset:
             if u != v and row[u] <= 2 * m:
                 conflicts[v].add(u)
@@ -244,11 +243,12 @@ def random_perfect_matching(items, gen) -> list[tuple[int, int]]:
     if len(pool) % 2 != 0 or not pool:
         raise GraphError("matching needs a nonempty even-size set")
     out = []
-    while pool:
+    while len(pool) > 2:
         a = pool.pop(0)
-        j = int(gen.integers(0, len(pool)))
-        b = pool.pop(j)
+        b = pool.pop(int(gen.integers(0, len(pool))))
         out.append((a, b) if a < b else (b, a))
+    # the last partner is forced; gen.integers(0, 1) would consume no randomness
+    out.append((pool[0], pool[1]))
     return out
 
 
@@ -272,13 +272,20 @@ def all_perfect_matchings(k: int) -> list[tuple[tuple[int, int], ...]]:
 
 
 def matching_avoidance_bound(ell: int, eps: float, c: float) -> float:
-    """exp(-((1-2c)/4) * log((1-2c)/(16 e eps)) * ell); may exceed 1."""
-    arg = (1.0 - 2.0 * c) / (16.0 * math.e * eps)
-    exponent = -((1.0 - 2.0 * c) / 4.0) * math.log(arg) * ell
+    """exp(-((1-2c)/4) * log((1-2c)/(16 e eps)) * ell); may exceed 1.
+
+    At c = 1/2 the exponent is x log x at x = 0, whose limit 0 gives 1."""
+    x = 1.0 - 2.0 * c
+    if x == 0.0:
+        return 1.0
+    exponent = -(x / 4.0) * math.log(x / (16.0 * math.e * eps)) * ell
     try:
         return math.exp(exponent)
     except OverflowError:
         return math.inf
+
+
+_MC_BLOCK = 1 << 13  # matchings decoded at once; sets memory only, not the stream
 
 
 @dataclass(frozen=True)
@@ -310,12 +317,26 @@ def matching_avoidance_mc(ell: int, y_pairs, c: float, trials: int, seed: int,
         raise ValueError(f"trials must be >= 1, got {trials}")
     gen = derive_rng(seed, "matching-mc", ell)
     threshold = c * ell / 2.0
+    in_y = np.zeros((ell, ell), dtype=bool)
+    for a, b in y:
+        if 0 <= a < b < ell:
+            in_y[a, b] = True
+    # one draw per block yields each trial's partner ranks with the values of
+    # random_perfect_matching's scalar draws; the last bound, 1, draws nothing
+    highs = np.arange(ell - 1, 0, -2)
     hits = 0
-    for _ in range(trials):
-        mu = random_perfect_matching(range(ell), gen)
-        inter = sum(1 for p in mu if p in y)
-        if inter <= threshold:
-            hits += 1
+    for start in range(0, trials, _MC_BLOCK):
+        t = min(_MC_BLOCK, trials - start)
+        ranks = gen.integers(0, np.tile(highs, t)).reshape(t, -1)
+        # pool[r] holds trial r's unmatched elements in increasing order
+        pool = np.broadcast_to(np.arange(ell), (t, ell))
+        inter = np.zeros(t, dtype=np.intp)
+        for step in range(ell // 2):
+            partner = ranks[:, step, None] + 1
+            inter += in_y[pool[:, 0], np.take_along_axis(pool, partner, axis=1)[:, 0]]
+            keep = np.arange(1, pool.shape[1]) != partner
+            pool = pool[:, 1:][keep].reshape(t, -1)
+        hits += int(np.count_nonzero(inter <= threshold))
     return MatchingMCResult(ell=ell, eps=eps, c=c, trials=trials,
                             empirical=hits / trials,
                             analytic_bound=matching_avoidance_bound(ell, eps, c))
@@ -324,6 +345,9 @@ def matching_avoidance_mc(ell: int, y_pairs, c: float, trials: int, seed: int,
 # ----------------------------------------------------------------------
 # restriction of concentrated maps to random small sets
 # ----------------------------------------------------------------------
+
+_RESTRICTION_PAIRS = 1 << 18  # sampled pairs scored at once; sets memory only
+
 
 @dataclass(frozen=True)
 class RestrictionMCResult:
@@ -350,24 +374,27 @@ def restriction_concentration_mc(f: VertexMap, eps, k: int, trials: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     eps_f = float(eps)
+    if not (math.isfinite(eps_f) and eps_f > 0):
+        raise GraphError(f"need finite eps > 0, got eps={eps}")
     ave = empirical_average(f, 1.0)
     hypothesis = (is_concentrated(f, 5.0, 1.0, eps) and eps_f <= 1.0 / 31.0
                   and k >= 2.0 / eps_f)
     gen = derive_rng(seed, "restriction-mc", k)
-    assign = np.asarray(f.assignment)
-    dist = f.target.dist
+    # far[a * N + b]: points a and b keep distance >= ave/5; a sampled pair is
+    # scored by its flat index, in the narrowest type that holds every index
+    far = (f.target.dist >= ave / 5.0).ravel()
+    assign = np.asarray(f.assignment, dtype=np.min_scalar_type(far.size - 1))
     pairs_total = k * (k - 1) // 2
     need = (1.0 - 2.0 * eps_f) * pairs_total
-    cutoff = ave / 5.0
-    iu = np.triu_indices(k, 1)
+    iu, ju = np.triu_indices(k, 1)
+    per_block = max(1, _RESTRICTION_PAIRS // pairs_total)
     hits = 0
-    for _ in range(trials):
-        sample = gen.choice(n, size=k, replace=False)
-        pts = assign[sample]
-        block = dist[pts[:, None], pts[None, :]]
-        good = int((block[iu] >= cutoff).sum())
-        if good >= need:
-            hits += 1
+    for start in range(0, trials, per_block):
+        pts = assign[np.stack([gen.choice(n, size=k, replace=False)
+                               for _ in range(min(per_block, trials - start))])]
+        flat = (pts * f.target.size)[:, iu]
+        flat += pts[:, ju]
+        hits += int(np.count_nonzero(np.count_nonzero(far[flat], axis=1) >= need))
     return RestrictionMCResult(eps=eps_f, k=k, trials=trials, frequency=hits / trials,
                                bound=1.0 - 15.0 / (eps_f * eps_f * k),
                                hypothesis_met=hypothesis, ave=ave)
@@ -427,6 +454,14 @@ def typical_sets_experiment(n: int, d: int, big_k: float, m: int, trials: int,
     No pass/fail: the constants behind the events are asymptotic, so the
     rows are reported as evidence only.
     """
+    if m < 1:
+        raise GraphError(f"need radius m >= 1, got m={m}")
+    if d < 2:
+        raise GraphError(f"need degree d >= 2, got d={d}")
+    if not (math.isfinite(big_k) and big_k > 0):
+        raise GraphError(f"need finite big_k > 0, got big_k={big_k}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     ell0 = int(d * n // (big_k * m))
     k0 = int(big_k * n // (d - 1) ** m)
     if ell0 < 1 or k0 < 1:

@@ -115,6 +115,12 @@ class TestModelAndSpectra:
         row = body_of(res.stdout).splitlines()[-1]
         assert row.startswith("8,")
 
+    def test_model_matchings_at_c_one_half(self, capsys):
+        # the bound's exponent is x log x at x = 1 - 2c = 0; its limit gives 1
+        assert cli.main(["model", "--lemma", "matchings", "--l", "20", "--eps", "0.5",
+                         "--c", "0.5", "--trials", "100"]) == 0
+        assert body_of(capsys.readouterr().out).splitlines()[-1].endswith(",1.0")
+
     def test_spectra_small(self):
         res = run_cli("spectra", "--gen-regular", "60,3", "--trials", "5", "--seed", "2")
         assert res.returncode == 0
@@ -139,6 +145,7 @@ class TestCleanErrorExits:
         ("witness", "--sizes", "16", "--trials", "0"),
         ("model", "--lemma", "matchings", "--trials", "0"),
         ("model", "--lemma", "dist-eq", "--trials", "0"),
+        ("model", "--lemma", "typical", "--n", "500", "--m", "3", "--trials", "0"),
         ("extrapolate", "--gen", "regular:16,3", "--metric", "uniform:4"),
         ("gen-graph", "--type", "regular:30,27", "--out", "unused.txt"),
         ("jls-embed", "--gen", "cycle:16", "--distortion", "3", "--retries", "0"),
@@ -194,6 +201,15 @@ class TestInputDomainExits:
         (("jls-embed", "--gen", "cycle:16", "--c1", "nan"), "finite c1 > 0"),
         (("jls-embed", "--gen", "cycle:16", "--c1", "inf"), "finite c1 > 0"),
         (("jls-embed", "--gen", "cycle:16", "--c1", "1e-300"), "byte budget"),
+        (("model", "--lemma", "matchings", "--eps", "nan"), "--eps must be finite"),
+        (("model", "--lemma", "matchings", "--eps", "inf"), "--eps must be finite"),
+        (("model", "--lemma", "matchings", "--c", "nan"), "--c must be finite"),
+        (("model", "--lemma", "typical", "--m", "0"), "radius m >= 1"),
+        (("model", "--lemma", "typical", "--bigk", "0"), "big_k > 0"),
+        (("model", "--lemma", "typical", "--bigk", "nan"), "big_k > 0"),
+        (("model", "--lemma", "typical", "--d", "1"), "degree d >= 2"),
+        (("model", "--lemma", "restriction", "--n", "200", "--eps", "0"), "eps > 0"),
+        (("model", "--lemma", "restriction", "--n", "200", "--eps", "nan"), "eps > 0"),
     ])
     def test_exit_one(self, argv, fragment, capsys):
         assert cli.main(list(argv)) == 1

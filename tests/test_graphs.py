@@ -17,7 +17,7 @@ from nlgap.graphs import (Graph, GraphError, ball, bfs_distances, canonical_form
 from nlgap.rng import derive_rng
 
 
-def brute_force_ball(g, sources, radius):
+def brute_force_distances(g, sources):
     """Independent oracle: grow one adjacency step at a time, assigning the
     conventional distance n to vertices never reached."""
     dist = {v: g.n for v in range(g.n)}
@@ -33,7 +33,7 @@ def brute_force_ball(g, sources, radius):
                 if dist[u] == g.n:
                     nxt.add(u)
         current = nxt
-    return {v for v in range(g.n) if dist[v] <= radius}
+    return [dist[v] for v in range(g.n)]
 
 
 def brute_force_canonical(g):
@@ -125,15 +125,22 @@ class TestBallSphere:
                 s = [0]
                 assert sphere(g, s, radius) == ball(g, s, radius) - ball(g, s, radius - 1)
 
-    @given(st.integers(3, 9), st.integers(0, 4), st.data())
+    @given(st.integers(3, 9), st.integers(0, 11), st.data())
     @settings(max_examples=60, deadline=None)
     def test_ball_matches_step_oracle(self, n, radius, data):
+        """The search stopped at the radius (radii >= n included) equals the
+        full one with every entry beyond the radius set to n."""
         edges = data.draw(st.sets(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1]),
             max_size=n * 2))
         g = graph_from_edges(n, edges)
         src = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
-        assert ball(g, src, radius) == brute_force_ball(g, src, radius)
+        full = brute_force_distances(g, src)
+        assert multi_source_distances(g, src, radius) == [x if x <= radius else n for x in full]
+        assert ball(g, src, radius) == {v for v in range(n) if full[v] <= radius}
+        assert sphere(g, src, radius) == {v for v in range(n) if full[v] == radius}
+        one = brute_force_distances(g, [min(src)])
+        assert bfs_distances(g, min(src), radius) == [x if x <= radius else n for x in one]
 
 
 class TestCheeger:

@@ -2,11 +2,14 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy import stats
 
+from nlgap import models
 from nlgap.graphs import (GraphError, bfs_distances, canonical_form, cycle_graph,
-                          diameter, path_graph, random_regular, relabel)
+                          diameter, disjoint_union, graph_from_edges, path_graph,
+                          random_regular, relabel)
 from nlgap.metrics import uniform_metric
 from nlgap.models import (all_perfect_matchings, distribution_equality_mc, draw_model,
                           enumerate_labeled_regular_masks,
@@ -15,8 +18,91 @@ from nlgap.models import (all_perfect_matchings, distribution_equality_mc, draw_
                           order_rank_from_permutation, random_perfect_matching,
                           restriction_concentration_mc, seed_map_g, seed_map_h,
                           typical_sets_experiment, typical_vertex_sets)
-from nlgap.poincare import VertexMap
+from nlgap.poincare import VertexMap, empirical_average
 from nlgap.rng import derive_rng
+
+
+# ----------------------------------------------------------------------
+# references: the per-trial loops the block-drawn verifiers replaced
+# ----------------------------------------------------------------------
+
+def matching_draw_reference(items, gen):
+    """random_perfect_matching as it was: the forced last partner is drawn
+    too, with gen.integers(0, 1)."""
+    pool = sorted(items)
+    out = []
+    while pool:
+        a = pool.pop(0)
+        b = pool.pop(int(gen.integers(0, len(pool))))
+        out.append((a, b) if a < b else (b, a))
+    return out
+
+
+def matching_reference(ell, y_pairs, c, trials, seed):
+    """Empirical frequency of matching_avoidance_mc, one matching at a time."""
+    y = {tuple(sorted(p)) for p in y_pairs}
+    gen = derive_rng(seed, "matching-mc", ell)
+    hits = 0
+    for _ in range(trials):
+        inter = sum(1 for p in matching_draw_reference(range(ell), gen) if p in y)
+        hits += inter <= c * ell / 2.0
+    return hits / trials
+
+
+def restriction_reference(f, eps, k, trials, seed):
+    """Frequency of restriction_concentration_mc, one sample at a time."""
+    gen = derive_rng(seed, "restriction-mc", k)
+    assign = np.asarray(f.assignment)
+    cutoff = empirical_average(f, 1.0) / 5.0
+    need = (1.0 - 2.0 * float(eps)) * (k * (k - 1) // 2)
+    iu = np.triu_indices(k, 1)
+    hits = 0
+    for _ in range(trials):
+        pts = assign[gen.choice(f.n, size=k, replace=False)]
+        block = f.target.dist[pts[:, None], pts[None, :]]
+        hits += int((block[iu] >= cutoff).sum()) >= need
+    return hits / trials
+
+
+def assign_reference(g, m, seeds_by_priority):
+    """Seed assignment with one full BFS per seed."""
+    out = [None] * g.n
+    for s in seeds_by_priority:
+        row = bfs_distances(g, s)
+        for v in range(g.n):
+            if out[v] is None and row[v] == m:
+                out[v] = s
+    return out
+
+
+def philox_state(gen):
+    state = gen.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+def matching_case(ell, seed):
+    """Y with at least half of the pairs (so eps = 1/2 is valid), c in
+    [0.25, 0.49) and a trial count that is a multiple of neither block size
+    in use (7 and 2^13)."""
+    pairs = list(itertools.combinations(range(ell), 2))
+    gen = derive_rng(seed, "matching-case", ell)
+    size = math.ceil(len(pairs) / 2) + int(gen.integers(0, len(pairs) // 8 + 1))
+    y = [pairs[i] for i in gen.choice(len(pairs), size=size, replace=False)]
+    return y, float(gen.uniform(0.25, 0.49)), 7 * int(gen.integers(40, 200)) + 3
+
+
+def restriction_case(seed):
+    """A map onto a uniform metric with 14-20 points and an eps near the
+    expected share of same-point pairs, so that the frequency is interior."""
+    gen = derive_rng(seed, "restriction-case")
+    points = int(gen.integers(14, 21))
+    n = int(gen.integers(3 * points, 8 * points))
+    assignment = tuple(int(x) for x in gen.permutation(np.arange(n) % points))
+    eps = float(gen.uniform(0.5, 1.5)) / (2 * points)
+    k = int(gen.integers(6, 17))
+    return VertexMap(uniform_metric(points), assignment), eps, k, 2 * int(gen.integers(100, 300)) + 1
 
 
 class TestCanonicalRep:
@@ -319,3 +405,112 @@ class TestTrialCount:
     def test_dist_eq(self):
         with pytest.raises(ValueError, match="trials"):
             distribution_equality_mc(6, 3, 1, trials=0, seed=0)
+
+    def test_typical(self):
+        with pytest.raises(ValueError, match="trials"):
+            typical_sets_experiment(n=120, d=3, big_k=6.0, m=3, trials=0, seed=0)
+
+
+class TestBlockDrawnAgainstReference:
+    """The block-drawn verifiers give the old loops' results on the same
+    random streams."""
+
+    def test_perfect_matching_keeps_the_stream(self):
+        for ell in (2, 4, 6, 20):
+            fast, ref = derive_rng(ell, "state"), derive_rng(ell, "state")
+            for _ in range(50):
+                assert (random_perfect_matching(range(ell), fast)
+                        == matching_draw_reference(range(ell), ref))
+            assert philox_state(fast) == philox_state(ref)
+
+    def test_matching_frequencies(self):
+        interior = 0
+        for ell in (4, 8, 20, 32):
+            for seed in range(7):
+                y, c, trials = matching_case(ell, seed)
+                r = matching_avoidance_mc(ell, y, c=c, trials=trials, seed=seed, eps=0.5)
+                assert r.empirical == matching_reference(ell, y, c, trials, seed)
+                interior += 0 < r.empirical < 1
+        assert interior >= 20
+
+    def test_matching_across_default_blocks(self):
+        trials = 2 * models._MC_BLOCK + 101
+        y, c, _ = matching_case(8, 1)
+        r = matching_avoidance_mc(8, y, c=c, trials=trials, seed=3, eps=0.5)
+        assert 0 < r.empirical < 1
+        assert r.empirical == matching_reference(8, y, c, trials, 3)
+
+    def test_matching_with_tiny_blocks(self, monkeypatch):
+        monkeypatch.setattr(models, "_MC_BLOCK", 7)
+        for ell in (4, 8, 20):
+            for seed in range(2):
+                y, c, trials = matching_case(ell, seed)
+                r = matching_avoidance_mc(ell, y, c=c, trials=trials, seed=seed, eps=0.5)
+                assert r.empirical == matching_reference(ell, y, c, trials, seed)
+
+    def test_restriction_frequencies(self):
+        interior = 0
+        for seed in range(24):
+            f, eps, k, trials = restriction_case(seed)
+            r = restriction_concentration_mc(f, eps=eps, k=k, trials=trials, seed=seed)
+            assert r.frequency == restriction_reference(f, eps, k, trials, seed)
+            interior += 0 < r.frequency < 1
+        assert interior >= 20
+
+    def test_restriction_with_small_blocks(self, monkeypatch):
+        # 200 pairs per block: from 1 sample (k = 16) to 13 samples (k = 6)
+        monkeypatch.setattr(models, "_RESTRICTION_PAIRS", 200)
+        for seed in range(6):
+            f, eps, k, trials = restriction_case(seed)
+            r = restriction_concentration_mc(f, eps=eps, k=k, trials=trials, seed=seed)
+            assert r.frequency == restriction_reference(f, eps, k, trials, seed)
+
+    def test_integer_thresholds(self):
+        """Thresholds a count can equal exactly, where <= and < part ways."""
+        for ell, c in ((4, 0.5), (8, 0.25), (20, 0.4), (32, 0.375)):
+            y, _, trials = matching_case(ell, 0)
+            r = matching_avoidance_mc(ell, y, c=c, trials=trials, seed=0, eps=0.5)
+            assert 0 < r.empirical < 1
+            assert r.empirical == matching_reference(ell, y, c, trials, 0)
+        for points in (14, 16):
+            f = VertexMap(uniform_metric(points), tuple(v % points for v in range(6 * points)))
+            # at least (1 - 1/16) * C(32, 2) = 465 pairs must stay far
+            r = restriction_concentration_mc(f, eps=1 / 32, k=32, trials=301, seed=points)
+            assert 0 < r.frequency < 1
+            assert r.frequency == restriction_reference(f, 1 / 32, 32, 301, points)
+
+    def test_seed_assignment(self):
+        graphs = [random_regular(14, 3, seed=s) for s in range(3)]
+        graphs += [disjoint_union(random_regular(8, 3, seed=s), cycle_graph(5)) for s in range(2)]
+        graphs += [graph_from_edges(9, [(0, 1), (1, 2), (4, 5)]), path_graph(7)]
+        gen = derive_rng(5, "assign")
+        for g in graphs:
+            for m in range(g.n + 2):
+                k = int(gen.integers(1, g.n + 1))
+                order = [int(x) for x in gen.choice(g.n, size=k, replace=False)]
+                assert models._assign_by_priority(g, m, order) == assign_reference(g, m, order)
+
+
+class TestVerifierDomains:
+    def test_matching_bound_at_c_one_half(self):
+        assert matching_avoidance_bound(20, 0.5, 0.5) == 1.0
+        assert matching_avoidance_bound(20, 0.5, 0.5 - 1e-12) == pytest.approx(1.0)
+        pairs = list(itertools.combinations(range(8), 2))
+        r = matching_avoidance_mc(8, pairs[:14], c=0.5, trials=100, seed=1, eps=0.5)
+        assert r.analytic_bound == 1.0
+
+    @pytest.mark.parametrize("eps", [0, -0.1, math.nan, math.inf])
+    def test_restriction_eps(self, eps):
+        f = VertexMap(uniform_metric(2), (0, 1) * 5)
+        with pytest.raises(GraphError, match="eps"):
+            restriction_concentration_mc(f, eps=eps, k=4, trials=10, seed=0)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(m=0), "m"), (dict(m=-2), "m"), (dict(d=1), "d"), (dict(d=0), "d"),
+        (dict(big_k=0.0), "big_k"), (dict(big_k=-3.0), "big_k"),
+        (dict(big_k=math.nan), "big_k"), (dict(big_k=math.inf), "big_k"),
+    ])
+    def test_typical_parameters(self, kwargs, name):
+        args = dict(n=120, d=3, big_k=6.0, m=3, trials=1, seed=0) | kwargs
+        with pytest.raises(GraphError, match=rf"\b{name}="):
+            typical_sets_experiment(**args)
