@@ -263,6 +263,10 @@ def cmd_model(args) -> None:
         for flag, value in (("--eps", args.eps), ("--c", args.c)):
             if not math.isfinite(value):
                 raise CliError(f"{flag} must be finite, got {value}")
+        if not 0 < args.eps <= 0.5:
+            raise CliError(f"--eps must lie in (0, 1/2], got {args.eps}")
+        if not 0 < args.c <= args.eps:
+            raise CliError(f"--c must lie in (0, --eps], got {args.c} with --eps {args.eps}")
         pairs = list(itertools.combinations(range(args.l), 2))
         gen = derive_rng(args.seed, "cli-y")
         drop_count = round(args.eps * len(pairs))
@@ -306,9 +310,14 @@ def cmd_model(args) -> None:
 
 
 def cmd_spectra(args) -> None:
-    n, d = map(int, args.gen_regular.split(","))
+    try:
+        n, d = map(int, args.gen_regular.split(","))
+    except ValueError:
+        raise CliError(f"--gen-regular must be two integers N,D, got {args.gen_regular!r}") from None
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
+    if args.min_fraction is not None and not 0 <= args.min_fraction <= 1:
+        raise CliError(f"--min-fraction must lie in [0, 1], got {args.min_fraction}")
     threshold = 2.1 * math.sqrt(d - 1)
 
     values = [lambda2(random_regular(n, d, seed=args.seed + 104729 * t))

@@ -290,11 +290,15 @@ def cheeger_lower_bound(g: Graph, limit: int = 22) -> float:
 # spectrum
 # ----------------------------------------------------------------------
 
+def _edge_array(g: Graph) -> np.ndarray:
+    """The edges as an (m, 2) array of vertex indices."""
+    return np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=np.float64)
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    u, v = _edge_array(g).T
+    a[u, v] = a[v, u] = 1.0
     return a
 
 
@@ -305,12 +309,43 @@ def spectrum(g: Graph) -> np.ndarray:
     return np.linalg.eigvalsh(adjacency_matrix(g))
 
 
+# Lanczos beats the dense solve from about n = 400 on random 3- and 4-regular
+# graphs (4.3 vs 5.6 ms at n=400, 11 vs 40 ms at n=1000, 17 vs 311 ms at
+# n=2000).  Random 3- to 6-regular graphs converged within n/14 implicit
+# restarts (8 graphs for each d at n = 400, 1000, 2000, 4000).  A graph with a
+# small spectral gap needs about n restarts (C_1000: 1090, several times the
+# dense time), so lambda2 stops after n/8 and falls back to the dense solve.
+_LANCZOS_MIN_N = 400
+
+
 def lambda2(g: Graph) -> float:
-    """Second-largest adjacency eigenvalue."""
-    eig = spectrum(g)
+    """Second-largest adjacency eigenvalue.
+
+    A connected graph with at least _LANCZOS_MIN_N vertices takes the top two
+    eigenvalues of its sparse adjacency from ARPACK Lanczos, started from a
+    fixed vector so that repeated calls agree bit for bit.  Smaller graphs,
+    disconnected ones (whose largest eigenvalue can be repeated, which Lanczos
+    from one start vector need not see) and runs that do not converge use the
+    dense spectrum.
+    """
     if g.n < 2:
         raise GraphError("lambda2 needs n >= 2")
-    return float(eig[-2])
+    if g.n >= _LANCZOS_MIN_N and is_connected(g):
+        from scipy.sparse import csr_array
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+        u, v = _edge_array(g).T
+        a = csr_array((np.ones(2 * g.m), (np.concatenate([u, v]), np.concatenate([v, u]))),
+                      shape=(g.n, g.n))
+        # rng feeds the restart vectors ARPACK draws after a breakdown
+        gen = derive_rng(0, "lambda2", g.n)
+        try:
+            top = eigsh(a, k=2, which="LA", v0=gen.uniform(-1.0, 1.0, g.n), rng=gen,
+                        maxiter=g.n // 8, return_eigenvectors=False)
+        except ArpackNoConvergence:
+            pass
+        else:
+            return float(top.min())
+    return float(spectrum(g)[-2])
 
 
 # ----------------------------------------------------------------------

@@ -60,11 +60,17 @@ _SUP_BLOCK = 1 << 22   # elements of the difference array behind one row block
 
 def sup_distance_blocks(coords: np.ndarray):
     """Yield the sup-norm distance matrix of the points coords[i] in blocks of
-    max(1, _SUP_BLOCK // (n * width)) rows, in the dtype of coords."""
+    max(1, _SUP_BLOCK // (n * width)) rows, in the dtype of coords.
+
+    At most one difference array is alive at a time: its absolute value is
+    taken in place and it is freed before the block is handed out."""
     n, width = coords.shape
     rows = max(1, _SUP_BLOCK // max(1, n * width))
     for a in range(0, n, rows):
-        yield np.abs(coords[a:a + rows, None, :] - coords[None, :, :]).max(axis=2, initial=0)
+        diff = coords[a:a + rows, None, :] - coords[None, :, :]
+        block = np.abs(diff, out=diff).max(axis=2, initial=0)
+        del diff
+        yield block
 
 
 def validate(dist, labels=None, tol: float | None = None) -> FiniteMetric:

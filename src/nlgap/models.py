@@ -122,6 +122,8 @@ def seed_map_h(g: Graph, m: int, seed_set, order_rank) -> SeedTable:
     """Assign each vertex the order-minimal element of its distance-m sphere
     inside the seed set; order_rank ranks the seeds written in increasing
     vertex order (identity ranks reproduce seed_map_g on [k])."""
+    if not 1 <= m <= g.n:
+        raise GraphError(f"need 1 <= m <= n, got m={m}")
     seeds = tuple(sorted(set(int(s) for s in seed_set)))
     if not seeds:
         raise GraphError("seed set must be nonempty")

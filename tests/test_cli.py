@@ -210,6 +210,18 @@ class TestInputDomainExits:
         (("model", "--lemma", "typical", "--d", "1"), "degree d >= 2"),
         (("model", "--lemma", "restriction", "--n", "200", "--eps", "0"), "eps > 0"),
         (("model", "--lemma", "restriction", "--n", "200", "--eps", "nan"), "eps > 0"),
+        (("model", "--lemma", "matchings", "--eps", "2"), "--eps must lie in (0, 1/2]"),
+        (("model", "--lemma", "matchings", "--eps", "-0.5"), "--eps must lie in (0, 1/2]"),
+        (("model", "--lemma", "matchings", "--eps", "0.2", "--c", "0.3"),
+         "--c must lie in (0, --eps]"),
+        (("spectra", "--gen-regular", "60,3", "--min-fraction", "nan"),
+         "--min-fraction must lie in [0, 1]"),
+        (("spectra", "--gen-regular", "60,3", "--min-fraction", "5"),
+         "--min-fraction must lie in [0, 1]"),
+        (("spectra", "--gen-regular", "60,3", "--min-fraction", "-0.5"),
+         "--min-fraction must lie in [0, 1]"),
+        (("spectra", "--gen-regular", "1000"), "--gen-regular must be two integers"),
+        (("spectra", "--gen-regular", "a,3"), "--gen-regular must be two integers"),
     ])
     def test_exit_one(self, argv, fragment, capsys):
         assert cli.main(list(argv)) == 1

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlgap.graphs import (Graph, GraphError, ball, bfs_distances, canonical_form,
-                          cheeger_bounds, cheeger_exact, complete_graph,
-                          cube_graph, cut_size, cycle_graph, diameter, disjoint_union,
+from nlgap import graphs
+from nlgap.graphs import (Graph, GraphError, adjacency_matrix, ball, bfs_distances,
+                          canonical_form, cheeger_bounds, cheeger_exact,
+                          complete_bipartite_graph, complete_graph, cube_graph,
+                          cut_size, cycle_graph, diameter, disjoint_union,
                           distance_matrix, enumerate_regular_graphs,
-                          expansion_holds, graph_from_edges, is_connected,
+                          expansion_holds, graph_from_edges, is_connected, lambda2,
                           multi_source_distances, path_graph, random_regular,
-                          relabel, spectrum, sphere, tree_like_set)
+                          relabel, spectrum, sphere, star_graph, tree_like_set)
 from nlgap.rng import derive_rng
 
 
@@ -217,6 +219,100 @@ class TestSpectrum:
         for g in regular_corpus.values():
             if is_connected(g):
                 assert spectrum(g)[-1] == pytest.approx(g.regular_degree(), abs=1e-9)
+
+
+def hypercube_graph(k):
+    return graph_from_edges(1 << k, [(i, i | 1 << b) for i in range(1 << k)
+                                     for b in range(k) if not i >> b & 1])
+
+
+def tree_plus_chords(n, chords, seed):
+    """A connected irregular graph: a random recursive tree plus random chords."""
+    gen = derive_rng(seed, "tree-plus-chords", n)
+    edges = {(int(gen.integers(0, v)), v) for v in range(1, n)}
+    while len(edges) < n - 1 + chords:
+        u, v = sorted(int(x) for x in gen.choice(n, 2, replace=False))
+        edges.add((u, v))
+    return graph_from_edges(n, edges)
+
+
+# lambda2 in closed form: C_n 2cos(2 pi/n) (double), Q_k k-2 (multiplicity k),
+# K_n -1 (multiplicity n-1), K_{a,b} and stars 0 (multiplicity n-2)
+CLOSED_FORM_LAMBDA2 = {
+    "C401": (lambda: cycle_graph(401), 2 * math.cos(2 * math.pi / 401)),
+    "C1000": (lambda: cycle_graph(1000), 2 * math.cos(2 * math.pi / 1000)),
+    "Q9": (lambda: hypercube_graph(9), 7.0),
+    "Q10": (lambda: hypercube_graph(10), 8.0),
+    "K500": (lambda: complete_graph(500), -1.0),
+    "K200,300": (lambda: complete_bipartite_graph(200, 300), 0.0),
+    "star500": (lambda: star_graph(500), 0.0),
+}
+
+
+class TestLambda2:
+    """Connected graphs with n >= _LANCZOS_MIN_N take lambda2 from ARPACK
+    Lanczos; the dense spectrum and closed forms are its oracles."""
+
+    @staticmethod
+    def sparse_lambda2(g, monkeypatch):
+        """lambda2 with the dense path disabled, so a fallback fails the test."""
+        def no_dense(_):
+            raise AssertionError("lambda2 fell back to the dense spectrum")
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "spectrum", no_dense)
+            return lambda2(g)
+
+    @pytest.mark.parametrize("n", [400, 1000, 2000])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_random_regular_matches_dense(self, n, d, monkeypatch):
+        g = random_regular(n, d, seed=n + d)
+        assert abs(self.sparse_lambda2(g, monkeypatch) - spectrum(g)[-2]) < 1e-11
+
+    def test_irregular_matches_dense(self, monkeypatch):
+        g = tree_plus_chords(600, 60, seed=3)
+        assert g.regular_degree() is None and is_connected(g)
+        assert abs(self.sparse_lambda2(g, monkeypatch) - spectrum(g)[-2]) < 1e-11
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_LAMBDA2))
+    def test_repeated_and_clustered_closed_forms(self, name):
+        build, expect = CLOSED_FORM_LAMBDA2[name]
+        g = build()
+        assert g.n >= graphs._LANCZOS_MIN_N and is_connected(g)
+        got = lambda2(g)
+        assert abs(got - expect) < 1e-11
+        assert abs(got - spectrum(g)[-2]) < 1e-11
+
+    def test_small_spectral_gap_falls_back_to_dense(self):
+        # C_1000 needs about 1090 implicit restarts, far past the cap
+        g = cycle_graph(1000)
+        assert lambda2(g) == spectrum(g)[-2]
+
+    def test_disconnected_union_uses_repeated_top_eigenvalue(self):
+        g = disjoint_union(random_regular(500, 3, seed=1), random_regular(500, 3, seed=2))
+        assert not is_connected(g)
+        assert abs(lambda2(g) - 3.0) < 1e-11
+
+    @pytest.mark.parametrize("build", [lambda: random_regular(1000, 3, seed=5),
+                                       lambda: complete_bipartite_graph(200, 300)],
+                             ids=["cubic1000", "K200,300"])
+    def test_bitwise_deterministic(self, build):
+        # K_{200,300} exhausts its Krylov space and makes ARPACK draw restart vectors
+        from scipy.sparse import csr_array
+        from scipy.sparse.linalg import eigsh
+        g = build()
+        first = lambda2(g)
+        assert lambda2(g) == first
+        other = random_regular(600, 3, seed=9)
+        eigsh(csr_array(adjacency_matrix(other)), k=3, which="LA")   # unseeded
+        assert lambda2(g) == first
+
+    def test_adjacency_matches_edge_loop(self, corpus):
+        for g in list(corpus.values()) + [tree_plus_chords(60, 9, seed=1),
+                                           graph_from_edges(0, []), graph_from_edges(3, [])]:
+            loop = np.zeros((g.n, g.n))
+            for u, v in g.edges:
+                loop[u, v] = loop[v, u] = 1.0
+            assert np.array_equal(adjacency_matrix(g), loop)
 
 
 class TestRandomRegular:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ class TestSupDistanceBlocks:
         assert np.array_equal(np.concatenate(blocks), dense)
         if width == 0:
             assert not dense.any()
+
+    def test_traced_peak_is_one_difference_block(self):
+        # the witness shape: n=1024 points, 96 int16 coordinates
+        n, width = 1024, 96
+        c = np.random.Generator(np.random.Philox(1)).integers(-9, 10, size=(n, width),
+                                                              dtype=np.int16)
+        rows = _SUP_BLOCK // (n * width)
+        block_bytes = rows * n * width * c.itemsize
+        tracemalloc.start()
+        try:
+            for _ in sup_distance_blocks(c):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * block_bytes
 
 
 class TestCostMatrix:

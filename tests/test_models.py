@@ -198,6 +198,11 @@ class TestSeedMapH:
         chi2 = sum((counts[s] - draws / 2) ** 2 / (draws / 2) for s in (2, 6))
         assert stats.chi2.sf(chi2, df=1) > 0.01
 
+    @pytest.mark.parametrize("m", [0, -1, 7])
+    def test_radius_out_of_range_rejected(self, m):
+        with pytest.raises(GraphError, match="1 <= m <= n"):
+            seed_map_h(cycle_graph(6), m, [0, 3], [0, 1])
+
     @pytest.mark.parametrize("n,k,m", [(24, 5, 2), (100, 8, 3)])
     def test_seed_consistency_with_permutation(self, n, k, m):
         """The natural-order seed map of the relabelled graph is the
