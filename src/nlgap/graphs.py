@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -352,40 +351,56 @@ def lambda2(g: Graph) -> float:
 # random regular graphs (pairing model, rejection sampled)
 # ----------------------------------------------------------------------
 
-def random_regular(n: int, d: int, seed: int) -> Graph:
-    """Uniform simple d-regular graph on [n] via the pairing model.
+_PAIRING_STUBS = 1 << 19  # stub keys drawn at once; sets memory only, not the law
+_PAIRING_PATIENCE = 10_000  # give up after this many times the expected draws
 
-    A uniformly random pairing of d stubs per vertex is accepted iff it
-    yields no loop and no multi-edge; conditioning on acceptance gives the
-    uniform distribution on simple d-regular graphs.  Deterministic given
-    the seed.
+
+def _simple_pairings(n: int, d: int, want: int, gen):
+    """Yield batches (lo, hi) of uniformly random simple pairings of d stubs
+    per vertex of [n], want rows in all; row r pairs lo[r, i] < hi[r, i].
+
+    Each pairing sorts the stubs by uniform keys, so all pairings are equally
+    likely, and a row is kept iff it has no loop and no repeated pair: the
+    kept rows are uniform on simple pairings, and each simple d-regular graph
+    comes from (d!)^n of them.  A pairing is simple with probability about
+    exp(-(d^2-1)/4) (Bollobas 1980), and that sets the batch rows.  At the
+    smallest n the true rate is lower, by up to 128 times (n = 8, d = 7), so a
+    working sampler reaches the give-up rule with probability below exp(-78).
     """
-    if not 3 <= d <= n - 1:
-        raise GraphError(f"degree d={d} must satisfy 3 <= d <= n-1 (n={n})")
+    if not 1 <= d <= n - 1:
+        raise GraphError(f"degree d={d} must satisfy 1 <= d <= n-1 (n={n})")
     if (n * d) % 2 != 0:
         raise GraphError(f"n*d must be even, got n={n}, d={d}")
-    # a pairing is simple with probability about exp(-(d^2-1)/4)
-    if (d * d - 1) / 4 > math.log(1e6):
+    accept = math.exp(-(d * d - 1) / 4)
+    if accept < 1e-6:
         raise GraphError(f"d={d} needs about exp((d^2-1)/4) > 1e6 pairing draws; use d <= 7")
-    gen = derive_rng(seed, "pairing", n, d)
-    cap = math.ceil(10.0 * math.exp(d * d))
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    for _ in range(cap):
-        perm = gen.permutation(stubs)
-        us = perm[0::2]
-        vs = perm[1::2]
-        if np.any(us == vs):
-            continue
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        codes = lo * n + hi
-        if np.unique(codes).size != codes.size:
-            continue
-        return graph_from_edges(n, zip(lo.tolist(), hi.tolist()))
-    raise GraphError(
-        f"pairing model rejected {cap} times for n={n}, d={d}; "
-        "this is pathological for such parameters"
-    )
+    stubs = np.repeat(np.arange(n, dtype=np.intp), d)
+    limit = _PAIRING_PATIENCE * want / accept
+    drawn = got = 0
+    while got < want:
+        if drawn >= limit:
+            raise GraphError(f"pairing model gave up for n={n}, d={d}: {got} of {want} "
+                             f"simple pairings in {drawn} draws")
+        rows = min(max(1, _PAIRING_STUBS // stubs.size), math.ceil((want - got) / accept))
+        paired = stubs[np.argsort(gen.random((rows, stubs.size)), axis=1)]
+        lo = np.minimum(paired[:, 0::2], paired[:, 1::2])
+        hi = np.maximum(paired[:, 0::2], paired[:, 1::2])
+        codes = np.sort(lo * n + hi, axis=1)
+        ok = (lo != hi).all(axis=1) & (np.diff(codes, axis=1) != 0).all(axis=1)
+        drawn += rows
+        lo, hi = lo[ok][:want - got], hi[ok][:want - got]
+        if len(lo):
+            got += len(lo)
+            yield lo, hi
+
+
+def random_regular(n: int, d: int, seed: int) -> Graph:
+    """Uniform simple d-regular graph on [n] via the pairing model: the first
+    simple pairing of the stream.  Deterministic given the seed."""
+    if not 3 <= d <= n - 1:
+        raise GraphError(f"degree d={d} must satisfy 3 <= d <= n-1 (n={n})")
+    lo, hi = next(_simple_pairings(n, d, 1, derive_rng(seed, "pairing", n, d)))
+    return graph_from_edges(n, zip(lo[0].tolist(), hi[0].tolist()))
 
 
 def random_connected_regular(n: int, d: int, seed: int, tries: int = 200) -> Graph:
@@ -406,25 +421,18 @@ def tree_like_set(g: Graph, m: int) -> set[int]:
 
     For 3m >= n the cross-component distance convention pulls other
     components into the ball, so connectivity of the induced subgraph must
-    be checked explicitly, not inferred from the edge count.
+    be checked explicitly, not inferred from the edge count: the ball is
+    connected iff none of its vertices is at the cross-component distance n,
+    since a shortest path to the centre stays inside the ball.
     """
     if m < 0:
         raise GraphError("radius must be nonnegative")
     out = set()
     for v in range(g.n):
-        b = ball(g, [v], 3 * m)
+        dist = multi_source_distances(g, [v], 3 * m)
+        b = {u for u in range(g.n) if dist[u] <= 3 * m}
         inner = sum(1 for x, y in g.edges if x in b and y in b)
-        if inner != len(b) - 1:
-            continue
-        reached = {v}
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for u in g.adjacency[x]:
-                if u in b and u not in reached:
-                    reached.add(u)
-                    queue.append(u)
-        if len(reached) == len(b):
+        if inner == len(b) - 1 and all(dist[u] < g.n for u in b):
             out.add(v)
     return out
 

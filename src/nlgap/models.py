@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .graphs import (Graph, GraphError, _pair_action, bfs_distances, canonical_form,
-                     graph_from_edges, random_regular, relabel, sphere)
+from .graphs import (Graph, GraphError, _pair_action, _simple_pairings, bfs_distances,
+                     canonical_form, graph_from_edges, random_regular, relabel, sphere)
 from .poincare import VertexMap, empirical_average, is_concentrated
 from .rng import derive_rng
 
@@ -542,9 +542,6 @@ class DistEqResult:
     p_value: float
 
 
-_DIST_EQ_BATCH = 1 << 15  # pairings per sampler round; the value fixes the random stream
-
-
 def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
                              seed: int) -> DistEqResult:
     """Goodness of fit of the staged (H, deleted-edges) sample against the
@@ -577,22 +574,10 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
         bits = np.int64(1) << ids.astype(np.int64)
         return (bits.sum(axis=-1)[..., None] << n_pairs) | bits[..., combos].sum(axis=-1)
 
-    base = np.repeat(np.arange(n, dtype=np.int64), d)
-    masks, perm_idx, combo_idx = [], [], []
-    done = 0
-    while done < trials:
-        shuffled = base[np.argsort(gen.random((_DIST_EQ_BATCH, base.size)), axis=1)]
-        lo = np.minimum(shuffled[:, 0::2], shuffled[:, 1::2])
-        hi = np.maximum(shuffled[:, 0::2], shuffled[:, 1::2])
-        codes = np.sort(lo * n + hi, axis=1)
-        ok = ~((lo == hi).any(axis=1) | (np.diff(codes, axis=1) == 0).any(axis=1))
-        take = min(int(ok.sum()), trials - done)
-        if take == 0:
-            continue
-        masks.append((np.int64(1) << pid[lo[ok][:take], hi[ok][:take]]).sum(axis=1))
-        perm_idx.append(gen.integers(0, len(img), size=take))
-        combo_idx.append(gen.integers(0, len(combos), size=take))
-        done += take
+    masks = [(np.int64(1) << pid[lo, hi]).sum(axis=1)
+             for lo, hi in _simple_pairings(n, d, trials, gen)]
+    perm_idx = gen.integers(0, len(img), size=trials)
+    combo_idx = gen.integers(0, len(combos), size=trials)
 
     # canonical representative U of each sampled labelled graph, then the
     # outcome of every (pi, U, deletion) in one table
@@ -600,8 +585,7 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
     canon = [[pid[e] for e in canonical_form(graph_from_edges(n, pairs[ids].tolist())).edges]
              for ids in mask_ids(labelled)]
     reps, rep_of = np.unique(canon, axis=0, return_inverse=True)
-    outcomes = outcome_keys(img[:, reps])[np.concatenate(perm_idx), rep_of[row_graph],
-                                          np.concatenate(combo_idx)]
+    outcomes = outcome_keys(img[:, reps])[perm_idx, rep_of[row_graph], combo_idx]
     keys, freq = np.unique(outcomes, return_counts=True)
     counts = dict(zip(keys.tolist(), freq.tolist()))
 

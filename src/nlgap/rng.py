@@ -8,22 +8,26 @@ experiments replayable from a single integer.
 """
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
-
-_MASK64 = (1 << 64) - 1
-
-
-def _token(part) -> int:
-    if isinstance(part, (int, np.integer)):
-        return int(part) & _MASK64
-    return zlib.crc32(str(part).encode("utf-8"))
 
 
 def derive_rng(seed: int, *path) -> np.random.Generator:
-    """Counter-based (Philox) generator for the stream named by (seed, *path)."""
-    entropy = [int(seed) & _MASK64] + [_token(p) for p in path]
-    ss = np.random.SeedSequence(entropy)
-    return np.random.Generator(np.random.Philox(ss))
+    """Counter-based (Philox) generator for the stream named by (seed, *path).
 
+    The labels are ints and strs.  The entropy is the byte length, then the
+    32-bit words, of the repr of the label tuple, which quotes strings and
+    signs negative ints and which ast.literal_eval inverts: distinct label
+    tuples give distinct entropy, never one the zero padding of another.
+    """
+    labels = []
+    for x in (seed, *path):
+        if isinstance(x, (int, np.integer)):
+            labels.append(int(x))
+        elif isinstance(x, str):
+            labels.append(str(x))  # np.str_ has its own repr
+        else:
+            raise TypeError(f"stream labels are ints or strs, got {x!r}")
+    data = repr(tuple(labels)).encode("utf-8")
+    words = np.frombuffer(data + bytes(-len(data) % 4), dtype="<u4").tolist()
+    ss = np.random.SeedSequence([len(data), *words])
+    return np.random.Generator(np.random.Philox(ss))

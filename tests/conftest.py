@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from nlgap.graphs import (complete_bipartite_graph, complete_graph, cube_graph,
                           cycle_graph, path_graph, petersen_graph, prism_graph,
                           random_regular, star_graph)
+
+# derandomized: every property test runs the same examples on every run
+settings.register_profile("reproducible", derandomize=True)
+settings.load_profile("reproducible")
 
 
 def corpus_graphs():

@@ -16,6 +16,7 @@ from nlgap.graphs import (Graph, GraphError, adjacency_matrix, ball, bfs_distanc
                           expansion_holds, graph_from_edges, is_connected, lambda2,
                           multi_source_distances, path_graph, random_regular,
                           relabel, spectrum, sphere, star_graph, tree_like_set)
+from nlgap.models import distribution_equality_mc, enumerate_labeled_regular_masks
 from nlgap.rng import derive_rng
 
 
@@ -339,20 +340,25 @@ class TestRandomRegular:
             random_regular(n, d, seed=0)
 
     def test_uniform_over_isomorphism_classes(self):
-        # G(6,3) has two classes: the complete bipartite one (10 labelled
-        # copies, triangle-free) and the prism one (60), so the class
-        # probabilities are 1/7 and 6/7.
+        # finer than the two classes (K33, prism): each of the 70 labelled
+        # cubic graphs on [6] is equally likely
         from scipy import stats
+        masks = enumerate_labeled_regular_masks(6, 3)
+        pair_bit = {p: 1 << i for i, p in enumerate(itertools.combinations(range(6), 2))}
         draws = 20000
-        bipartite = 0
+        counts = {mask: 0 for mask in masks}
         for t in range(draws):
             g = random_regular(6, 3, seed=1_000_000 + t)
-            has_triangle = any(g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
-                               for a, b, c in itertools.combinations(range(6), 3))
-            bipartite += not has_triangle
-        chi2 = ((bipartite - draws / 7) ** 2 / (draws / 7)
-                + (draws - bipartite - 6 * draws / 7) ** 2 / (6 * draws / 7))
-        assert stats.chi2.sf(chi2, df=1) > 0.01
+            counts[sum(pair_bit[e] for e in g.edges)] += 1
+        assert len(counts) == len(masks) == 70
+        assert stats.chisquare(list(counts.values())).pvalue > 0.01
+
+    @pytest.mark.parametrize("draw", [lambda: random_regular(6, 3, seed=0),
+                                      lambda: distribution_equality_mc(6, 3, 1, 10, seed=0)])
+    def test_give_up_names_n_and_d(self, draw, monkeypatch):
+        monkeypatch.setattr(graphs, "_PAIRING_PATIENCE", 0)
+        with pytest.raises(GraphError, match=r"gave up for n=6, d=3"):
+            draw()
 
 
 class TestTreeLike:
@@ -371,6 +377,25 @@ class TestTreeLike:
 
     def test_c6_radius_one_empty(self):
         assert tree_like_set(cycle_graph(6), 1) == set()
+
+    def test_against_networkx_induced_trees(self):
+        import networkx as nx
+        gen = derive_rng(4, "tree-like-oracle")
+        for _ in range(2000):
+            n = int(gen.integers(1, 12))
+            p = float(gen.uniform(0.05, 0.6))
+            edges = [e for e in itertools.combinations(range(n), 2) if gen.random() < p]
+            m = int(gen.integers(0, 5))
+            h = nx.Graph(edges)
+            h.add_nodes_from(range(n))
+            want = set()
+            for v in range(n):
+                near = set(nx.single_source_shortest_path_length(h, v, cutoff=3 * m))
+                # other components are at the conventional distance n
+                ball_v = set(range(n)) if 3 * m >= n else near
+                if nx.is_tree(h.subgraph(ball_v)):
+                    want.add(v)
+            assert tree_like_set(graph_from_edges(n, edges), m) == want
 
 
 class TestExpansion:

@@ -382,13 +382,13 @@ class TestDistributionEquality:
         assert r.cells == 630
         assert r.p_value > 0.001
         # bit for bit: the draws, the cell order and the chi2 summation order fix these
-        assert r.chi2 == 626.7784999999993
-        assert r.p_value == 0.5175096114525949
+        assert r.chi2 == 651.0334999999998
+        assert r.p_value == 0.26341542340173324
 
     def test_two_deletions_pinned(self):
         r = distribution_equality_mc(6, 3, 2, trials=20000, seed=5)
         assert r.cells == 2520
-        assert r.chi2 == 2536.8640000000346
+        assert r.chi2 == 2671.1800000000276
 
     @pytest.mark.parametrize("ell", [-1, 10])
     def test_deletions_out_of_range(self, ell):
@@ -474,6 +474,10 @@ class TestBlockDrawnAgainstReference:
         """Thresholds a count can equal exactly, where <= and < part ways."""
         for ell, c in ((4, 0.5), (8, 0.25), (20, 0.4), (32, 0.375)):
             y, _, trials = matching_case(ell, 0)
+            # a perfect matching inside Y exceeds every threshold here, so the
+            # frequency is below 1 whatever the drawn pairs (at ell = 4 three
+            # pairs can hold none: a star at one vertex meets each matching once)
+            y = set(y) | {(i, i + 1) for i in range(0, ell, 2)}
             r = matching_avoidance_mc(ell, y, c=c, trials=trials, seed=0, eps=0.5)
             assert 0 < r.empirical < 1
             assert r.empirical == matching_reference(ell, y, c, trials, 0)
