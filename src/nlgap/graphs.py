@@ -150,8 +150,9 @@ def multi_source_distances(g: Graph, sources, radius: int | None = None) -> list
     return _bfs(g, sources, radius)[0]
 
 
-def _bfs(g: Graph, sources, radius: int | None) -> tuple[list[int], list[int]]:
-    """The one BFS loop: the distances and the layer at the last depth reached."""
+def _bfs(g: Graph, sources, radius: int | None) -> tuple[list[int], list[int], int]:
+    """The one BFS loop: the distances, the vertices reached in BFS order,
+    and where the layer at the last depth reached starts in that order."""
     sources = list(sources)
     if not sources:
         raise GraphError("source set must be nonempty")
@@ -159,23 +160,22 @@ def _bfs(g: Graph, sources, radius: int | None) -> tuple[list[int], list[int]]:
         raise GraphError(f"source out of range for n={g.n}: {min(sources)}..{max(sources)}")
     n, adjacency = g.n, g.adjacency
     dist = [n] * n
-    layer = []
+    order = []
     for s in sources:
         if dist[s] == n:
             dist[s] = 0
-            layer.append(s)
-    depth = 0
+            order.append(s)
+    depth = start = 0
     limit = n if radius is None else radius
-    while layer and depth < limit:
+    while start < len(order) and depth < limit:
         depth += 1
-        reached = []
+        layer, start = order[start:], len(order)
         for v in layer:
             for u in adjacency[v]:
                 if dist[u] == n:
                     dist[u] = depth
-                    reached.append(u)
-        layer = reached
-    return dist, layer
+                    order.append(u)
+    return dist, order, start
 
 
 @lru_cache(maxsize=128)
@@ -208,9 +208,9 @@ def ball(g: Graph, S, radius: int) -> set[int]:
 
 def sphere(g: Graph, S, radius: int) -> set[int]:
     """All vertices at distance exactly radius from the set S."""
-    dist, layer = _bfs(g, S, radius)
+    dist, order, start = _bfs(g, S, radius)
     if 0 <= radius < g.n:
-        return set(layer)
+        return set(order[start:])
     return {v for v in range(g.n) if dist[v] == radius}
 
 
@@ -427,12 +427,16 @@ def tree_like_set(g: Graph, m: int) -> set[int]:
     """
     if m < 0:
         raise GraphError("radius must be nonnegative")
+    n, r = g.n, 3 * m
     out = set()
-    for v in range(g.n):
-        dist = multi_source_distances(g, [v], 3 * m)
-        b = {u for u in range(g.n) if dist[u] <= 3 * m}
-        inner = sum(1 for x, y in g.edges if x in b and y in b)
-        if inner == len(b) - 1 and all(dist[u] < g.n for u in b):
+    for v in range(n):
+        dist, order, _ = _bfs(g, [v], r)
+        # below radius n the ball is what the search reached; from n on it
+        # also holds the other components, at distance n
+        b = order if r < n else range(n)
+        # the ends of the edges inside the ball: each edge is seen from both
+        ends = sum(1 for u in b for w in g.adjacency[u] if dist[w] <= r)
+        if ends == 2 * (len(b) - 1) and all(dist[u] < n for u in b):
             out.add(v)
     return out
 
@@ -513,48 +517,89 @@ def _pair_action(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pairs, pid, img
 
 
+def _pair_weights(n: int) -> np.ndarray:
+    """The key bit of each vertex pair of [n]: a graph's key adds the bits of
+    its edges, with pair 0 the most significant, so of two graphs with the
+    same edge count the one with the smaller sorted edge list has the
+    greater key."""
+    top = n * (n - 1) // 2 - 1
+    return np.int64(1) << (top - np.arange(top + 1, dtype=np.int64))
+
+
+def _canonical_keys(n: int, keys) -> np.ndarray:
+    """The canonical key of each labelled graph on [n] (n <= 8), given and
+    returned as keys: the greatest key over its isomorphism class.
+
+    Each pass takes the first graph not yet classified, computes the keys of
+    all n! of its images with the pair-action table and classifies every
+    graph of the batch found among them, so the cost is one pass per class.
+    """
+    if n > _CANON_CAP:
+        raise GraphError(f"canonical form is brute-force only, n <= {_CANON_CAP}")
+    img = _pair_action(n)[2]
+    weights = _pair_weights(n)
+    top = len(weights) - 1
+    distinct, inverse = np.unique(np.asarray(keys, dtype=np.int64), return_inverse=True)
+    canon = np.full(len(distinct), -1)
+    while (todo := np.flatnonzero(canon < 0)).size:
+        ids = np.flatnonzero(distinct[todo[0]] & weights)
+        images = (np.int64(1) << (top - img[:, ids])).sum(axis=1)
+        # every batch key among the images is in this class, classified or not
+        at = np.searchsorted(distinct, images).clip(max=len(distinct) - 1)
+        canon[at[distinct[at] == images]] = images.max()
+    return canon[inverse]
+
+
+def _edges_key(n: int, edges) -> int:
+    """The key of the graph on [n] with these edges."""
+    pid = _pair_action(n)[1]
+    return int(_pair_weights(n)[[pid[e] for e in edges]].sum())
+
+
+def _key_edges(n: int, key: int) -> list[list[int]]:
+    """The sorted edge list of the graph on [n] with this key."""
+    pairs = _pair_action(n)[0]
+    return pairs[np.flatnonzero(key & _pair_weights(n))].tolist()
+
+
 @lru_cache(maxsize=65536)
 def canonical_form(g: Graph) -> Graph:
     """Isomorphic copy with the lexicographically smallest sorted edge list.
 
-    Brute force over all n! permutations, so capped at n <= 8.  Constant on
-    isomorphism classes by construction.
+    The one-graph case of the class sweep: brute force over all n!
+    permutations, so capped at n <= 8.  Constant on isomorphism classes by
+    construction.
     """
     if g.n > _CANON_CAP:
         raise GraphError(f"canonical form is brute-force only, n <= {_CANON_CAP}")
-    pairs, pid, img = _pair_action(g.n)
-    # smallest sorted edge list <=> greatest pair indicator read with pair 0
-    # as the most significant bit
-    top = len(pairs) - 1
-    best = int((np.int64(1) << (top - img[:, [pid[e] for e in g.edges]])).sum(axis=1).max())
-    return graph_from_edges(g.n, [pairs[e].tolist() for e in range(top + 1)
-                                  if best >> (top - e) & 1])
+    key = _canonical_keys(g.n, [_edges_key(g.n, g.edges)])[0]
+    return graph_from_edges(g.n, _key_edges(g.n, int(key)))
 
 
 def enumerate_regular_graphs(n: int, d: int, connected_only: bool = True) -> list[Graph]:
     """All d-regular graphs on n vertices up to isomorphism (brute force).
 
     Enumerates labelled graphs with N(0) = {1,..,d} (every isomorphism
-    class has such a labelling) and deduplicates by canonical form.
+    class has such a labelling) and keeps one canonical form per class.
     """
     if n > _CANON_CAP:
         raise GraphError(f"exhaustive enumeration capped at n <= {_CANON_CAP}")
+    if n < 0 or d < 0:
+        raise GraphError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
     if d >= n or (n * d) % 2 != 0:
         return []
     base = [(0, j) for j in range(1, d + 1)]
     residual = [0] + [d - 1 if 1 <= v <= d else d for v in range(1, n)]
-    reps: dict[tuple, Graph] = {}
+    keys: list[int] = []
 
     def extend(v: int, chosen: list[tuple[int, int]]):
         if v == n:
             if any(residual[u] for u in range(n)):
                 return
-            g = graph_from_edges(n, base + chosen)
-            if connected_only and not is_connected(g):
+            edges = base + chosen
+            if connected_only and not is_connected(graph_from_edges(n, edges)):
                 return
-            key = canonical_form(g).edges
-            if key not in reps:
-                reps[key] = graph_from_edges(n, key)
+            keys.append(_edges_key(n, edges))
             return
         need = residual[v]
         if need == 0:
@@ -573,4 +618,5 @@ def enumerate_regular_graphs(n: int, d: int, connected_only: bool = True) -> lis
                 residual[u] += 1
 
     extend(1, [])
-    return sorted(reps.values(), key=lambda g: g.edges)
+    reps = [graph_from_edges(n, _key_edges(n, int(k))) for k in np.unique(_canonical_keys(n, keys))]
+    return sorted(reps, key=lambda g: g.edges)

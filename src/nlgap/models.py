@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .graphs import (Graph, GraphError, _pair_action, _simple_pairings, bfs_distances,
-                     canonical_form, graph_from_edges, random_regular, relabel, sphere)
+from .graphs import (Graph, GraphError, _canonical_keys, _pair_action, _pair_weights,
+                     _simple_pairings, bfs_distances, canonical_form, graph_from_edges,
+                     random_regular, relabel, sphere)
 from .poincare import VertexMap, empirical_average, is_concentrated
 from .rng import derive_rng
 
@@ -581,10 +582,11 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
 
     # canonical representative U of each sampled labelled graph, then the
     # outcome of every (pi, U, deletion) in one table
+    weights = _pair_weights(n)
     labelled, row_graph = np.unique(np.concatenate(masks), return_inverse=True)
-    canon = [[pid[e] for e in canonical_form(graph_from_edges(n, pairs[ids].tolist())).edges]
-             for ids in mask_ids(labelled)]
-    reps, rep_of = np.unique(canon, axis=0, return_inverse=True)
+    canon, rep_of = np.unique(_canonical_keys(n, weights[mask_ids(labelled)].sum(axis=1)),
+                              return_inverse=True)
+    reps = np.nonzero(canon[:, None] & weights)[1].reshape(-1, m_edges)
     outcomes = outcome_keys(img[:, reps])[perm_idx, rep_of[row_graph], combo_idx]
     keys, freq = np.unique(outcomes, return_counts=True)
     counts = dict(zip(keys.tolist(), freq.tolist()))

@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,6 +154,28 @@ def gamma_of_map(g: Graph, f: VertexMap, q: float,
 _BLOCK_MAPS = 1 << 14
 
 
+@lru_cache(maxsize=32)
+def _low_block(b: int, n_points: int):
+    """The maps of the low block of b vertices, in the narrowest types,
+    read-only: low[j], the point of low vertex j in each of the N^b maps;
+    cnt, each map's point counts; rows, the distinct count rows as floats;
+    and row_of, each map's row among them."""
+    size = n_points ** b
+    low = np.indices((n_points,) * b, dtype=np.min_scalar_type(n_points - 1)).reshape(b, size)
+    cnt = np.zeros((size, n_points), dtype=np.min_scalar_type(b))
+    for row in low:
+        cnt[np.arange(size), row] += 1
+    # distinct rows found by their bytes: np.unique(axis=0) compares field by
+    # field and took 5 to 90 times as long
+    distinct, row_of = np.unique(cnt.view(np.dtype((np.void, cnt.strides[0])))[:, 0],
+                                 return_inverse=True)
+    rows = distinct.view(cnt.dtype).reshape(-1, n_points).astype(np.float64)
+    block = (low, cnt, rows, row_of.astype(np.min_scalar_type(len(rows) - 1)))
+    for a in block:
+        a.flags.writeable = False
+    return block
+
+
 def _map_blocks(g: Graph, n_points: int, forms, costs):
     """Yield (block, form_sums, edge_sums) over all N^n maps of g, in blocks
     of consecutive indices of the base-N counter with vertex 0 the most
@@ -171,10 +194,11 @@ def _map_blocks(g: Graph, n_points: int, forms, costs):
         b += 1
     outer = n - b
     size = n_points ** b
-    # row j: the point of vertex outer + j in each map of the block
-    low = np.indices((n_points,) * b).reshape(b, size)
-    cnt_low = (low[:, :, None] == np.arange(n_points)).sum(axis=0).astype(np.float64)
-    low_forms = [np.einsum("mx,xy,my->m", cnt_low, f, cnt_low) for f in forms]
+    low, cnt_low, rows, row_of = _low_block(b, n_points)
+    # the cache keeps narrow types; the gathers and products below want these
+    low, cnt_low = low.astype(np.intp), cnt_low.astype(np.float64)
+    # a form depends on the counts only: evaluate it once per distinct row
+    low_forms = [np.einsum("mx,xy,my->m", rows, f, rows)[row_of] for f in forms]
     # edges are stored with u < v, so an edge touches the outer vertices iff u does
     inner = [(u - outer, v - outer) for u, v in g.edges if u >= outer]
     touching = [(u, v) for u, v in g.edges if u < outer]

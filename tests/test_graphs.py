@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -43,6 +44,78 @@ def brute_force_canonical(g):
     """Independent oracle: the smallest sorted relabelled edge list."""
     return min(tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges))
                for p in itertools.permutations(range(g.n)))
+
+
+def edge_key(n, edges):
+    """A graph's key as the code defines it: bit P-1-i for the pair of
+    lexicographic index i among the P pairs, so pair 0 is the top bit."""
+    index = {p: i for i, p in enumerate(itertools.combinations(range(n), 2))}
+    return sum(1 << (len(index) - 1 - index[tuple(sorted(e))]) for e in edges)
+
+
+@functools.lru_cache(maxsize=None)
+def relabelled_pair_bits(n):
+    """bits[u, v, p]: the key bit of the pair {perm[u], perm[v]} for the p-th
+    permutation of [n], from this file's own tables (zero on the diagonal)."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    top = n * (n - 1) // 2 - 1
+    bit = np.zeros((n, n), dtype=np.int64)
+    for i, (u, v) in enumerate(itertools.combinations(range(n), 2)):
+        bit[u, v] = bit[v, u] = 1 << (top - i)
+    return np.ascontiguousarray(bit[perms.T[:, None, :], perms.T[None, :, :]])
+
+
+def brute_force_canonical_key(n, edges):
+    """Independent oracle, vectorized: the greatest key over all n!
+    relabellings."""
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return int(relabelled_pair_bits(n)[ends[:, 0], ends[:, 1]].sum(axis=0).max())
+
+
+@functools.lru_cache(maxsize=None)
+def reference_regular_graphs(n, d):
+    """The per-completion dedupe: every d-regular edge set on [n] with
+    N(0) = {1..d}, found by filtering all edge sets among 1..n-1 by degree
+    and canonicalized one at a time by brute force.  Returns the sorted
+    canonical edge lists of the connected classes and of all classes."""
+    import networkx as nx
+    if d >= n or n * d % 2:
+        return [], []
+    rest = list(itertools.combinations(range(1, n), 2))
+    ends = np.array(rest, dtype=np.int64).reshape(-1, 2)
+    want = np.array([0] + [d - 1 if v <= d else d for v in range(1, n)])
+    combos = list(itertools.combinations(range(len(rest)), n * d // 2 - d))
+    picks = np.array(combos, dtype=np.int64).reshape(len(combos), n * d // 2 - d)
+    deg = np.zeros((len(picks), n), dtype=np.int64)
+    rows = np.arange(len(picks))
+    for col in picks.T:
+        deg[rows, ends[col, 0]] += 1
+        deg[rows, ends[col, 1]] += 1
+    connected, every = set(), set()
+    for pick in picks[(deg == want).all(axis=1)]:
+        edges = [(0, j) for j in range(1, d + 1)] + [rest[i] for i in pick]
+        key = brute_force_canonical_key(n, edges)
+        every.add(key)
+        h = nx.Graph(edges)
+        h.add_nodes_from(range(n))
+        if nx.is_connected(h):
+            connected.add(key)
+    pairs = list(itertools.combinations(range(n), 2))
+    top = len(pairs) - 1
+    return tuple(sorted(tuple(p for i, p in enumerate(pairs) if key >> (top - i) & 1)
+                        for key in keys) for keys in (connected, every))
+
+
+def reference_tree_like_set(g, m):
+    """The loop before the adjacency count: each ball tests every edge of g."""
+    out = set()
+    for v in range(g.n):
+        dist = multi_source_distances(g, [v], 3 * m)
+        b = {u for u in range(g.n) if dist[u] <= 3 * m}
+        inner = sum(1 for x, y in g.edges if x in b and y in b)
+        if inner == len(b) - 1 and all(dist[u] < g.n for u in b):
+            out.add(v)
+    return out
 
 
 def brute_force_cheeger(g):
@@ -397,6 +470,19 @@ class TestTreeLike:
                     want.add(v)
             assert tree_like_set(graph_from_edges(n, edges), m) == want
 
+    def test_against_reference_loop(self):
+        gen = derive_rng(6, "tree-like-reference")
+        disconnected = 0
+        for _ in range(600):
+            n = int(gen.integers(1, 13))
+            p = float(gen.uniform(0.05, 0.5))
+            g = graph_from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                     if gen.random() < p])
+            disconnected += not is_connected(g)
+            for m in range(5):
+                assert tree_like_set(g, m) == reference_tree_like_set(g, m)
+        assert disconnected > 100
+
 
 class TestExpansion:
     def test_k4_holds(self):
@@ -468,6 +554,67 @@ class TestCanonical:
         assert len(enumerate_regular_graphs(4, 3)) == 1
         assert len(enumerate_regular_graphs(6, 3)) == 2
         assert len(enumerate_regular_graphs(8, 3)) == 5
+
+    @pytest.mark.parametrize("d, counts", [
+        (3, {4: 1, 6: 2, 8: 5}),           # OEIS A002851, connected cubic
+        (4, {5: 1, 6: 1, 7: 2, 8: 6}),     # OEIS A006820, connected quartic
+        (5, {6: 1, 8: 3}),                 # OEIS A006821, connected quintic
+    ])
+    def test_oeis_counts(self, d, counts):
+        assert {n: len(enumerate_regular_graphs(n, d)) for n in counts} == counts
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_enumeration_matches_per_completion_dedupe(self, n):
+        for d in range(n):
+            for connected_only in (True, False):
+                got = [g.edges for g in enumerate_regular_graphs(n, d, connected_only)]
+                want = reference_regular_graphs(n, d)[0 if connected_only else 1]
+                assert got == want, (d, connected_only)
+
+    @pytest.mark.parametrize("n, d", [(4, -1), (8, -3), (-1, 0)])
+    def test_negative_size_or_degree_rejected(self, n, d):
+        with pytest.raises(GraphError, match=rf"n={n}, d={d}"):
+            enumerate_regular_graphs(n, d)
+
+    def test_sweep_matches_brute_force_on_every_small_graph(self):
+        # one batch per n holds every labelled graph, so every class is
+        # found among the images of its first member
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            graphs_n = [[e for i, e in enumerate(pairs) if mask >> i & 1]
+                        for mask in range(1 << len(pairs))]
+            got = graphs._canonical_keys(n, [edge_key(n, e) for e in graphs_n])
+            want = [edge_key(n, brute_force_canonical(graph_from_edges(n, e))) for e in graphs_n]
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_sweep_matches_brute_force_on_random_batches(self, n):
+        gen = derive_rng(8, "canon-sweep", n)
+        pairs = list(itertools.combinations(range(n), 2))
+        batch = [pairs, [], [(0, 1)], [(u, v) for u, v in pairs if u and v]]  # K_n, empty, isolated
+        for _ in range(12):
+            p = gen.uniform(0.1, 0.7)
+            edges = [e for e in pairs if gen.random() < p]
+            isolated = int(gen.integers(0, 3))
+            edges = [(u, v) for u, v in edges if u >= isolated]
+            perm = gen.permutation(n)
+            batch += [edges, relabel(graph_from_edges(n, edges), perm).edges]
+        got = graphs._canonical_keys(n, [edge_key(n, e) for e in batch]).tolist()
+        if n < 8:  # the tuple-sorting oracle takes about a second per graph at n = 8
+            assert got == [edge_key(n, brute_force_canonical(graph_from_edges(n, e)))
+                           for e in batch]
+        assert got == [brute_force_canonical_key(n, e) for e in batch]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_invariant_under_relabel(self, data):
+        n = data.draw(st.integers(0, 8))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = [e for e, keep in zip(pairs, data.draw(st.lists(
+            st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+        g = graph_from_edges(n, edges)
+        perm = data.draw(st.permutations(range(n)))
+        assert canonical_form(relabel(g, perm)) == canonical_form(g)
 
 
 class TestFriedmanFrequency:

@@ -17,7 +17,7 @@ from nlgap.poincare import (CapExceeded, VertexMap, average_distortion, dirichle
                             empirical_average, empirical_quantile,
                             enumerate_map_statistics, gamma_euclidean_sq,
                             gamma_exact, gamma_lower_search, gamma_of_map,
-                            is_concentrated)
+                            is_concentrated, _low_block, _map_blocks)
 from nlgap.rng import derive_rng
 
 
@@ -531,6 +531,46 @@ class TestMapUniverseKernel:
     def test_quantile_level_out_of_range(self, tau):
         with pytest.raises(ValueError, match="quantile level"):
             enumerate_map_statistics(cycle_graph(4), uniform_metric(2), qs=(1.0,), taus=(tau,))
+
+    def test_cached_low_block_forms_equal_full_einsum(self):
+        # a graph on b vertices with N^b <= 2^14 is one low block with no
+        # outer vertex, so its form sums are the low-block forms themselves
+        gen = derive_rng(3, "low-block-forms")
+        for n_points, b in itertools.product(range(1, 7), range(15)):
+            if n_points ** b <= 1 << 14:
+                low = np.indices((n_points,) * b).reshape(b, n_points ** b)
+                cnt = (low[:, :, None] == np.arange(n_points)).sum(axis=0).astype(np.float64)
+                metric = random_euclidean_metric(n_points, seed=int(gen.integers(1 << 30)))
+                forms = [cost_matrix(metric, q) for q in (0.5, 1.0, 1.5, 2.0, 3.0)]
+                forms += [(metric.dist <= t).astype(np.float64) for t in np.unique(metric.dist)]
+                w = gen.random((n_points, n_points))
+                forms.append(w + w.T)
+                (block, sums, _), = _map_blocks(graph_from_edges(b, []), n_points, forms, [])
+                assert block == slice(0, n_points ** b)
+                for f, got in zip(forms, sums, strict=True):
+                    assert np.array_equal(got, np.einsum("mx,xy,my->m", cnt, f, cnt))
+
+    def test_low_block_cache_is_read_only_and_narrow(self):
+        low, cnt, rows, row_of = _low_block(8, 3)
+        assert (low.dtype, cnt.dtype, row_of.dtype) == (np.uint8,) * 3
+        assert len(rows) == 45 and row_of.shape == (3 ** 8,)
+        assert np.array_equal(rows[row_of], cnt)
+        assert not any(a.flags.writeable for a in (low, cnt, rows, row_of))
+
+    def test_two_point_witness_is_best_cut_on_every_small_graph(self):
+        # the uniform 2-point metric: gamma_exact's witness, read in Fraction
+        # arithmetic, attains the best cut on every connected graph up to
+        # isomorphism on 2..6 vertices (networkx's atlas is the test-only list)
+        import networkx as nx
+        checked = 0
+        for h in nx.graph_atlas_g():
+            if not 2 <= h.number_of_nodes() <= 6 or not nx.is_connected(h):
+                continue
+            g = graph_from_edges(h.number_of_nodes(), h.edges())
+            r = gamma_exact(g, uniform_metric(2), 1)
+            assert exact_ratio_of_witness(g, r.witness) == two_point_gamma_oracle(g)
+            checked += 1
+        assert checked == 1 + 2 + 6 + 21 + 112  # OEIS A001349
 
     def test_gamma_exact_peak_memory(self):
         g = random_connected_regular(14, 3, seed=1)
