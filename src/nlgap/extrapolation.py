@@ -10,7 +10,7 @@ zero tolerance on the direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graphs import Graph, cheeger_lower_bound
 from .io import csv_row
@@ -174,7 +174,7 @@ def verdict_from_gammas(gamma_p: float, gamma_q: float, consts: ExtrapolationCon
 
 
 def check_extrapolation(g: Graph, metric: FiniteMetric, p: float, q: float,
-                        h: float | None = None, cap: int = 10 ** 8) -> ExtrapolationVerdict:
+                        h: float | None = None) -> ExtrapolationVerdict:
     """Evaluate both comparison inequalities on exact optimal ratios.
 
     Exponents 1 <= p <= q run directly.  p < 1 is handled only through the
@@ -197,17 +197,14 @@ def check_extrapolation(g: Graph, metric: FiniteMetric, p: float, q: float,
     if p < 1:
         eps = 1.0 - p
         reduced = snowflake(metric, eps)
-        gamma_p = gamma_exact(g, reduced, 1.0, cap=cap).gamma
-        gamma_q = gamma_exact(g, reduced, q / p, cap=cap).gamma
+        gamma_p = gamma_exact(g, reduced, 1.0).gamma
+        gamma_q = gamma_exact(g, reduced, q / p).gamma
         consts = constants(d, h, 1.0, q / p)
         v = verdict_from_gammas(gamma_p, gamma_q, consts, reduction_derived=True)
         # re-attach the caller's exponents for reporting
-        return ExtrapolationVerdict(p=p, q=q, gamma_p=v.gamma_p, gamma_q=v.gamma_q,
-                                    consts=consts, lhs1_log=v.lhs1_log, rhs1_log=v.rhs1_log,
-                                    lhs2_log=v.lhs2_log, rhs2_log=v.rhs2_log,
-                                    pass1=v.pass1, pass2=v.pass2, reduction_derived=True)
-    gamma_p = gamma_exact(g, metric, p, cap=cap).gamma
-    gamma_q = gamma_exact(g, metric, q, cap=cap).gamma
+        return replace(v, p=p, q=q)
+    gamma_p = gamma_exact(g, metric, p).gamma
+    gamma_q = gamma_exact(g, metric, q).gamma
     consts = constants(d, h, p, q)
     return verdict_from_gammas(gamma_p, gamma_q, consts)
 

@@ -225,47 +225,34 @@ def cut_size(g: Graph, S) -> int:
     return sum(1 for u, v in g.edges if inc[u] != inc[v])
 
 
-def cheeger_exact(g: Graph, limit: int = 22) -> Fraction:
+_CHEEGER_LIMIT = 22  # the subset and cut tables hold 2^n 32-bit entries each, 16 MiB at n = 22
+
+
+def cheeger_exact(g: Graph) -> Fraction:
     """Minimum of cut(S)/|S| over nonempty S with |S| <= n/2, exact.
 
-    Enumerates subsets in Gray-code order so each step updates the cut by
-    the flipped vertex's incident edges only.  2^n work: refuse above the
-    limit and point callers at cheeger_bounds.
+    Tabulates the cut of every subset, indexed by its vertex bitmask, one top
+    vertex at a time: adding vertex k to S within [k] adds its degree and
+    takes off twice its edges into S.  2^n work: refuse above the limit and
+    point callers at cheeger_bounds.
     """
     n = g.n
     if n < 2:
         raise GraphError("cheeger constant needs n >= 2")
-    if n > limit:
+    if n > _CHEEGER_LIMIT:
         raise GraphError(
-            f"n={n} exceeds the exhaustive-search limit {limit}; "
+            f"n={n} exceeds the exhaustive-search limit {_CHEEGER_LIMIT}; "
             "use cheeger_bounds for a spectral bracket"
         )
-    side = [False] * n
-    cut = 0
-    size = 0
-    best: Fraction | None = None
-    half = n // 2
-    adj = g.adjacency
-    # Gray code: subset at step t flips bit ctz(t).
-    for t in range(1, 1 << n):
-        v = (t & -t).bit_length() - 1
-        if side[v]:
-            side[v] = False
-            size -= 1
-            for u in adj[v]:
-                cut += 1 if side[u] else -1
-        else:
-            side[v] = True
-            size += 1
-            for u in adj[v]:
-                cut += -1 if side[u] else 1
-        if 0 < size <= half:
-            if best is None or cut * best.denominator < best.numerator * size:
-                best = Fraction(cut, size)
-                if best == 0:
-                    return best
-    assert best is not None
-    return best
+    subsets = np.arange(1 << n, dtype=np.uint32)
+    cut = np.zeros(1 << n, dtype=np.int32)
+    for k, nbrs in enumerate(g.adjacency):
+        earlier = sum(1 << u for u in nbrs if u < k)
+        inside = np.bitwise_count(subsets[:1 << k] & earlier)
+        # inside is uint8: subtract it from the signed cut, where it cannot wrap
+        cut[1 << k:2 << k] = cut[:1 << k] + len(nbrs) - 2 * inside
+    size = np.bitwise_count(subsets)
+    return min(Fraction(int(cut[size == s].min()), s) for s in range(1, n // 2 + 1))
 
 
 def cheeger_bounds(g: Graph, eigenvalues: np.ndarray) -> tuple[float, float]:
@@ -278,10 +265,10 @@ def cheeger_bounds(g: Graph, eigenvalues: np.ndarray) -> tuple[float, float]:
     return gap / 2.0, math.sqrt(max(2.0 * d * gap, 0.0))
 
 
-def cheeger_lower_bound(g: Graph, limit: int = 22) -> float:
+def cheeger_lower_bound(g: Graph) -> float:
     """h(G) exactly when feasible, else the conservative spectral lower bound."""
-    if g.n <= limit:
-        return float(cheeger_exact(g, limit=limit))
+    if g.n <= _CHEEGER_LIMIT:
+        return float(cheeger_exact(g))
     return cheeger_bounds(g, spectrum(g))[0]
 
 
@@ -462,19 +449,22 @@ def _expansion_check_set(g: Graph, S: list[int], alpha: float, d: int) -> int | 
     return None
 
 
-def expansion_holds(g: Graph, alpha: float, exact_limit: int = 18,
-                    samples: int = 200, seed: int = 0) -> ExpansionResult:
+_EXPANSION_EXACT_LIMIT = 18
+
+
+def expansion_holds(g: Graph, alpha: float, samples: int = 200,
+                    seed: int = 0) -> ExpansionResult:
     """Check the long-range expansion property with parameter alpha.
 
-    Exact mode (n <= exact_limit) scans every nonempty vertex set; sampled
-    mode scans singletons plus random subsets and is one-sided: a "holds"
-    verdict only means no violation was found.
+    Exact mode (n <= _EXPANSION_EXACT_LIMIT) scans every nonempty vertex
+    set; sampled mode scans singletons plus random subsets and is one-sided:
+    a "holds" verdict only means no violation was found.
     """
     d = g.regular_degree()
     if d is None:
         raise GraphError("expansion check requires a regular graph")
     n = g.n
-    if n <= exact_limit:
+    if n <= _EXPANSION_EXACT_LIMIT:
         for mask in range(1, 1 << n):
             S = [v for v in range(n) if mask >> v & 1]
             r = _expansion_check_set(g, S, alpha, d)
@@ -580,7 +570,8 @@ def enumerate_regular_graphs(n: int, d: int, connected_only: bool = True) -> lis
     """All d-regular graphs on n vertices up to isomorphism (brute force).
 
     Enumerates labelled graphs with N(0) = {1,..,d} (every isomorphism
-    class has such a labelling) and keeps one canonical form per class.
+    class has such a labelling) and keeps one canonical form per class;
+    connectivity is a class invariant, so it is tested on those forms only.
     """
     if n > _CANON_CAP:
         raise GraphError(f"exhaustive enumeration capped at n <= {_CANON_CAP}")
@@ -593,21 +584,12 @@ def enumerate_regular_graphs(n: int, d: int, connected_only: bool = True) -> lis
     keys: list[int] = []
 
     def extend(v: int, chosen: list[tuple[int, int]]):
+        # every vertex before v has its full degree
         if v == n:
-            if any(residual[u] for u in range(n)):
-                return
-            edges = base + chosen
-            if connected_only and not is_connected(graph_from_edges(n, edges)):
-                return
-            keys.append(_edges_key(n, edges))
+            keys.append(_edges_key(n, base + chosen))
             return
         need = residual[v]
-        if need == 0:
-            extend(v + 1, chosen)
-            return
         candidates = [u for u in range(v + 1, n) if residual[u] > 0]
-        if len(candidates) < need:
-            return
         for combo in itertools.combinations(candidates, need):
             for u in combo:
                 residual[u] -= 1
@@ -619,4 +601,6 @@ def enumerate_regular_graphs(n: int, d: int, connected_only: bool = True) -> lis
 
     extend(1, [])
     reps = [graph_from_edges(n, _key_edges(n, int(k))) for k in np.unique(_canonical_keys(n, keys))]
+    if connected_only:
+        reps = [g for g in reps if is_connected(g)]
     return sorted(reps, key=lambda g: g.edges)

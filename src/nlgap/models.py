@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .graphs import (Graph, GraphError, _canonical_keys, _pair_action, _pair_weights,
-                     _simple_pairings, bfs_distances, canonical_form, graph_from_edges,
-                     random_regular, relabel, sphere)
+from .graphs import (Graph, GraphError, _canonical_keys, _edges_key, _pair_action,
+                     _pair_weights, _simple_pairings, bfs_distances, canonical_form,
+                     enumerate_regular_graphs, graph_from_edges, random_regular, relabel,
+                     sphere)
 from .poincare import VertexMap, empirical_average, is_concentrated
 from .rng import derive_rng
 
@@ -514,22 +515,25 @@ def is_invariant_generator(generator, u: Graph, seed: int, samples: int = 20) ->
 # distributional equality of (H, deleted) with the direct construction
 # ----------------------------------------------------------------------
 
-def enumerate_labeled_regular_masks(n: int, d: int) -> list[int]:
-    """Edge bitmasks of every labelled d-regular graph on [n] (tiny n only)."""
-    pairs = list(itertools.combinations(range(n), 2))
-    if len(pairs) > 20:
-        raise GraphError("labelled enumeration capped at n <= 6 for regular masks")
-    want = n * d // 2
-    masks = []
-    for combo in itertools.combinations(range(len(pairs)), want):
-        deg = [0] * n
-        for i in combo:
-            u, v = pairs[i]
-            deg[u] += 1
-            deg[v] += 1
-        if all(x == d for x in deg):
-            masks.append(sum(1 << i for i in combo))
-    return masks
+def _dist_eq_law(n: int, d: int, ell: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The direct construction's outcomes, from the class sweep's representatives.
+
+    An outcome is keyed (graph key << P) | deleted-edges key over the P pairs
+    of [n].  Returns the representatives' canonical keys, ascending; the
+    table whose entry [p, c, s] is the outcome of the p-th relabelling of
+    representative c with its s-th ell-subset of sorted edges deleted (both
+    in itertools order); and every outcome once, in descending order, which
+    is the combinations order of the graphs' sorted pair indices, then of
+    the deletions."""
+    img = _pair_action(n)[2]
+    weights = _pair_weights(n)
+    reps = np.sort([_edges_key(n, u.edges)
+                    for u in enumerate_regular_graphs(n, d, connected_only=False)])
+    ids = np.nonzero(reps[:, None] & weights)[1].reshape(len(reps), -1)
+    combos = np.array(list(itertools.combinations(range(ids.shape[1]), ell)), dtype=np.intp)
+    bits = weights[img[:, ids]]
+    table = (bits.sum(axis=-1)[..., None] << len(weights)) | bits[..., combos].sum(axis=-1)
+    return reps, table, np.unique(table)[::-1].tolist()
 
 
 @dataclass(frozen=True)
@@ -547,7 +551,7 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
                              seed: int) -> DistEqResult:
     """Goodness of fit of the staged (H, deleted-edges) sample against the
     exact law of the direct construction, which is uniform over (labelled
-    graph, ell-subset of its edges) by enumeration.
+    graph, ell-subset of its edges).
 
     The staged route goes through the canonical representative, so this is
     the distributional-equality check at desk scale.
@@ -559,44 +563,29 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
     m_edges = n * d // 2
     if not 0 <= ell <= m_edges:
         raise GraphError(f"need 0 <= ell <= dn/2, got ell={ell}")
-    pairs, pid, img = _pair_action(n)
-    n_pairs = len(pairs)
-    gen = derive_rng(seed, "dist-eq", n, d, ell)
-    combos = np.array(list(itertools.combinations(range(m_edges), ell)), dtype=np.intp)
-
-    def mask_ids(masks) -> np.ndarray:
-        """Sorted pair indices of each edge bitmask, one row per mask."""
-        bits = np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(n_pairs) & 1
-        return np.nonzero(bits)[1].reshape(-1, m_edges)
-
-    def outcome_keys(ids: np.ndarray) -> np.ndarray:
-        """(graph mask << n_pairs) | deleted mask for graphs given by the sorted
-        pair indices in the last axis of ids, over every deletion in combos."""
-        bits = np.int64(1) << ids.astype(np.int64)
-        return (bits.sum(axis=-1)[..., None] << n_pairs) | bits[..., combos].sum(axis=-1)
-
-    masks = [(np.int64(1) << pid[lo, hi]).sum(axis=1)
-             for lo, hi in _simple_pairings(n, d, trials, gen)]
-    perm_idx = gen.integers(0, len(img), size=trials)
-    combo_idx = gen.integers(0, len(combos), size=trials)
-
-    # canonical representative U of each sampled labelled graph, then the
-    # outcome of every (pi, U, deletion) in one table
+    pid = _pair_action(n)[1]
     weights = _pair_weights(n)
-    labelled, row_graph = np.unique(np.concatenate(masks), return_inverse=True)
-    canon, rep_of = np.unique(_canonical_keys(n, weights[mask_ids(labelled)].sum(axis=1)),
-                              return_inverse=True)
-    reps = np.nonzero(canon[:, None] & weights)[1].reshape(-1, m_edges)
-    outcomes = outcome_keys(img[:, reps])[perm_idx, rep_of[row_graph], combo_idx]
-    keys, freq = np.unique(outcomes, return_counts=True)
+    gen = derive_rng(seed, "dist-eq", n, d, ell)
+    sampled = np.concatenate([weights[pid[lo, hi]].sum(axis=1)
+                              for lo, hi in _simple_pairings(n, d, trials, gen)])
+    perm_idx = gen.integers(0, math.factorial(n), size=trials)
+    combo_idx = gen.integers(0, math.comb(m_edges, ell), size=trials)
+
+    # the staged outcome: canonical representative U of the sampled graph,
+    # then the drawn deletion and relabelling of U
+    reps, table, cells = _dist_eq_law(n, d, ell)
+    canon = _canonical_keys(n, sampled)
+    rep = np.searchsorted(reps, canon).clip(max=len(reps) - 1)
+    stray = np.count_nonzero(reps[rep] != canon)
+    if stray:
+        raise AssertionError(f"sampler produced {stray} graphs outside the law")
+    keys, freq = np.unique(table[perm_idx, rep, combo_idx], return_counts=True)
     counts = dict(zip(keys.tolist(), freq.tolist()))
 
-    cells = outcome_keys(mask_ids(enumerate_labeled_regular_masks(n, d))).ravel().tolist()
     expected = trials / len(cells)
     chi2 = sum((counts.get(c, 0) - expected) ** 2 / expected for c in cells)
-    stray = set(counts) - set(cells)
-    if stray:
-        raise AssertionError(f"sampler produced {len(stray)} outcomes outside the law")
-    p = float(chdtrc(len(cells) - 1, chi2))
+    # a one-cell law is fitted exactly; chdtrc(0, 0) is nan, which no
+    # p-value threshold would reject
+    p = 1.0 if len(cells) == 1 else float(chdtrc(len(cells) - 1, chi2))
     return DistEqResult(n=n, d=d, ell=ell, trials=trials, cells=len(cells),
                         chi2=chi2, p_value=p)

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import settings
 
@@ -41,3 +44,27 @@ def regular_corpus():
 @pytest.fixture(scope="session")
 def small_random_regulars():
     return [random_regular(n, 3, seed=s) for n in (8, 10, 12) for s in (1, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def labelled_regular_keys(n, d):
+    """Oracle: the key of every labelled d-regular graph on [n] (bit P-1-i for
+    the pair of lexicographic index i among the P pairs), in the
+    itertools.combinations order of its edge subsets.  Scans all C(P, nd/2)
+    subsets, so tiny n only."""
+    pairs = list(itertools.combinations(range(n), 2))
+    keys = []
+    for combo in itertools.combinations(range(len(pairs)), n * d // 2):
+        deg = [0] * n
+        for i in combo:
+            u, v = pairs[i]
+            deg[u] += 1
+            deg[v] += 1
+        if all(x == d for x in deg):
+            keys.append(sum(1 << (len(pairs) - 1 - i) for i in combo))
+    return keys
+
+
+@pytest.fixture(scope="session")
+def labelled_regular():
+    return labelled_regular_keys

@@ -121,6 +121,12 @@ class TestModelAndSpectra:
                          "--c", "0.5", "--trials", "100"]) == 0
         assert body_of(capsys.readouterr().out).splitlines()[-1].endswith(",1.0")
 
+    def test_model_dist_eq_one_cell_law(self, capsys):
+        # chdtrc(0, 0) is nan, which the p-threshold gate never rejected
+        assert cli.main(["model", "--lemma", "dist-eq", "--n", "4", "--d", "3", "--l", "6",
+                         "--trials", "2000"]) == 0
+        assert body_of(capsys.readouterr().out).splitlines()[-1] == "4,3,6,2000,1,0.0,1.0"
+
     def test_spectra_small(self):
         res = run_cli("spectra", "--gen-regular", "60,3", "--trials", "5", "--seed", "2")
         assert res.returncode == 0

@@ -17,7 +17,7 @@ from nlgap.graphs import (Graph, GraphError, adjacency_matrix, ball, bfs_distanc
                           expansion_holds, graph_from_edges, is_connected, lambda2,
                           multi_source_distances, path_graph, random_regular,
                           relabel, spectrum, sphere, star_graph, tree_like_set)
-from nlgap.models import distribution_equality_mc, enumerate_labeled_regular_masks
+from nlgap.models import distribution_equality_mc
 from nlgap.rng import derive_rng
 
 
@@ -128,6 +128,50 @@ def brute_force_cheeger(g):
     return best
 
 
+def gray_code_cheeger(g):
+    """The subset walk before the cut table: Gray-code order, so each step
+    flips one vertex and updates the cut by its incident edges only."""
+    side = [False] * g.n
+    cut = 0
+    size = 0
+    best = None
+    half = g.n // 2
+    adj = g.adjacency
+    # Gray code: subset at step t flips bit ctz(t).
+    for t in range(1, 1 << g.n):
+        v = (t & -t).bit_length() - 1
+        if side[v]:
+            side[v] = False
+            size -= 1
+            for u in adj[v]:
+                cut += 1 if side[u] else -1
+        else:
+            side[v] = True
+            size += 1
+            for u in adj[v]:
+                cut += -1 if side[u] else 1
+        if 0 < size <= half:
+            if best is None or cut * best.denominator < best.numerator * size:
+                best = Fraction(cut, size)
+                if best == 0:
+                    return best
+    return best
+
+
+def random_cheeger_cases(n, seed):
+    """Seeded regular and irregular graphs on [n], one of them disconnected."""
+    gen = derive_rng(seed, "cheeger-cases", n)
+    half = n // 2
+    cases = [random_regular(n, 4, seed=seed), tree_plus_chords(n, n // 3, seed),
+             graph_from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                  if gen.random() < 0.3]),
+             disjoint_union(tree_plus_chords(half, 1, seed),
+                            tree_plus_chords(n - half, 3, seed + 1))]
+    if n % 2 == 0:
+        cases.append(random_regular(n, 3, seed=seed))
+    return cases
+
+
 class TestConstruction:
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
@@ -235,9 +279,23 @@ class TestCheeger:
             g = corpus[name]
             assert cheeger_exact(g) == brute_force_cheeger(g)
 
+    @pytest.mark.parametrize("n", range(9, 15))
+    def test_matches_subset_oracle_on_random_graphs(self, n):
+        gen = derive_rng(n, "cheeger-sparse")
+        sparse = [graph_from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                       if gen.random() < 0.15]) for _ in range(3)]
+        assert sum(not is_connected(g) for g in sparse) >= 1
+        for g in random_cheeger_cases(n, seed=n) + sparse:
+            assert cheeger_exact(g) == brute_force_cheeger(g)
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_matches_gray_code_reference(self, n):
+        for g in random_cheeger_cases(n, seed=n):
+            assert cheeger_exact(g) == gray_code_cheeger(g)
+
     def test_limit_enforced(self):
         with pytest.raises(GraphError):
-            cheeger_exact(cycle_graph(24), limit=22)
+            cheeger_exact(cycle_graph(24))
 
     def test_spectral_bracket_c4(self):
         g = cycle_graph(4)
@@ -412,18 +470,17 @@ class TestRandomRegular:
         with pytest.raises(GraphError, match="1e6"):
             random_regular(n, d, seed=0)
 
-    def test_uniform_over_isomorphism_classes(self):
+    def test_uniform_over_isomorphism_classes(self, labelled_regular):
         # finer than the two classes (K33, prism): each of the 70 labelled
         # cubic graphs on [6] is equally likely
         from scipy import stats
-        masks = enumerate_labeled_regular_masks(6, 3)
-        pair_bit = {p: 1 << i for i, p in enumerate(itertools.combinations(range(6), 2))}
+        keys = labelled_regular(6, 3)
         draws = 20000
-        counts = {mask: 0 for mask in masks}
+        counts = {key: 0 for key in keys}
         for t in range(draws):
             g = random_regular(6, 3, seed=1_000_000 + t)
-            counts[sum(pair_bit[e] for e in g.edges)] += 1
-        assert len(counts) == len(masks) == 70
+            counts[edge_key(6, g.edges)] += 1
+        assert len(counts) == len(keys) == 70
         assert stats.chisquare(list(counts.values())).pvalue > 0.01
 
     @pytest.mark.parametrize("draw", [lambda: random_regular(6, 3, seed=0),

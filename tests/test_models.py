@@ -12,7 +12,6 @@ from nlgap.graphs import (GraphError, bfs_distances, canonical_form, cycle_graph
                           random_regular, relabel)
 from nlgap.metrics import uniform_metric
 from nlgap.models import (all_perfect_matchings, distribution_equality_mc, draw_model,
-                          enumerate_labeled_regular_masks,
                           equitable_decomposition, is_invariant_generator,
                           matching_avoidance_bound, matching_avoidance_mc,
                           order_rank_from_permutation, random_perfect_matching,
@@ -374,8 +373,28 @@ class TestInvariance:
 
 
 class TestDistributionEquality:
-    def test_labeled_enumeration_count(self):
-        assert len(enumerate_labeled_regular_masks(6, 3)) == 70
+    def test_cells_are_the_labelled_scan(self, labelled_regular):
+        # every (labelled graph, deleted edges) cell, in the order the
+        # chi-square sums them: the graphs in combinations order of their
+        # edge subsets, then the deletions in combinations order of their edges
+        assert len(labelled_regular(6, 3)) == 70
+        for n in range(1, 7):
+            for d in range(n):
+                if n * d % 2:
+                    continue
+                top = n * (n - 1) // 2
+                m = n * d // 2
+                for ell in sorted({0, min(2, m), m}):
+                    want = [key << top | sum(gone)
+                            for key in labelled_regular(n, d)
+                            for gone in itertools.combinations(
+                                [1 << i for i in reversed(range(top)) if key >> i & 1], ell)]
+                    assert models._dist_eq_law(n, d, ell)[2] == want
+
+    @pytest.mark.parametrize("n, d, ell", [(4, 3, 6), (2, 1, 0), (2, 1, 1)])
+    def test_one_cell_law_fits_exactly(self, n, d, ell):
+        r = distribution_equality_mc(n, d, ell, trials=2000, seed=0)
+        assert (r.cells, r.chi2, r.p_value) == (1, 0.0, 1.0)
 
     def test_staged_sampler_matches_direct_law(self):
         r = distribution_equality_mc(6, 3, 1, trials=40000, seed=12)
