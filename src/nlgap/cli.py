@@ -24,7 +24,7 @@ from .io import (CsvDocument, GAMMA_CSV_HEADER, csv_row, gamma_report_csv_row,
                  write_metric)
 from .metrics import (FiniteMetric, MetricError, linf_grid,
                       random_euclidean_metric, snowflake, uniform_metric)
-from .models import (distribution_equality_mc, matching_avoidance_mc,
+from .models import (check_matching_ell, distribution_equality_mc, matching_avoidance_mc,
                      restriction_concentration_mc, typical_sets_experiment)
 from .poincare import (CapExceeded, VertexMap, gamma_exact, gamma_lower_search,
                        gamma_of_map)
@@ -267,6 +267,7 @@ def cmd_model(args) -> None:
             raise CliError(f"--eps must lie in (0, 1/2], got {args.eps}")
         if not 0 < args.c <= args.eps:
             raise CliError(f"--c must lie in (0, --eps], got {args.c} with --eps {args.eps}")
+        check_matching_ell(args.l)
         pairs = list(itertools.combinations(range(args.l), 2))
         gen = derive_rng(args.seed, "cli-y")
         drop_count = round(args.eps * len(pairs))

@@ -390,13 +390,16 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     return graph_from_edges(n, zip(lo[0].tolist(), hi[0].tolist()))
 
 
-def random_connected_regular(n: int, d: int, seed: int, tries: int = 200) -> Graph:
+_CONNECTED_TRIES = 200
+
+
+def random_connected_regular(n: int, d: int, seed: int) -> Graph:
     """First connected sample from random_regular over derived seeds."""
-    for t in range(tries):
+    for t in range(_CONNECTED_TRIES):
         g = random_regular(n, d, seed + t * 1_000_003)
         if is_connected(g):
             return g
-    raise GraphError(f"no connected {d}-regular sample found in {tries} tries")
+    raise GraphError(f"no connected {d}-regular sample found in {_CONNECTED_TRIES} tries")
 
 
 # ----------------------------------------------------------------------
@@ -435,54 +438,52 @@ class ExpansionResult:
     mode: str                                     # "exact" or "sampled"
 
 
-def _expansion_check_set(g: Graph, S: list[int], alpha: float, d: int) -> int | None:
-    """Smallest radius violating |B(S,r)| >= min(3n/4, alpha (d-1)^r |S|), or None."""
-    n = g.n
-    dist = multi_source_distances(g, S)
-    sizes = np.bincount(np.minimum(dist, n), minlength=n + 1).cumsum()
-    top = 0.75 * n
-    s = len(S)
-    for r in range(n + 1):
-        need = min(top, alpha * (d - 1) ** r * s)
-        if sizes[min(r, n)] < need:
-            return r
-    return None
+_EXPANSION_EXACT_LIMIT = 18  # the exact table holds 2^n rows of n bytes, 4.5 MiB at n = 18
+_EXPANSION_SAMPLES = 200
 
 
-_EXPANSION_EXACT_LIMIT = 18
+def expansion_holds(g: Graph, alpha: float, seed: int = 0) -> ExpansionResult:
+    """Check |B(S, r)| >= min(3n/4, alpha (d-1)^r |S|) for vertex sets S.
 
-
-def expansion_holds(g: Graph, alpha: float, samples: int = 200,
-                    seed: int = 0) -> ExpansionResult:
-    """Check the long-range expansion property with parameter alpha.
-
-    Exact mode (n <= _EXPANSION_EXACT_LIMIT) scans every nonempty vertex
-    set; sampled mode scans singletons plus random subsets and is one-sided:
-    a "holds" verdict only means no violation was found.
+    Row S of one table holds each vertex's distance to S, the minimum of the
+    distance-matrix rows of its vertices, so S is where the row is 0.  Exact
+    mode (n <= _EXPANSION_EXACT_LIMIT) has a row for every nonempty vertex
+    bitmask, in mask order, built one top vertex at a time; sampled mode has
+    the singletons, then _EXPANSION_SAMPLES random subsets, and is one-sided:
+    a "holds" verdict only means no violation was found.  The first violating
+    row is reported with its smallest violating radius.
     """
     d = g.regular_degree()
     if d is None:
         raise GraphError("expansion check requires a regular graph")
-    n = g.n
+    if not 0 < alpha < math.inf:
+        raise GraphError(f"need finite alpha > 0, got alpha={alpha}")
+    n, dist = g.n, distance_matrix(g)
     if n <= _EXPANSION_EXACT_LIMIT:
-        for mask in range(1, 1 << n):
-            S = [v for v in range(n) if mask >> v & 1]
-            r = _expansion_check_set(g, S, alpha, d)
-            if r is not None:
-                return ExpansionResult(False, (frozenset(S), r), "exact")
-        return ExpansionResult(True, None, "exact")
-    gen = derive_rng(seed, "expansion", n)
-    for v in range(n):
-        r = _expansion_check_set(g, [v], alpha, d)
-        if r is not None:
-            return ExpansionResult(False, (frozenset([v]), r), "sampled")
-    for _ in range(samples):
-        size = int(gen.integers(1, n // 2 + 1))
-        S = sorted(gen.choice(n, size=size, replace=False).tolist())
-        r = _expansion_check_set(g, S, alpha, d)
-        if r is not None:
-            return ExpansionResult(False, (frozenset(S), r), "sampled")
-    return ExpansionResult(True, None, "sampled")
+        mode, rows = "exact", np.full((1 << n, n), n, dtype=np.uint8)
+        for k, row in enumerate(dist.astype(np.uint8)):
+            rows[1 << k:2 << k] = np.minimum(rows[:1 << k], row)
+        rows = rows[1:]  # drop the empty set's row
+    else:
+        mode, gen = "sampled", derive_rng(seed, "expansion", n)
+        samples = [gen.choice(n, size=int(gen.integers(1, n // 2 + 1)), replace=False)
+                   for _ in range(_EXPANSION_SAMPLES)]
+        rows = np.concatenate([dist, [dist[S].min(axis=0) for S in samples]])
+    top, size = 0.75 * n, np.count_nonzero(rows == 0, axis=1)
+    first = np.full(len(rows), n)  # smallest violating radius; B(S, n) is all of [n]
+    for r in range(n):
+        growth = float(Fraction(alpha) * (d - 1) ** r)  # one rounding, never an overflow
+        reached = np.count_nonzero(rows <= r, axis=1)
+        first[(first == n) & (reached < np.minimum(top, growth * size))] = r
+        # the balls only grow, while the threshold stops growing here (d <= 2
+        # or alpha (d-1)^r >= 3n/4) and never passes 3n/4
+        if growth >= top or d <= 2 or (reached >= top).all():
+            break
+    bad = np.flatnonzero(first < n)
+    if not bad.size:
+        return ExpansionResult(True, None, mode)
+    S = frozenset(np.flatnonzero(rows[bad[0]] == 0).tolist())
+    return ExpansionResult(False, (S, int(first[bad[0]])), mode)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -164,14 +165,13 @@ def part_degree_bound(d: int, m: int) -> int:
     return sum(d * (d - 1) ** (j - 1) for j in range(1, 2 * m + 1))
 
 
-def equitable_decomposition(g: Graph, w, m: int, d: int | None = None,
-                            swap_cap: int | None = None) -> Decomposition:
+def equitable_decomposition(g: Graph, w, m: int, d: int | None = None) -> Decomposition:
     """Partition W into M+1 parts of pairwise graph distance >= 2m+1.
 
     Greedy coloring of the distance-<=2m conflict graph guarantees the
     separation exactly (the conflict degree is at most M); balancing swaps
-    then push sizes into the floor/ceil band, giving up after the swap cap
-    with the separation intact and the spread reported.
+    then push sizes into the floor/ceil band, giving up after 10 |W| (M+1)
+    swaps with the separation intact and the spread reported.
     """
     w = sorted(set(int(v) for v in w))
     if d is None:
@@ -182,8 +182,7 @@ def equitable_decomposition(g: Graph, w, m: int, d: int | None = None,
         raise GraphError("radius m must be >= 1")
     big_m = part_degree_bound(d, m)
     n_parts = big_m + 1
-    if swap_cap is None:
-        swap_cap = 10 * max(1, len(w)) * n_parts
+    swap_cap = 10 * max(1, len(w)) * n_parts
     conflicts: dict[int, set[int]] = {v: set() for v in w}
     wset = set(w)
     for v in w:
@@ -218,7 +217,6 @@ def equitable_decomposition(g: Graph, w, m: int, d: int | None = None,
                     if dst != src and not (conflicts[v] & parts[dst]):
                         parts[src].remove(v)
                         parts[dst].add(v)
-                        color[v] = dst
                         swaps += 1
                         moved = True
                         break
@@ -290,6 +288,18 @@ def matching_avoidance_bound(ell: int, eps: float, c: float) -> float:
 
 
 _MC_BLOCK = 1 << 13  # matchings decoded at once; sets memory only, not the stream
+_MATCHING_TABLE_BYTES = 1 << 22  # largest ell x ell pair table: ell <= 2048
+
+
+def check_matching_ell(ell: int) -> None:
+    """Refuse an odd ell, one below 4, or one whose ell x ell pair table
+    exceeds _MATCHING_TABLE_BYTES; callers listing the C(ell, 2) pairs call
+    it before they allocate them."""
+    if ell % 2 != 0 or ell < 4:
+        raise GraphError("need even ell >= 4")
+    if ell * ell > _MATCHING_TABLE_BYTES:
+        raise GraphError(f"ell={ell} needs an ell x ell pair table beyond the "
+                         f"{_MATCHING_TABLE_BYTES}-byte budget")
 
 
 @dataclass(frozen=True)
@@ -306,8 +316,7 @@ def matching_avoidance_mc(ell: int, y_pairs, c: float, trials: int, seed: int,
                           eps: float | None = None) -> MatchingMCResult:
     """Estimate the probability that a uniform matching of [ell] meets the
     pair set Y at most c*ell/2 times, alongside the analytic bound."""
-    if ell % 2 != 0 or ell < 4:
-        raise GraphError("need even ell >= 4")
+    check_matching_ell(ell)
     y = {tuple(sorted(p)) for p in y_pairs}
     full = ell * (ell - 1) // 2
     if eps is None:
@@ -380,6 +389,8 @@ def restriction_concentration_mc(f: VertexMap, eps, k: int, trials: int,
     eps_f = float(eps)
     if not (math.isfinite(eps_f) and eps_f > 0):
         raise GraphError(f"need finite eps > 0, got eps={eps}")
+    if eps_f * eps_f * k <= 15.0 / sys.float_info.max:
+        raise GraphError(f"eps={eps} is too small: the bound 1 - 15/(eps^2 k) overflows")
     ave = empirical_average(f, 1.0)
     hypothesis = (is_concentrated(f, 5.0, 1.0, eps) and eps_f <= 1.0 / 31.0
                   and k >= 2.0 / eps_f)
@@ -462,8 +473,12 @@ def typical_sets_experiment(n: int, d: int, big_k: float, m: int, trials: int,
         raise GraphError(f"need radius m >= 1, got m={m}")
     if d < 2:
         raise GraphError(f"need degree d >= 2, got d={d}")
-    if not (math.isfinite(big_k) and big_k > 0):
-        raise GraphError(f"need finite big_k > 0, got big_k={big_k}")
+    if not (big_k > 0 and math.isfinite(big_k * n)):
+        raise GraphError(f"need big_k > 0 with big_k * n finite, got big_k={big_k}")
+    if not math.isfinite(d * n / (big_k * m)):
+        raise GraphError(f"big_k={big_k} is too small: d n / (big_k m) overflows")
+    if m * math.log2(d - 1) >= 1023:
+        raise GraphError(f"m={m} is too large: (d-1)^m = {d - 1}^{m} does not fit a float")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     ell0 = int(d * n // (big_k * m))

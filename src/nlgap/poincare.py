@@ -50,7 +50,7 @@ class VertexMap:
 @dataclass(frozen=True)
 class GammaReport:
     """Per-map statistics: average, Dirichlet form, their ratio, quantile,
-    and the concentration verdict for the supplied (K, q, tau)."""
+    and the concentration verdict at K = 5^q and tau = 1/2."""
 
     q: float
     ave: float
@@ -124,8 +124,7 @@ def dirichlet(g: Graph, f: VertexMap, q: float) -> float:
     return float(sum(costs[a[u], a[v]] for u, v in g.edges)) / g.m
 
 
-def gamma_of_map(g: Graph, f: VertexMap, q: float,
-                 concentration_k: float | None = None, tau=Fraction(1, 2)) -> GammaReport:
+def gamma_of_map(g: Graph, f: VertexMap, q: float) -> GammaReport:
     """Full statistics report for one map; ratio conventions:
     inf when only the edge sum vanishes, degenerate when both vanish."""
     ave = empirical_average(f, q)
@@ -136,12 +135,11 @@ def gamma_of_map(g: Graph, f: VertexMap, q: float,
         ratio, degenerate = math.inf, False
     else:
         ratio, degenerate = math.nan, True
-    if concentration_k is None:
-        concentration_k = 5.0 ** q
-    quant = empirical_quantile(f, tau)
+    concentration_k = 5.0 ** q
+    quant = empirical_quantile(f, Fraction(1, 2))
     conc = ave <= concentration_k * quant ** q
     return GammaReport(q=q, ave=ave, dirichlet=dir_, ratio=ratio, degenerate=degenerate,
-                       quantile_tau=quant, tau=float(tau), concentration_k=concentration_k,
+                       quantile_tau=quant, tau=0.5, concentration_k=concentration_k,
                        concentrated=conc)
 
 

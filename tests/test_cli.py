@@ -228,6 +228,13 @@ class TestInputDomainExits:
          "--min-fraction must lie in [0, 1]"),
         (("spectra", "--gen-regular", "1000"), "--gen-regular must be two integers"),
         (("spectra", "--gen-regular", "a,3"), "--gen-regular must be two integers"),
+        (("model", "--lemma", "typical", "--n", "10", "--d", "3", "--bigk", "1e-320",
+          "--m", "1", "--trials", "1"), "big_k=1e-320"),
+        (("model", "--lemma", "typical", "--n", "10", "--d", "3", "--bigk", "20",
+          "--m", "100000", "--trials", "1"), "m=100000"),
+        (("model", "--lemma", "restriction", "--n", "100", "--k", "5", "--eps", "1e-320",
+          "--trials", "3"), "eps=1e-320"),
+        (("model", "--lemma", "matchings", "--l", "400000"), "byte budget"),
     ])
     def test_exit_one(self, argv, fragment, capsys):
         assert cli.main(list(argv)) == 1

@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlgap import graphs
-from nlgap.graphs import (Graph, GraphError, adjacency_matrix, ball, bfs_distances,
-                          canonical_form, cheeger_bounds, cheeger_exact,
+from nlgap.graphs import (ExpansionResult, Graph, GraphError, adjacency_matrix, ball,
+                          bfs_distances, canonical_form, cheeger_bounds, cheeger_exact,
                           complete_bipartite_graph, complete_graph, cube_graph,
                           cut_size, cycle_graph, diameter, disjoint_union,
                           distance_matrix, enumerate_regular_graphs,
                           expansion_holds, graph_from_edges, is_connected, lambda2,
-                          multi_source_distances, path_graph, random_regular,
-                          relabel, spectrum, sphere, star_graph, tree_like_set)
+                          multi_source_distances, path_graph, random_connected_regular,
+                          random_regular, relabel, spectrum, sphere, star_graph,
+                          tree_like_set)
 from nlgap.models import distribution_equality_mc
 from nlgap.rng import derive_rng
 
@@ -116,6 +117,39 @@ def reference_tree_like_set(g, m):
         if inner == len(b) - 1 and all(dist[u] < g.n for u in b):
             out.add(v)
     return out
+
+
+def reference_expansion(g, alpha, seed=0):
+    """The check before the distance-to-set table: one BFS per vertex set,
+    in mask order (or singletons, then samples), each followed by a loop
+    over its radii, stopping at the first violation."""
+    d, n = g.regular_degree(), g.n
+
+    def first_radius(S):
+        dist = multi_source_distances(g, S)
+        sizes = np.bincount(np.minimum(dist, n), minlength=n + 1).cumsum()
+        for r in range(n + 1):
+            if sizes[min(r, n)] < min(0.75 * n, alpha * (d - 1) ** r * len(S)):
+                return r
+        return None
+
+    def sampled():
+        yield from ([v] for v in range(n))
+        gen = derive_rng(seed, "expansion", n)
+        for _ in range(graphs._EXPANSION_SAMPLES):
+            size = int(gen.integers(1, n // 2 + 1))
+            yield sorted(gen.choice(n, size=size, replace=False).tolist())
+
+    if n <= graphs._EXPANSION_EXACT_LIMIT:
+        mode, sets = "exact", ([v for v in range(n) if mask >> v & 1]
+                               for mask in range(1, 1 << n))
+    else:
+        mode, sets = "sampled", sampled()
+    for S in sets:
+        r = first_radius(S)
+        if r is not None:
+            return ExpansionResult(False, (frozenset(S), r), mode)
+    return ExpansionResult(True, None, mode)
 
 
 def brute_force_cheeger(g):
@@ -561,9 +595,56 @@ class TestExpansion:
     def test_sampled_mode_is_one_sided(self):
         # n = 20 > the exact limit; alpha=1 with d-1 = 1 keeps the threshold
         # at |S|, which every ball satisfies, so no violation is found
-        res = expansion_holds(cycle_graph(20), 1.0, samples=50, seed=2)
+        res = expansion_holds(cycle_graph(20), 1.0, seed=2)
         assert res.mode == "sampled"
         assert res.holds and res.violation is None
+
+    ALPHAS = (0.05, 1 / 3, 0.5, 0.9, 1.0, 1.5, 3.0)
+
+    @staticmethod
+    def corpus(sampled):
+        if sampled:
+            yield from (random_regular(n, d, n + d) for n, d in ((20, 3), (26, 3), (21, 4),
+                                                                 (30, 4), (40, 3)))
+            yield from (cycle_graph(24), disjoint_union(random_regular(10, 3, 1),
+                                                        random_regular(12, 3, 2)),
+                        disjoint_union(random_regular(20, 3, 3), random_regular(20, 3, 4)))
+            return
+        yield from (random_regular(n, d, s) for d in (3, 4) for n in range(d + 1, 12)
+                    for s in range(2) if n * d % 2 == 0)
+        yield from (random_regular(12, 3, 1), cycle_graph(5), cycle_graph(10))
+        yield from (disjoint_union(complete_graph(4), complete_graph(4)),
+                    disjoint_union(random_regular(6, 3, 1), random_regular(6, 3, 2)),
+                    disjoint_union(cycle_graph(4), cycle_graph(5)))
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+    def test_matches_reference(self, sampled):
+        verdicts = set()
+        for g in self.corpus(sampled):
+            for alpha in self.ALPHAS:
+                for seed in range(1 + sampled):
+                    want = reference_expansion(g, alpha, seed)
+                    assert expansion_holds(g, alpha, seed) == want, (g, alpha, seed)
+                    verdicts.add((want.mode, want.holds))
+        mode = "sampled" if sampled else "exact"
+        assert verdicts == {(mode, True), (mode, False)}
+
+    @pytest.mark.parametrize("alpha", [0.01, 5e-324])
+    def test_large_cubic_does_not_overflow(self, alpha):
+        # 2^r passes the largest float from r = 1024 on, and a radius of the
+        # 1100-vertex graph can reach it
+        g = random_connected_regular(1100, 3, 1)
+        res = expansion_holds(g, alpha)
+        assert res.mode == "sampled"
+        if not res.holds:
+            S, r = res.violation
+            assert len(ball(g, S, r)) < min(Fraction(3 * g.n, 4),
+                                            Fraction(alpha) * 2 ** r * len(S))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_alpha_domain(self, alpha):
+        with pytest.raises(GraphError, match="alpha"):
+            expansion_holds(cycle_graph(6), alpha)
 
 
 class TestCanonical:

@@ -11,7 +11,8 @@ from nlgap.graphs import (GraphError, bfs_distances, canonical_form, cycle_graph
                           diameter, disjoint_union, graph_from_edges, path_graph,
                           random_regular, relabel)
 from nlgap.metrics import uniform_metric
-from nlgap.models import (all_perfect_matchings, distribution_equality_mc, draw_model,
+from nlgap.models import (all_perfect_matchings, check_matching_ell,
+                          distribution_equality_mc, draw_model,
                           equitable_decomposition, is_invariant_generator,
                           matching_avoidance_bound, matching_avoidance_mc,
                           order_rank_from_permutation, random_perfect_matching,
@@ -291,6 +292,13 @@ class TestMatchings:
         with pytest.raises(GraphError):
             matching_avoidance_mc(5, [], c=0.1, trials=10, seed=0, eps=0.2)
 
+    def test_pair_table_budget(self):
+        check_matching_ell(2048)  # the largest ell whose table fits
+        with pytest.raises(GraphError, match="byte budget"):
+            check_matching_ell(2050)
+        with pytest.raises(GraphError, match="byte budget"):
+            matching_avoidance_mc(2050, [], c=0.1, trials=10, seed=0, eps=0.2)
+
     def test_bound_formula(self):
         val = matching_avoidance_bound(20, 0.2, 0.1)
         expected = math.exp(-(0.8 / 4) * math.log(0.8 / (16 * math.e * 0.2)) * 20)
@@ -527,7 +535,7 @@ class TestVerifierDomains:
         r = matching_avoidance_mc(8, pairs[:14], c=0.5, trials=100, seed=1, eps=0.5)
         assert r.analytic_bound == 1.0
 
-    @pytest.mark.parametrize("eps", [0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("eps", [0, -0.1, math.nan, math.inf, 1e-320])
     def test_restriction_eps(self, eps):
         f = VertexMap(uniform_metric(2), (0, 1) * 5)
         with pytest.raises(GraphError, match="eps"):
@@ -537,6 +545,8 @@ class TestVerifierDomains:
         (dict(m=0), "m"), (dict(m=-2), "m"), (dict(d=1), "d"), (dict(d=0), "d"),
         (dict(big_k=0.0), "big_k"), (dict(big_k=-3.0), "big_k"),
         (dict(big_k=math.nan), "big_k"), (dict(big_k=math.inf), "big_k"),
+        (dict(big_k=1e-320, m=1), "big_k"), (dict(big_k=1e308), "big_k"),
+        (dict(m=100_000), "m"), (dict(d=4, m=647), "m"),
     ])
     def test_typical_parameters(self, kwargs, name):
         args = dict(n=120, d=3, big_k=6.0, m=3, trials=1, seed=0) | kwargs
