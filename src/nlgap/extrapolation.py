@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .graphs import Graph, cheeger_lower_bound
 from .io import csv_row
-from .metrics import FiniteMetric, snowflake
+from .metrics import FiniteMetric, _check_exponent, snowflake
 from .poincare import VertexMap, dirichlet, empirical_average, gamma_exact, is_concentrated
 
 
@@ -74,6 +74,7 @@ def nonconc_params(d: int, h: float, q: float, tau: float, c_r: float) -> NonCon
     """Derived length and the multiplicative bound for non-concentrated maps."""
     if d < 3 or h <= 0 or q < 1 or not 0 < tau < 1:
         raise ValueError(f"domain: need d >= 3, h > 0, q >= 1, tau in (0,1); got {(d, h, q, tau)}")
+    _check_exponent(q)
     if c_r < 5.0 ** q:
         raise ValueError(f"need C_R >= 5^q = {5.0 ** q}, got {c_r}")
     ell = nonconc_ell(d, h, q, tau)

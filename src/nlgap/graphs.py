@@ -301,32 +301,48 @@ def spectrum(g: Graph) -> np.ndarray:
 # restarts (8 graphs for each d at n = 400, 1000, 2000, 4000).  A graph with a
 # small spectral gap needs about n restarts (C_1000: 1090, several times the
 # dense time), so lambda2 stops after n/8 and falls back to the dense solve.
+# Paths and cycles (maximum degree <= 2) have that gap, so they skip Lanczos.
 _LANCZOS_MIN_N = 400
 
 
 def lambda2(g: Graph) -> float:
     """Second-largest adjacency eigenvalue.
 
-    A connected graph with at least _LANCZOS_MIN_N vertices takes the top two
-    eigenvalues of its sparse adjacency from ARPACK Lanczos, started from a
-    fixed vector so that repeated calls agree bit for bit.  Smaller graphs,
-    disconnected ones (whose largest eigenvalue can be repeated, which Lanczos
-    from one start vector need not see) and runs that do not converge use the
-    dense spectrum.
+    A connected graph with at least _LANCZOS_MIN_N vertices and a vertex of
+    degree at least 3 takes the top two eigenvalues of its sparse adjacency
+    from ARPACK Lanczos, started from a fixed vector so that repeated calls
+    agree bit for bit.  Smaller graphs, paths and cycles, disconnected ones
+    (whose largest eigenvalue can be repeated, which Lanczos from one start
+    vector need not see) and runs that do not converge use the dense spectrum.
     """
     if g.n < 2:
         raise GraphError("lambda2 needs n >= 2")
-    if g.n >= _LANCZOS_MIN_N and is_connected(g):
+    if g.n >= _LANCZOS_MIN_N and max(g.degrees()) > 2 and is_connected(g):
+        # imported here so that importing nlgap loads no scipy
         from scipy.sparse import csr_array
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+        class CsrProduct(LinearOperator):
+            """ARPACK's matvec is the CSR product itself, without the shape
+            checks and dispatch of scipy's generic operator wrapper."""
+
+            def __init__(self, a):
+                super().__init__(a.dtype, a.shape)
+                self.a = a
+
+            def _matvec(self, x):
+                return self.a @ x
+
+            matvec = _matvec
+
         u, v = _edge_array(g).T
         a = csr_array((np.ones(2 * g.m), (np.concatenate([u, v]), np.concatenate([v, u]))),
                       shape=(g.n, g.n))
         # rng feeds the restart vectors ARPACK draws after a breakdown
         gen = derive_rng(0, "lambda2", g.n)
         try:
-            top = eigsh(a, k=2, which="LA", v0=gen.uniform(-1.0, 1.0, g.n), rng=gen,
-                        maxiter=g.n // 8, return_eigenvectors=False)
+            top = eigsh(CsrProduct(a), k=2, which="LA", v0=gen.uniform(-1.0, 1.0, g.n),
+                        rng=gen, maxiter=g.n // 8, return_eigenvectors=False)
         except ArpackNoConvergence:
             pass
         else:

@@ -44,9 +44,17 @@ class FiniteMetric:
         return float(off.min())
 
 
+# the largest integer q for which 5^q, the paper's concentration constant,
+# is a finite float
+_MAX_EXPONENT = 441
+
+
 def _check_exponent(q: float) -> None:
     if not (math.isfinite(q) and q > 0):
         raise MetricError("exponent", (q,), f"cost exponent must be finite and positive, got {q}")
+    if q > _MAX_EXPONENT:
+        raise MetricError("exponent", (q,), f"cost exponent must be at most {_MAX_EXPONENT}, "
+                          f"beyond which 5^q overflows, got {q}")
 
 
 def cost_matrix(metric: FiniteMetric, q: float) -> np.ndarray:

@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .graphs import (Graph, GraphError, _canonical_keys, _edges_key, _pair_action,
                      _pair_weights, _simple_pairings, bfs_distances, canonical_form,
@@ -599,6 +598,8 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
 
     expected = trials / len(cells)
     chi2 = sum((counts.get(c, 0) - expected) ** 2 / expected for c in cells)
+    # imported here so that importing nlgap loads no scipy
+    from scipy.special import chdtrc
     # a one-cell law is fitted exactly; chdtrc(0, 0) is nan, which no
     # p-value threshold would reject
     p = 1.0 if len(cells) == 1 else float(chdtrc(len(cells) - 1, chi2))

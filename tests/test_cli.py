@@ -235,6 +235,10 @@ class TestInputDomainExits:
         (("model", "--lemma", "restriction", "--n", "100", "--k", "5", "--eps", "1e-320",
           "--trials", "3"), "eps=1e-320"),
         (("model", "--lemma", "matchings", "--l", "400000"), "byte budget"),
+        (("gamma", "--gen", "cycle:4", "--metric", "uniform:2", "--q", "500"),
+         "cost exponent must be at most 441"),
+        (("gamma", "--gen", "cycle:4", "--metric", "uniform:2", "--q", "1e300"),
+         "cost exponent must be at most 441"),
     ])
     def test_exit_one(self, argv, fragment, capsys):
         assert cli.main(list(argv)) == 1
@@ -242,6 +246,36 @@ class TestInputDomainExits:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert fragment in captured.err and "Traceback" not in captured.err
+
+
+class TestImportBudget:
+    """scipy loads only in the calls that use it: lambda2 on large connected
+    graphs and the dist-eq p-value.  Each case runs in a fresh interpreter."""
+
+    @staticmethod
+    def loaded_scipy(calls: str):
+        """The output of calls, and the scipy modules loaded after them."""
+        code = ("import sys\nimport nlgap, nlgap.cli\n" + calls
+                + "\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        *out, modules = res.stdout.splitlines()
+        return "\n".join(out), modules.split()
+
+    def test_gamma_loads_no_scipy(self):
+        out, modules = self.loaded_scipy("assert nlgap.cli.main(['gamma', '--gen', 'cycle:4', "
+                                         "'--metric', 'uniform:2', '--q', '1']) == 0")
+        assert body_of(out).splitlines()[-1].startswith("4,2,2,1.0,")
+        assert modules == []
+
+    def test_dist_eq_loads_scipy_and_keeps_its_p_value(self):
+        out, modules = self.loaded_scipy("assert nlgap.cli.main(['model', '--lemma', 'dist-eq', "
+                                         "'--n', '6', '--d', '3', '--l', '1', "
+                                         "'--trials', '40000', '--seed', '12']) == 0")
+        # the p-value pinned in test_models
+        assert (body_of(out).splitlines()[-1]
+                == "6,3,1,40000,630,651.0334999999998,0.26341542340173324")
+        assert "scipy.special" in modules
 
 
 class TestWitnessSvg:

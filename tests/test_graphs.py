@@ -453,6 +453,57 @@ class TestLambda2:
         g = cycle_graph(1000)
         assert lambda2(g) == spectrum(g)[-2]
 
+    @pytest.mark.parametrize("build", [lambda: cycle_graph(1000), lambda: path_graph(1000)],
+                             ids=["C1000", "P1000"])
+    def test_paths_and_cycles_skip_lanczos(self, build, monkeypatch):
+        import scipy.sparse.linalg
+
+        def no_lanczos(*args, **kwargs):
+            raise AssertionError("lambda2 ran Lanczos on a graph of maximum degree 2")
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
+        g = build()
+        assert lambda2(g) == spectrum(g)[-2]
+
+    def test_no_convergence_falls_back_to_dense(self, monkeypatch):
+        # the ladder P250 x K2 has maximum degree 3 and a top gap of order
+        # 1/n^2, so Lanczos stops at its restart cap
+        import scipy.sparse.linalg
+        eigsh, raised = scipy.sparse.linalg.eigsh, []
+
+        def spy(*args, **kwargs):
+            try:
+                return eigsh(*args, **kwargs)
+            except scipy.sparse.linalg.ArpackNoConvergence:
+                raised.append(True)
+                raise
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+        k = 250
+        g = graph_from_edges(2 * k, [(i, i + 1) for i in range(k - 1)]
+                             + [(k + i, k + i + 1) for i in range(k - 1)]
+                             + [(i, k + i) for i in range(k)])
+        assert lambda2(g) == spectrum(g)[-2]
+        assert raised == [True]
+
+    @pytest.mark.parametrize("build", [
+        *(pytest.param(functools.partial(random_regular, n, d, seed=n + d), id=f"regular{n},{d}")
+          for n in (400, 1000, 2000) for d in (3, 4, 5, 6)),
+        pytest.param(lambda: tree_plus_chords(600, 60, seed=3), id="tree600+60"),
+        pytest.param(lambda: complete_bipartite_graph(200, 300), id="K200,300"),
+        pytest.param(lambda: hypercube_graph(9), id="Q9")])
+    def test_operator_matches_direct_eigsh(self, build):
+        # bit for bit against eigsh on a csr_array built from the dense
+        # adjacency, with lambda2's start vector, restart stream and cap;
+        # K_{200,300} makes ARPACK draw restart vectors, and Q9 has lambda2
+        # of multiplicity 9
+        from scipy.sparse import csr_array
+        from scipy.sparse.linalg import eigsh
+        g = build()
+        gen = derive_rng(0, "lambda2", g.n)
+        top = eigsh(csr_array(adjacency_matrix(g)), k=2, which="LA",
+                    v0=gen.uniform(-1.0, 1.0, g.n), rng=gen, maxiter=g.n // 8,
+                    return_eigenvectors=False)
+        assert lambda2(g) == float(top.min())
+
     def test_disconnected_union_uses_repeated_top_eigenvalue(self):
         g = disjoint_union(random_regular(500, 3, seed=1), random_regular(500, 3, seed=2))
         assert not is_connected(g)
