@@ -13,21 +13,20 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .extrapolation import (VERDICT_CSV_HEADER, check_extrapolation,
-                            check_nonconcentrated, verdict_csv_row)
-from .embeddings import jls_embedding, universal_space_size, witness_certificate
-from .graphs import (Graph, GraphError, complete_graph, cycle_graph, lambda2,
-                     path_graph, petersen_graph, prism_graph, random_regular,
-                     random_connected_regular)
-from .io import (CsvDocument, GAMMA_CSV_HEADER, csv_row, gamma_report_csv_row,
-                 read_graph, read_map, read_metric, write_graph, write_map,
-                 write_metric)
+from .extrapolation import ExtrapolationVerdict, check_extrapolation, check_nonconcentrated
+from .embeddings import (default_delta, embedding_distortion, jls_embedding,
+                         universal_space_size, witness_certificate)
+from .graphs import (Graph, GraphError, complete_graph, cycle_graph,
+                     enumerate_regular_graphs, lambda2, path_graph, petersen_graph,
+                     prism_graph, random_regular, random_connected_regular)
+from .io import (CsvDocument, csv_row, read_graph, read_map, read_metric, write_graph,
+                 write_map, write_metric)
 from .metrics import (FiniteMetric, MetricError, linf_grid,
                       random_euclidean_metric, snowflake, uniform_metric)
 from .models import (check_matching_ell, distribution_equality_mc, matching_avoidance_mc,
                      restriction_concentration_mc, typical_sets_experiment)
-from .poincare import (CapExceeded, VertexMap, gamma_exact, gamma_lower_search,
-                       gamma_of_map)
+from .poincare import (CapExceeded, GammaReport, VertexMap, gamma_exact,
+                       gamma_lower_search, gamma_of_map)
 from .rng import derive_rng
 from .svg import emit_svg
 
@@ -40,12 +39,16 @@ class PropertyFailure(RuntimeError):
     pass
 
 
+def _existing(path: str, what: str) -> Path:
+    p = Path(path)
+    if not p.exists():
+        raise CliError(f"{what} file not found: {p}")
+    return p
+
+
 def parse_graph_arg(spec: str | None, path: str | None, seed: int) -> Graph:
     if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise CliError(f"graph file not found: {p}")
-        return read_graph(p)
+        return read_graph(_existing(path, "graph"))
     if spec is None:
         raise CliError("no graph given: pass --graph FILE or --gen SPEC")
     kind, _, rest = spec.partition(":")
@@ -82,10 +85,7 @@ def parse_metric_arg(spec: str, seed: int) -> FiniteMetric:
             return random_euclidean_metric(int(parts[0]), seed=seed, dim=dim)
     except (ValueError, MetricError) as exc:
         raise CliError(f"bad metric spec {spec!r}: {exc}") from exc
-    p = Path(spec)
-    if not p.exists():
-        raise CliError(f"metric file not found: {p}")
-    return read_metric(p)
+    return read_metric(_existing(spec, "metric"))
 
 
 def parse_log_cardinality(text: str) -> float:
@@ -103,19 +103,42 @@ def parse_log_cardinality(text: str) -> float:
     return log_n
 
 
-def _emit(doc: CsvDocument, out: str | None) -> None:
-    rendered = doc.render()
-    if out:
-        Path(out).write_text(rendered)
-    else:
-        sys.stdout.write(rendered)
-
-
 def _echo(args: argparse.Namespace) -> str:
     skip = {"func"}
     items = [f"{k}={v}" for k, v in sorted(vars(args).items())
              if k not in skip and v is not None]
     return " ".join(items)
+
+
+def _emit(args: argparse.Namespace, header: str, rows: list[str]) -> None:
+    rendered = CsvDocument(_echo(args), __version__, header, rows).render()
+    if args.out:
+        Path(args.out).write_text(rendered)
+    else:
+        sys.stdout.write(rendered)
+
+
+# ---------------------------------------------------------------- report layouts
+
+GAMMA_CSV_HEADER = "n,d,N,q,ave,dirichlet,ratio,Qtau,concentrated"
+
+
+def gamma_report_csv_row(g: Graph, report: GammaReport, n_points: int) -> str:
+    return csv_row(g.n, g.regular_degree(), n_points, report.q, report.ave,
+                   report.dirichlet, report.ratio, report.quantile_tau,
+                   report.concentrated)
+
+
+VERDICT_CSV_HEADER = ("instance,p,q,gamma_p,gamma_q,log_c1,log_c2,log_c3,log_c4,"
+                      "lhs1_log,rhs1_log,lhs2_log,rhs2_log,pass,slack1_log,slack2_log")
+
+
+def verdict_csv_row(instance: str, v: ExtrapolationVerdict) -> str:
+    c = v.consts
+    return csv_row(instance, float(v.p), float(v.q), v.gamma_p, v.gamma_q,
+                   c.log_c1, c.log_c2, c.log_c3, c.log_c4,
+                   v.lhs1_log, v.rhs1_log, v.lhs2_log, v.rhs2_log,
+                   v.passed, v.slack1_log, v.slack2_log)
 
 
 # ---------------------------------------------------------------- commands
@@ -133,15 +156,12 @@ def cmd_gamma(args) -> None:
     if res.witness is None:
         raise CliError("instance is degenerate: no non-constant maps")
     report = gamma_of_map(g, res.witness, args.q)
-    doc = CsvDocument(_echo(args), __version__, GAMMA_CSV_HEADER,
-                      [gamma_report_csv_row(g, report, metric.size)])
-    _emit(doc, args.out)
+    _emit(args, GAMMA_CSV_HEADER, [gamma_report_csv_row(g, report, metric.size)])
     if args.map_out:
         write_map(res.witness, args.map_out)
 
 
 def _desk_suite_rows(seed: int):
-    from .graphs import enumerate_regular_graphs
     rows = []
     ok = True
     metrics = [("uniform2", uniform_metric(2)), ("uniform3", uniform_metric(3))]
@@ -160,8 +180,7 @@ def _desk_suite_rows(seed: int):
 def cmd_extrapolate(args) -> None:
     if args.suite:
         rows, ok = _desk_suite_rows(args.seed)
-        doc = CsvDocument(_echo(args), __version__, VERDICT_CSV_HEADER, rows)
-        _emit(doc, args.out)
+        _emit(args, VERDICT_CSV_HEADER, rows)
         if not ok:
             raise PropertyFailure("extrapolation inequality violated")
         return
@@ -170,32 +189,28 @@ def cmd_extrapolate(args) -> None:
     g = parse_graph_arg(args.gen, args.graph, args.seed)
     metric = parse_metric_arg(args.metric, args.seed)
     v = check_extrapolation(g, metric, args.p, args.q)
-    doc = CsvDocument(_echo(args), __version__, VERDICT_CSV_HEADER,
-                      [verdict_csv_row("instance", v)])
-    _emit(doc, args.out)
+    _emit(args, VERDICT_CSV_HEADER, [verdict_csv_row("instance", v)])
     if not v.passed:
         raise PropertyFailure("extrapolation inequality violated")
 
 
 def cmd_nonconc(args) -> None:
+    for flag, value in (("--cr", args.cr), ("--tau", args.tau)):
+        if not math.isfinite(value):
+            raise CliError(f"{flag} must be finite, got {value}")
     g = parse_graph_arg(args.gen, args.graph, args.seed)
     metric = parse_metric_arg(args.metric, args.seed)
-    map_path = Path(args.map)
-    if not map_path.exists():
-        raise CliError(f"map file not found: {map_path}")
-    f = read_map(map_path, metric)
+    f = read_map(_existing(args.map, "map"), metric)
     v = check_nonconcentrated(g, f, args.q, args.cr, Fraction(args.tau).limit_denominator(10 ** 6))
-    header = "hypothesis_met,ell,log_bound,ave,dirichlet,holds,slack_log"
-    row = csv_row(v.hypothesis_met, v.params.ell, v.params.log_bound, v.ave,
-                  v.dirichlet, v.holds, v.slack_log)
-    _emit(CsvDocument(_echo(args), __version__, header, [row]), args.out)
+    _emit(args, "hypothesis_met,ell,log_bound,ave,dirichlet,holds,slack_log",
+          [csv_row(v.hypothesis_met, v.params.ell, v.params.log_bound, v.ave,
+                   v.dirichlet, v.holds, v.slack_log)])
     if v.holds is False:
         raise PropertyFailure("non-concentrated bound violated")
 
 
 def cmd_witness(args) -> None:
     log_n_points = parse_log_cardinality(args.big_n)
-    header = "n,d,k,s,s0,r0,q,ave,dirichlet,ratio,max_edge_cost"
     rows = []
     series = []
 
@@ -217,23 +232,21 @@ def cmd_witness(args) -> None:
         series.append(("median ratio", pts))
     else:
         certify(parse_graph_arg(args.gen, args.graph, args.seed))
-    _emit(CsvDocument(_echo(args), __version__, header, rows), args.out)
+    _emit(args, "n,d,k,s,s0,r0,q,ave,dirichlet,ratio,max_edge_cost", rows)
     if args.svg and series:
         Path(args.svg).write_text(emit_svg(series, title="witness ratio vs log n",
                                            config_echo=_echo(args)))
 
 
 def cmd_jls(args) -> None:
-    from .embeddings import default_delta
     g = parse_graph_arg(args.gen, args.graph, args.seed)
     res = jls_embedding(g, args.distortion, args.c1, seed=args.seed,
                         retries=args.retries, delta=args.delta)
     delta = args.delta if args.delta is not None else default_delta(g.n)
     width, log_size = universal_space_size(g.n, delta, args.distortion, args.c1)
-    header = "n,attempts,success,lip,colip,distortion,coords,log_space_size"
-    row = csv_row(g.n, res.attempts, res.success, res.report.lip, res.report.colip,
-                  res.report.distortion, res.grid.coords.shape[1], log_size)
-    _emit(CsvDocument(_echo(args), __version__, header, [row]), args.out)
+    _emit(args, "n,attempts,success,lip,colip,distortion,coords,log_space_size",
+          [csv_row(g.n, res.attempts, res.success, res.report.lip, res.report.colip,
+                   res.report.distortion, res.grid.coords.shape[1], log_size)])
     if args.map_out:
         lines = [f"{res.grid.coords.shape[0]} {res.grid.coords.shape[1]}"]
         lines += [" ".join(str(int(x)) for x in row) for row in res.grid.coords]
@@ -244,17 +257,10 @@ def cmd_jls(args) -> None:
 
 
 def cmd_distort(args) -> None:
-    from .embeddings import embedding_distortion, vertex_map_image_distances
     g = parse_graph_arg(args.gen, args.graph, args.seed)
     metric = parse_metric_arg(args.metric, args.seed)
-    map_path = Path(args.map)
-    if not map_path.exists():
-        raise CliError(f"map file not found: {map_path}")
-    f = read_map(map_path, metric)
-    r = embedding_distortion(g, vertex_map_image_distances(f))
-    header = "lip,colip,distortion,scale"
-    row = csv_row(r.lip, r.colip, r.distortion, r.scale)
-    _emit(CsvDocument(_echo(args), __version__, header, [row]), args.out)
+    r = embedding_distortion(g, read_map(_existing(args.map, "map"), metric).image_distances())
+    _emit(args, "lip,colip,distortion,scale", [csv_row(r.lip, r.colip, r.distortion, r.scale)])
 
 
 def cmd_model(args) -> None:
@@ -275,37 +281,35 @@ def cmd_model(args) -> None:
         y = [p for i, p in enumerate(pairs) if i not in drop]
         r = matching_avoidance_mc(args.l, y, c=args.c, trials=args.trials,
                                   seed=args.seed, eps=args.eps)
-        header = "ell,eps,c,trials,empirical,analytic_bound"
-        row = csv_row(r.ell, r.eps, r.c, r.trials, r.empirical, r.analytic_bound)
-        _emit(CsvDocument(_echo(args), __version__, header, [row]), args.out)
+        _emit(args, "ell,eps,c,trials,empirical,analytic_bound",
+              [csv_row(r.ell, r.eps, r.c, r.trials, r.empirical, r.analytic_bound)])
     elif args.lemma == "restriction":
         metric = uniform_metric(args.points)
         f = VertexMap(metric, tuple(v % args.points for v in range(args.n)))
         r = restriction_concentration_mc(f, eps=args.eps, k=args.k,
                                          trials=args.trials, seed=args.seed)
-        header = "eps,k,trials,frequency,bound,hypothesis_met"
-        row = csv_row(r.eps, r.k, r.trials, r.frequency, r.bound, r.hypothesis_met)
-        _emit(CsvDocument(_echo(args), __version__, header, [row]), args.out)
+        _emit(args, "eps,k,trials,frequency,bound,hypothesis_met",
+              [csv_row(r.eps, r.k, r.trials, r.frequency, r.bound, r.hypothesis_met)])
         if r.hypothesis_met and r.frequency < max(r.bound, 0.0):
             raise PropertyFailure("restriction frequency fell below the bound")
     elif args.lemma == "dist-eq":
+        if not 0 <= args.p_threshold <= 1:
+            raise CliError(f"--p-threshold must lie in [0, 1], got {args.p_threshold}")
         r = distribution_equality_mc(args.n, args.d, args.l, trials=args.trials,
                                      seed=args.seed)
-        header = "n,d,ell,trials,cells,chi2,p_value"
-        row = csv_row(r.n, r.d, r.ell, r.trials, r.cells, r.chi2, r.p_value)
-        _emit(CsvDocument(_echo(args), __version__, header, [row]), args.out)
+        _emit(args, "n,d,ell,trials,cells,chi2,p_value",
+              [csv_row(r.n, r.d, r.ell, r.trials, r.cells, r.chi2, r.p_value)])
         if r.p_value <= args.p_threshold:
             raise PropertyFailure(f"distribution mismatch: p = {r.p_value}")
     elif args.lemma == "typical":
         rows_data = typical_sets_experiment(args.n, args.d, args.bigk, args.m,
                                             trials=args.trials, seed=args.seed)
-        header = "trial,v,v_prime,v_dprime,ell0,k0,f1,f2,f3"
         rows = [csv_row(r.trial, r.v_size, r.v_prime_size, r.v_dprime_size, r.ell0,
                         r.k0, r.f1, r.f2, r.f3) for r in rows_data]
         hits = [sum(getattr(r, f) for r in rows_data) / len(rows_data)
                 for f in ("f1", "f2", "f3")]
         rows.append(csv_row("frequency", *[None] * 5, *hits))
-        _emit(CsvDocument(_echo(args), __version__, header, rows), args.out)
+        _emit(args, "trial,v,v_prime,v_dprime,ell0,k0,f1,f2,f3", rows)
     else:
         raise CliError(f"unknown lemma {args.lemma!r}")
 
@@ -325,9 +329,8 @@ def cmd_spectra(args) -> None:
               for t in range(args.trials)]
     rows = [csv_row(t, l2, l2 <= threshold) for t, l2 in enumerate(values)]
     frac = sum(l2 <= threshold for l2 in values) / args.trials
-    header = "trial,lambda2,below_threshold"
     rows.append(csv_row("fraction", frac, None))
-    _emit(CsvDocument(_echo(args), __version__, header, rows), args.out)
+    _emit(args, "trial,lambda2,below_threshold", rows)
     if args.min_fraction is not None and frac < args.min_fraction:
         raise PropertyFailure(f"fraction {frac} below {args.min_fraction}")
 
@@ -342,7 +345,7 @@ def cmd_gen_metric(args) -> None:
         if not args.base:
             raise CliError("snowflake needs --base METRIC_FILE")
         eps = float(args.type.split(":", 1)[1])
-        metric = snowflake(read_metric(args.base), eps)
+        metric = snowflake(read_metric(_existing(args.base, "metric")), eps)
     else:
         metric = parse_metric_arg(args.type, args.seed)
     write_metric(metric, args.out)

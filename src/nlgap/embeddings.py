@@ -13,7 +13,8 @@ from decimal import Decimal
 import numpy as np
 
 from .graphs import Graph, GraphError, bfs_distances, distance_matrix, is_connected
-from .metrics import _check_exponent, sup_distance_blocks
+from .metrics import _check_exponent, _cost_range_error, sup_distance_blocks
+from .poincare import cost_ratio, edge_lipschitz
 from .rng import derive_rng
 
 
@@ -104,12 +105,14 @@ def witness_certificate(g: Graph, log_n_points: float, q: float = 1.0) -> Witnes
     actual map.  Every edge cost is at most 1 by construction."""
     _check_exponent(q)
     grid, p = witness_map(g, log_n_points)
-    ave = sum(float(np.power(d.astype(np.float64), q).sum())
-              for d in sup_distance_blocks(grid.coords)) / (g.n * g.n)
+    with np.errstate(over="ignore"):
+        ave = sum(float(np.power(d.astype(np.float64), q).sum())
+                  for d in sup_distance_blocks(grid.coords)) / (g.n * g.n)
+    if ave == math.inf:
+        raise _cost_range_error(q)
     edge_costs = grid.edge_costs(g)
     dir_ = float(np.power(np.asarray(edge_costs, dtype=np.float64), q).mean())
-    ratio = math.inf if dir_ == 0 and ave > 0 else (ave / dir_ if dir_ > 0 else math.nan)
-    return WitnessReport(params=p, q=q, ave=ave, dirichlet=dir_, ratio=ratio,
+    return WitnessReport(params=p, q=q, ave=ave, dirichlet=dir_, ratio=cost_ratio(ave, dir_),
                          max_edge_cost=max(edge_costs))
 
 
@@ -129,20 +132,17 @@ def embedding_distortion(g: Graph, image_dist: np.ndarray) -> EmbeddingReport:
     """Distortion report of a map given its full image-distance matrix."""
     if not is_connected(g):
         raise GraphError("distortion is defined here for connected graphs")
+    if g.n < 2:
+        raise GraphError("distortion needs a graph with at least two vertices")
     gd = distance_matrix(g)
     img = np.asarray(image_dist, dtype=np.float64)
-    lip = max(float(img[u, v]) for u, v in g.edges)
+    lip = edge_lipschitz(g, img)
     mask = ~np.eye(g.n, dtype=bool)
     with np.errstate(divide="ignore"):
         ratios = img[mask] / gd[mask]
-    colip = float(ratios.min()) if g.n > 1 else 0.0
+    colip = float(ratios.min())
     distortion = lip / colip if colip > 0 else math.inf
     return EmbeddingReport(lip=lip, colip=colip, distortion=distortion, scale=colip)
-
-
-def vertex_map_image_distances(f) -> np.ndarray:
-    a = np.asarray(f.assignment)
-    return f.target.dist[a[:, None], a[None, :]]
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 from .graphs import Graph, cheeger_lower_bound
-from .io import csv_row
 from .metrics import FiniteMetric, _check_exponent, snowflake
 from .poincare import VertexMap, dirichlet, empirical_average, gamma_exact, is_concentrated
 
@@ -66,7 +65,8 @@ def nonconc_ell(d: int, h: float, q: float, tau: float) -> int:
     """The path-length parameter: sum of the two integer ceilings."""
     first_num = max(math.log2(1.0 / (2.0 * tau)), 0.0)
     first = math.ceil(first_num / math.log2(1.0 + h / d)) if first_num > 0 else 0
-    second = math.ceil(1.0 / math.log2(1.0 + h / (2.0 ** (2 * q + 4) * d)))
+    # 1 / log2(1 + x) through log1p: 1.0 + x rounds to 1 once x is below 2^-53
+    second = math.ceil(math.log(2.0) / math.log1p(h / (2.0 ** (2 * q + 4) * d)))
     return first + second
 
 
@@ -75,8 +75,8 @@ def nonconc_params(d: int, h: float, q: float, tau: float, c_r: float) -> NonCon
     if d < 3 or h <= 0 or q < 1 or not 0 < tau < 1:
         raise ValueError(f"domain: need d >= 3, h > 0, q >= 1, tau in (0,1); got {(d, h, q, tau)}")
     _check_exponent(q)
-    if c_r < 5.0 ** q:
-        raise ValueError(f"need C_R >= 5^q = {5.0 ** q}, got {c_r}")
+    if not 5.0 ** q <= c_r < math.inf:
+        raise ValueError(f"need finite C_R >= 5^q = {5.0 ** q}, got {c_r}")
     ell = nonconc_ell(d, h, q, tau)
     log_bound = math.log(30.0) + q * math.log(16.0) + (ell + 1) * math.log(d) \
         + (q + 1) * math.log(ell)
@@ -93,23 +93,20 @@ class NonConcVerdict:
     slack_log: float | None  # log(bound * dirichlet) - log(ave)
 
 
-def check_nonconcentrated(g: Graph, f: VertexMap, q: float, c_r: float, tau,
-                          h: float | None = None) -> NonConcVerdict:
+def check_nonconcentrated(g: Graph, f: VertexMap, q: float, c_r: float, tau) -> NonConcVerdict:
     """Assert ave <= bound * dirichlet for a non-concentrated map.
 
     Maps that are concentrated do not meet the hypothesis and get a
-    neutral verdict.  h defaults to the exact Cheeger constant for small
-    graphs and the spectral lower bound otherwise; a smaller h only
-    loosens the bound, so a pass stays sound.
+    neutral verdict.  h is the exact Cheeger constant for small graphs and
+    the spectral lower bound otherwise; a smaller h only loosens the
+    bound, so a pass stays sound.
     """
     d = g.regular_degree()
     if d is None:
         raise ValueError("the bound applies to regular graphs")
     if not 1.0 / g.n < float(tau) < 1.0:
         raise ValueError(f"need tau in (1/n, 1), got {tau}")
-    if h is None:
-        h = cheeger_lower_bound(g)
-    params = nonconc_params(d, h, q, float(tau), c_r)
+    params = nonconc_params(d, cheeger_lower_bound(g), q, float(tau), c_r)
     if is_concentrated(f, c_r, q, tau):
         return NonConcVerdict(False, params, math.nan, math.nan, None, None)
     ave = empirical_average(f, q)
@@ -174,8 +171,8 @@ def verdict_from_gammas(gamma_p: float, gamma_q: float, consts: ExtrapolationCon
                                 reduction_derived=reduction_derived)
 
 
-def check_extrapolation(g: Graph, metric: FiniteMetric, p: float, q: float,
-                        h: float | None = None) -> ExtrapolationVerdict:
+def check_extrapolation(g: Graph, metric: FiniteMetric, p: float,
+                        q: float) -> ExtrapolationVerdict:
     """Evaluate both comparison inequalities on exact optimal ratios.
 
     Exponents 1 <= p <= q run directly.  p < 1 is handled only through the
@@ -189,34 +186,14 @@ def check_extrapolation(g: Graph, metric: FiniteMetric, p: float, q: float,
     d = g.regular_degree()
     if d is None:
         raise ValueError("extrapolation check requires a regular graph")
-    if h is None:
-        h = cheeger_lower_bound(g)
+    h = cheeger_lower_bound(g)
     if h <= 0:
         raise ValueError("the comparison requires a positive Cheeger constant")
     if metric.size < 2:
         raise ValueError("the comparison needs a target with at least two points")
-    if p < 1:
-        eps = 1.0 - p
-        reduced = snowflake(metric, eps)
-        gamma_p = gamma_exact(g, reduced, 1.0).gamma
-        gamma_q = gamma_exact(g, reduced, q / p).gamma
-        consts = constants(d, h, 1.0, q / p)
-        v = verdict_from_gammas(gamma_p, gamma_q, consts, reduction_derived=True)
-        # re-attach the caller's exponents for reporting
-        return replace(v, p=p, q=q)
-    gamma_p = gamma_exact(g, metric, p).gamma
-    gamma_q = gamma_exact(g, metric, q).gamma
-    consts = constants(d, h, p, q)
-    return verdict_from_gammas(gamma_p, gamma_q, consts)
-
-
-VERDICT_CSV_HEADER = ("instance,p,q,gamma_p,gamma_q,log_c1,log_c2,log_c3,log_c4,"
-                      "lhs1_log,rhs1_log,lhs2_log,rhs2_log,pass,slack1_log,slack2_log")
-
-
-def verdict_csv_row(instance: str, v: ExtrapolationVerdict) -> str:
-    c = v.consts
-    return csv_row(instance, float(v.p), float(v.q), v.gamma_p, v.gamma_q,
-                   c.log_c1, c.log_c2, c.log_c3, c.log_c4,
-                   v.lhs1_log, v.rhs1_log, v.lhs2_log, v.rhs2_log,
-                   v.passed, v.slack1_log, v.slack2_log)
+    target, p_run, q_run = (snowflake(metric, 1.0 - p), 1.0, q / p) if p < 1 else (metric, p, q)
+    v = verdict_from_gammas(gamma_exact(g, target, p_run).gamma,
+                            gamma_exact(g, target, q_run).gamma,
+                            constants(d, h, p_run, q_run), reduction_derived=p < 1)
+    # the caller's exponents, for reporting
+    return replace(v, p=p, q=q)

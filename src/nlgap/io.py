@@ -12,7 +12,7 @@ import numpy as np
 
 from .graphs import Graph, graph_from_edges
 from .metrics import FiniteMetric, validate
-from .poincare import GammaReport, VertexMap
+from .poincare import VertexMap
 
 
 def fmt(x) -> str:
@@ -117,15 +117,6 @@ def read_map(path, metric: FiniteMetric) -> VertexMap:
 
 # ---------------------------------------------------------------- reports
 
-GAMMA_CSV_HEADER = "n,d,N,q,ave,dirichlet,ratio,Qtau,concentrated"
-
-
-def gamma_report_csv_row(g: Graph, report: GammaReport, n_points: int) -> str:
-    return csv_row(g.n, g.regular_degree(), n_points, report.q, report.ave,
-                   report.dirichlet, report.ratio, report.quantile_tau,
-                   report.concentrated)
-
-
 @dataclass
 class CsvDocument:
     """Header comments (config echo, version, wall time) plus a deterministic
@@ -136,12 +127,10 @@ class CsvDocument:
     header: str
     rows: list[str]
 
-    def render(self, walltime: float | None = None) -> str:
-        if walltime is None:
-            walltime = time.time()
+    def render(self) -> str:
         out = [f"# config: {self.config_echo}",
                f"# version: {self.version}",
-               f"# walltime: {walltime:.3f}",
+               f"# walltime: {time.time():.3f}",
                self.header]
         out.extend(self.rows)
         return "\n".join(out) + "\n"

@@ -57,10 +57,20 @@ def _check_exponent(q: float) -> None:
                           f"beyond which 5^q overflows, got {q}")
 
 
+def _cost_range_error(q: float) -> MetricError:
+    return MetricError("exponent", (q,), f"at cost exponent q = {q} a positive distance "
+                       "raised to q underflows to 0 or overflows to inf")
+
+
 def cost_matrix(metric: FiniteMetric, q: float) -> np.ndarray:
-    """Elementwise q-th power of the distances; for q > 1 this is not a metric."""
+    """Elementwise q-th power of the distances; for q > 1 this is not a metric.
+    Refuses a q at which an off-diagonal cost is 0 or inf."""
     _check_exponent(q)
-    return np.power(metric.dist, q)
+    with np.errstate(over="ignore"):
+        costs = np.power(metric.dist, q)
+    if np.count_nonzero(costs) != metric.size * (metric.size - 1) or np.isinf(costs).any():
+        raise _cost_range_error(q)
+    return costs
 
 
 _SUP_BLOCK = 1 << 22   # elements of the difference array behind one row block
@@ -81,7 +91,7 @@ def sup_distance_blocks(coords: np.ndarray):
         yield block
 
 
-def validate(dist, labels=None, tol: float | None = None) -> FiniteMetric:
+def validate(dist, labels=None) -> FiniteMetric:
     """Check the metric axioms and wrap the matrix.
 
     Raises MetricError naming the first violated axiom (asymmetry, negative
@@ -110,8 +120,7 @@ def validate(dist, labels=None, tol: float | None = None) -> FiniteMetric:
     if bad.size:
         i, j = map(int, bad[0])
         raise MetricError("zero-off-diagonal", (i, j), f"dist[{i},{j}] = 0 for i != j")
-    if tol is None:
-        tol = 1e-12 * (float(a.max()) if n > 1 else 0.0)
+    tol = 1e-12 * (float(a.max()) if n > 1 else 0.0)
     for j in range(n):
         slack = a - (a[:, j:j + 1] + a[j:j + 1, :])
         bad = np.argwhere(slack > tol)
@@ -156,17 +165,16 @@ def path_metric(g: Graph) -> FiniteMetric:
     return validate(distance_matrix(g).astype(np.float64))
 
 
-def linf_grid(k: int, s: int, point_cap: int = 10 ** 3) -> FiniteMetric:
-    """Sup-norm metric on the integer grid {-k,..,k}^s, with coordinate labels.
+_GRID_POINT_CAP = 10 ** 3  # linf_grid's dense matrix is validated in O(N^3)
 
-    Stores the full dense matrix and validates it in O(N^3), so point_cap
-    bounds the point count N = (2k+1)^s.
-    """
+
+def linf_grid(k: int, s: int) -> FiniteMetric:
+    """Sup-norm metric on the integer grid {-k,..,k}^s, with coordinate labels."""
     if k < 0 or s < 1:
         raise MetricError("parameters", (k, s), "need k >= 0 and s >= 1")
     count = (2 * k + 1) ** s
-    if count > point_cap:
-        raise MetricError("cap", (count,), f"(2k+1)^s = {count} exceeds cap {point_cap}")
+    if count > _GRID_POINT_CAP:
+        raise MetricError("cap", (count,), f"(2k+1)^s = {count} exceeds cap {_GRID_POINT_CAP}")
     pts = np.array(list(itertools.product(range(-k, k + 1), repeat=s)), dtype=np.int64)
     dist = np.concatenate(list(sup_distance_blocks(pts))).astype(np.float64)
     return validate(dist, labels=[tuple(p) for p in pts])

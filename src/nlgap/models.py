@@ -205,26 +205,17 @@ def equitable_decomposition(g: Graph, w, m: int, d: int | None = None) -> Decomp
         under = [i for i, s in enumerate(sizes) if s < lo]
         if not over and not under:
             break
-        donors = sorted(range(n_parts), key=lambda i: -sizes[i])
-        moved = False
+        # the first conflict-free move, taking donors above lo largest first
+        donors = sorted((i for i in range(n_parts) if sizes[i] > lo), key=lambda i: -sizes[i])
         targets = under if under else [i for i, s in enumerate(sizes) if s < hi]
-        for src in donors:
-            if sizes[src] <= lo:
-                break
-            for v in sorted(parts[src]):
-                for dst in targets:
-                    if dst != src and not (conflicts[v] & parts[dst]):
-                        parts[src].remove(v)
-                        parts[dst].add(v)
-                        swaps += 1
-                        moved = True
-                        break
-                if moved:
-                    break
-            if moved:
-                break
-        if not moved:
+        move = next(((src, v, dst) for src in donors for v in sorted(parts[src])
+                     for dst in targets if dst != src and not conflicts[v] & parts[dst]), None)
+        if move is None:
             break
+        src, v, dst = move
+        parts[src].remove(v)
+        parts[dst].add(v)
+        swaps += 1
     sizes = [len(p) for p in parts]
     equitable = all(lo <= s <= hi for s in sizes)
     return Decomposition(parts=tuple(tuple(sorted(p)) for p in parts), m=m,
@@ -312,15 +303,12 @@ class MatchingMCResult:
 
 
 def matching_avoidance_mc(ell: int, y_pairs, c: float, trials: int, seed: int,
-                          eps: float | None = None) -> MatchingMCResult:
+                          eps: float) -> MatchingMCResult:
     """Estimate the probability that a uniform matching of [ell] meets the
     pair set Y at most c*ell/2 times, alongside the analytic bound."""
     check_matching_ell(ell)
     y = {tuple(sorted(p)) for p in y_pairs}
     full = ell * (ell - 1) // 2
-    if eps is None:
-        eps = 1.0 - len(y) / full
-        eps = max(eps, 1e-12)
     if len(y) < (1.0 - eps) * full - 1e-9:
         raise GraphError(f"|Y| = {len(y)} below (1-eps) * C(ell,2) = {(1 - eps) * full}")
     if not 0 < c <= eps <= 0.5:
@@ -461,7 +449,7 @@ class TypicalSetsRow:
 
 
 def typical_sets_experiment(n: int, d: int, big_k: float, m: int, trials: int,
-                            seed: int, j_pairs=()) -> list[TypicalSetsRow]:
+                            seed: int) -> list[TypicalSetsRow]:
     """Diagnostic frequencies of the three typical-set events at the
     parameterization ell0 = floor(dn/(K m)), k0 = floor(K n / (d-1)^m).
 
@@ -493,7 +481,7 @@ def typical_sets_experiment(n: int, d: int, big_k: float, m: int, trials: int,
         gen = derive_rng(seed, "typical-ra", t)
         seed_set = sorted(int(x) for x in gen.choice(n, size=k0, replace=False))
         rank = tuple(int(r) for r in gen.permutation(k0))
-        v_set, v_prime, v_dprime = typical_vertex_sets(draw, m, seed_set, rank, j_pairs)
+        v_set, v_prime, v_dprime = typical_vertex_sets(draw, m, seed_set, rank, ())
         f1 = len(v_set) >= 2 * ell0 * (1 - 5 / big_k ** 0.25)
         f2 = len(v_prime) >= (d - 1) / d * (1 - 1 / big_k ** (1 / 7)) * len(v_set)
         f3 = len(v_dprime) >= (1 - 2 / big_k ** (1 / 3)) * len(v_set)
@@ -507,8 +495,11 @@ def typical_sets_experiment(n: int, d: int, big_k: float, m: int, trials: int,
 # invariance of pair-set generators
 # ----------------------------------------------------------------------
 
-def is_invariant_generator(generator, u: Graph, seed: int, samples: int = 20) -> bool:
-    """Check L(U, pi) = pi(L(U, id)) on sampled permutations.
+_INVARIANCE_SAMPLES = 20
+
+
+def is_invariant_generator(generator, u: Graph, seed: int) -> bool:
+    """Check L(U, pi) = pi(L(U, id)) on _INVARIANCE_SAMPLES sampled permutations.
 
     generator(u, pi) must return a set of vertex pairs; pi is a tuple with
     pi[v] the new label of v.
@@ -516,7 +507,7 @@ def is_invariant_generator(generator, u: Graph, seed: int, samples: int = 20) ->
     identity = tuple(range(u.n))
     base = {tuple(sorted(p)) for p in generator(u, identity)}
     gen = derive_rng(seed, "invariance")
-    for _ in range(samples):
+    for _ in range(_INVARIANCE_SAMPLES):
         pi = tuple(int(x) for x in gen.permutation(u.n))
         lhs = {tuple(sorted(p)) for p in generator(u, pi)}
         rhs = {tuple(sorted((pi[a], pi[b]))) for a, b in base}

@@ -46,6 +46,11 @@ class VertexMap:
     def point_counts(self) -> np.ndarray:
         return np.bincount(np.asarray(self.assignment), minlength=self.target.size)
 
+    def image_distances(self) -> np.ndarray:
+        """The n x n matrix of distances between the images of vertex pairs."""
+        a = np.asarray(self.assignment)
+        return self.target.dist[a[:, None], a[None, :]]
+
 
 @dataclass(frozen=True)
 class GammaReport:
@@ -81,29 +86,19 @@ def empirical_average(f: VertexMap, q: float) -> float:
 def empirical_quantile(f: VertexMap, tau) -> float:
     """Smallest threshold t whose sublevel pair count reaches tau * n^2.
 
-    Realized as the infimum over t > 0, so when pairs at distance zero
-    already reach the mass the answer is 0 even though no positive t is
-    the minimizer.
+    Level 0 counts the ordered pairs that share a point, since validate
+    refuses zero distances off the diagonal; when those already reach the
+    mass the answer is 0, the infimum over t > 0.
     """
     if not 0 < tau < 1:
         raise ValueError("quantile level must lie in (0,1)")
-    n = f.n
-    nsq = n * n
     cnt = f.point_counts()
-    count = int((cnt.astype(np.int64) ** 2).sum())  # ordered pairs at distance 0
-    if _meets(count, tau, nsq):
-        return 0.0
-    dist = f.target.dist
-    order = []
-    for v in np.unique(dist):
-        if v > 0:
-            order.append(float(v))
-    for t in order:
-        mask = (dist > 0) & (dist <= t)
-        count_at = count + int(cnt @ mask.astype(np.int64) @ cnt)
-        if _meets(count_at, tau, nsq):
-            return t
-    raise AssertionError("unreachable: total pair count always reaches tau * n^2")
+    levels = np.unique(f.target.dist)
+    at_level = np.bincount(np.searchsorted(levels, f.target.dist).ravel(),
+                           weights=np.outer(cnt, cnt).ravel(), minlength=len(levels))
+    # the top level holds every pair, so some level meets tau < 1
+    within = np.cumsum(at_level.astype(np.int64)).tolist()
+    return next(float(t) for t, c in zip(levels, within) if _meets(c, tau, f.n * f.n))
 
 
 def is_concentrated(f: VertexMap, k_const: float, q: float, tau) -> bool:
@@ -124,23 +119,30 @@ def dirichlet(g: Graph, f: VertexMap, q: float) -> float:
     return float(sum(costs[a[u], a[v]] for u, v in g.edges)) / g.m
 
 
+def cost_ratio(ave: float, dirichlet: float) -> float:
+    """ave / dirichlet: inf when only the Dirichlet form is 0, nan when both are."""
+    if dirichlet > 0:
+        return ave / dirichlet
+    return math.inf if ave > 0 else math.nan
+
+
 def gamma_of_map(g: Graph, f: VertexMap, q: float) -> GammaReport:
-    """Full statistics report for one map; ratio conventions:
-    inf when only the edge sum vanishes, degenerate when both vanish."""
+    """Full statistics report for one map; the ratio follows cost_ratio,
+    and the map is degenerate when both sums vanish."""
     ave = empirical_average(f, q)
     dir_ = dirichlet(g, f, q)
-    if dir_ > 0:
-        ratio, degenerate = ave / dir_, False
-    elif ave > 0:
-        ratio, degenerate = math.inf, False
-    else:
-        ratio, degenerate = math.nan, True
     concentration_k = 5.0 ** q
     quant = empirical_quantile(f, Fraction(1, 2))
     conc = ave <= concentration_k * quant ** q
-    return GammaReport(q=q, ave=ave, dirichlet=dir_, ratio=ratio, degenerate=degenerate,
-                       quantile_tau=quant, tau=0.5, concentration_k=concentration_k,
-                       concentrated=conc)
+    return GammaReport(q=q, ave=ave, dirichlet=dir_, ratio=cost_ratio(ave, dir_),
+                       degenerate=ave == 0 and dir_ == 0, quantile_tau=quant, tau=0.5,
+                       concentration_k=concentration_k, concentrated=conc)
+
+
+def edge_lipschitz(g: Graph, img: np.ndarray) -> float:
+    """Largest entry of the image-distance matrix img across an edge of g."""
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    return float(img[ends[:, 0], ends[:, 1]].max())
 
 
 # ----------------------------------------------------------------------
@@ -150,6 +152,9 @@ def gamma_of_map(g: Graph, f: VertexMap, q: float) -> GammaReport:
 # maps per block: the low block holds the last b vertices, the most with
 # N^b <= _BLOCK_MAPS, so b depends only on (n, N)
 _BLOCK_MAPS = 1 << 14
+# the largest map universes gamma_exact and enumerate_map_statistics exhaust
+_EXACT_CAP = 10 ** 8
+_STATISTICS_CAP = 10 ** 7
 
 
 @lru_cache(maxsize=32)
@@ -224,8 +229,7 @@ class GammaExactResult:
     maps_evaluated: int
 
 
-def gamma_exact(g: Graph, metric: FiniteMetric, q: float,
-                cap: int = 10 ** 8) -> GammaExactResult:
+def gamma_exact(g: Graph, metric: FiniteMetric, q: float) -> GammaExactResult:
     """Supremum of ave/dirichlet over all non-degenerate maps, by exhaustion.
 
     Degenerate 0/0 maps (constant per component) impose no constraint and
@@ -236,9 +240,9 @@ def gamma_exact(g: Graph, metric: FiniteMetric, q: float,
         raise ValueError("gamma_exact requires a connected graph")
     n, n_points = g.n, metric.size
     total = n_points ** n
-    if total > cap:
+    if total > _EXACT_CAP:
         raise CapExceeded(
-            f"{n_points}^{n} = {total} maps exceeds the exhaustive cap {cap}; "
+            f"{n_points}^{n} = {total} maps exceeds the exhaustive cap {_EXACT_CAP}; "
             "use gamma_lower_search instead"
         )
     costs = cost_matrix(metric, q)
@@ -399,11 +403,9 @@ def average_distortion(g: Graph, f: VertexMap) -> AverageDistortionReport:
         raise ValueError("average distortion requires a connected graph")
     if f.is_constant():
         raise ValueError("constant maps have no average distortion")
-    gd = distance_matrix(g)
-    a = np.asarray(f.assignment)
-    img = f.target.dist[a[:, None], a[None, :]]
-    ratio = float(img.sum()) / float(gd.sum())
-    lip = max(float(f.target.dist[f.assignment[u], f.assignment[v]]) for u, v in g.edges)
+    img = f.image_distances()
+    ratio = float(img.sum()) / float(distance_matrix(g).sum())
+    lip = edge_lipschitz(g, img)
     return AverageDistortionReport(ratio=ratio, edge_lipschitz=lip,
                                    distortion_lower=lip / ratio)
 
@@ -429,16 +431,16 @@ class MapStatistics:
 
 
 def enumerate_map_statistics(g: Graph, metric: FiniteMetric, qs,
-                             taus=(Fraction(1, 2),), cap: int = 10 ** 7) -> MapStatistics:
+                             taus=(Fraction(1, 2),)) -> MapStatistics:
     """ave, dirichlet and quantiles for every map of g into the metric.
 
-    Intended for small universes (N^n <= cap); the acceptance suite runs
+    Intended for small universes (N^n <= 10^7); the acceptance suite runs
     its exhaustive inequality checks on top of these arrays.
     """
     n, n_points = g.n, metric.size
     total = n_points ** n
-    if total > cap:
-        raise CapExceeded(f"{total} maps exceed bulk-statistics cap {cap}")
+    if total > _STATISTICS_CAP:
+        raise CapExceeded(f"{total} maps exceed bulk-statistics cap {_STATISTICS_CAP}")
     qs, taus = tuple(qs), tuple(taus)
     if any(not 0 < tau < 1 for tau in taus):
         raise ValueError("quantile level must lie in (0,1)")

@@ -176,6 +176,39 @@ class TestCleanErrorExits:
                          "--map", str(fpath)]) == 1
         assert "one line for each vertex" in capsys.readouterr().err
 
+    def test_distort_rejects_single_vertex(self, tmp_path, capsys):
+        fpath = tmp_path / "f.txt"
+        fpath.write_text("1\n0 0\n")
+        assert cli.main(["distort", "--gen", "complete:1", "--metric", "uniform:2",
+                         "--map", str(fpath)]) == 1
+        assert (capsys.readouterr().err
+                == "error: distortion needs a graph with at least two vertices\n")
+
+    def test_snowflake_base_not_found(self, tmp_path, capsys):
+        missing = tmp_path / "none.txt"
+        assert cli.main(["gen-metric", "--type", "snowflake:0.5", "--base", str(missing),
+                         "--out", str(tmp_path / "s.txt")]) == 1
+        assert capsys.readouterr().err == f"error: metric file not found: {missing}\n"
+
+    @pytest.mark.parametrize("distance", ["1e10", "1e-10"])
+    def test_gamma_refuses_costs_out_of_float_range(self, distance, tmp_path):
+        # 1e10^40 overflows and 1e-10^40 underflows; both once read "degenerate"
+        mpath = tmp_path / "m.txt"
+        mpath.write_text(f"2\n0 {distance}\n{distance} 0\n")
+        res = run_cli("gamma", "--gen", "cycle:4", "--metric", str(mpath), "--q", "40")
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr == ("error: at cost exponent q = 40.0 a positive distance raised "
+                              "to q underflows to 0 or overflows to inf\n")
+
+    def test_nonconc_at_large_q(self, tmp_path, capsys):
+        # 1.0 + h / (2^64 d) rounds to 1, where ell once divided by zero
+        fpath = tmp_path / "f.map"
+        fpath.write_text("6\n0 0\n1 0\n2 1\n3 1\n4 0\n5 1\n")
+        assert cli.main(["nonconc", "--gen", "regular:6,3", "--metric", "uniform:2",
+                         "--map", str(fpath), "--q", "30", "--cr", "1e300"]) == 0
+        row = body_of(capsys.readouterr().out).splitlines()[-1]
+        assert row.startswith("1,38358925935607971840,")
+
     def test_distort_rejects_empty_map(self, tmp_path, capsys):
         fpath = tmp_path / "f.txt"
         fpath.write_text("")
@@ -239,6 +272,20 @@ class TestInputDomainExits:
          "cost exponent must be at most 441"),
         (("gamma", "--gen", "cycle:4", "--metric", "uniform:2", "--q", "1e300"),
          "cost exponent must be at most 441"),
+        (("witness", "--gen", "regular:64,3", "--q", "441", "--N", "10^1000"),
+         "at cost exponent q = 441.0"),
+        (("model", "--lemma", "dist-eq", "--p-threshold", "nan"),
+         "--p-threshold must lie in [0, 1]"),
+        (("model", "--lemma", "dist-eq", "--p-threshold", "1.5"),
+         "--p-threshold must lie in [0, 1]"),
+        (("nonconc", "--gen", "complete:4", "--metric", "uniform:2", "--map", "unused.map",
+          "--cr", "nan"), "--cr must be finite"),
+        (("nonconc", "--gen", "complete:4", "--metric", "uniform:2", "--map", "unused.map",
+          "--cr", "inf"), "--cr must be finite"),
+        (("nonconc", "--gen", "complete:4", "--metric", "uniform:2", "--map", "unused.map",
+          "--tau", "nan"), "--tau must be finite"),
+        (("nonconc", "--gen", "complete:4", "--metric", "uniform:2", "--map", "unused.map"),
+         "map file not found: unused.map"),
     ])
     def test_exit_one(self, argv, fragment, capsys):
         assert cli.main(list(argv)) == 1
@@ -291,6 +338,43 @@ class TestWitnessSvg:
         assert first.startswith("<svg")
 
 
+class TestReportHeaders:
+    """The CSV header line of every report layout."""
+
+    @pytest.mark.parametrize("argv,header", [
+        (("gamma", "--gen", "cycle:4", "--metric", "uniform:2"),
+         "n,d,N,q,ave,dirichlet,ratio,Qtau,concentrated"),
+        (("extrapolate", "--gen", "complete:4", "--metric", "uniform:2"),
+         "instance,p,q,gamma_p,gamma_q,log_c1,log_c2,log_c3,log_c4,"
+         "lhs1_log,rhs1_log,lhs2_log,rhs2_log,pass,slack1_log,slack2_log"),
+        (("nonconc", "--gen", "complete:4", "--metric", "uniform:2", "--map", "MAP"),
+         "hypothesis_met,ell,log_bound,ave,dirichlet,holds,slack_log"),
+        (("witness", "--gen", "complete:4", "--N", "10^10"),
+         "n,d,k,s,s0,r0,q,ave,dirichlet,ratio,max_edge_cost"),
+        (("jls-embed", "--gen", "cycle:16", "--seed", "11"),
+         "n,attempts,success,lip,colip,distortion,coords,log_space_size"),
+        (("distort", "--gen", "complete:4", "--metric", "uniform:2", "--map", "MAP"),
+         "lip,colip,distortion,scale"),
+        (("model", "--lemma", "matchings", "--l", "8", "--eps", "0.3", "--trials", "10"),
+         "ell,eps,c,trials,empirical,analytic_bound"),
+        (("model", "--lemma", "restriction", "--n", "20", "--k", "5", "--trials", "10"),
+         "eps,k,trials,frequency,bound,hypothesis_met"),
+        (("model", "--lemma", "dist-eq", "--n", "4", "--l", "6", "--trials", "10"),
+         "n,d,ell,trials,cells,chi2,p_value"),
+        (("model", "--lemma", "typical", "--n", "120", "--bigk", "6", "--m", "3",
+          "--trials", "1"), "trial,v,v_prime,v_dprime,ell0,k0,f1,f2,f3"),
+        (("spectra", "--gen-regular", "20,3", "--trials", "1"), "trial,lambda2,below_threshold"),
+    ])
+    def test_header_line(self, argv, header, tmp_path):
+        fpath, out = tmp_path / "f.map", tmp_path / "out.csv"
+        fpath.write_text("4\n0 0\n1 0\n2 1\n3 1\n")
+        assert cli.main([str(fpath) if a == "MAP" else a for a in argv] + ["--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(":")[0] for line in lines[:3]] == ["# config", "# version",
+                                                             "# walltime"]
+        assert lines[3] == header
+
+
 class TestCommittedResults:
     """The committed results/ files are reproduced by the README commands;
     a short prefix of each run must match them line for line."""
@@ -312,3 +396,9 @@ class TestCommittedResults:
                             "--seed", "3")
         committed = body_of((RESULTS / "witness_growth.csv").read_text()).splitlines()
         assert got == [committed[0]] + [r for r in committed[1:] if r.startswith("64,")]
+
+    def test_model_diagnostics_prefix(self, tmp_path):
+        got = self.run_main(tmp_path, "model", "--lemma", "typical", "--n", "2000",
+                            "--bigk", "20", "--m", "4", "--trials", "2", "--seed", "5")
+        committed = body_of((RESULTS / "model_diagnostics.csv").read_text()).splitlines()
+        assert got[:3] == committed[:3]  # header and trials 0..1

@@ -6,8 +6,8 @@ import pytest
 
 from nlgap.embeddings import (GridMap, embedding_distortion, default_delta,
                               grid_embedding_width, jls_embedding, trunc,
-                              universal_space_size, vertex_map_image_distances,
-                              witness_certificate, witness_map, witness_params)
+                              universal_space_size, witness_certificate, witness_map,
+                              witness_params)
 from nlgap.graphs import (bfs_distances, complete_graph, cycle_graph, diameter,
                           distance_matrix, graph_from_edges, multi_source_distances,
                           path_graph, petersen_graph, random_connected_regular)
@@ -84,6 +84,13 @@ class TestWitnessMap:
         with pytest.raises(MetricError, match="cost exponent"):
             witness_certificate(complete_graph(4), math.log(1e9), q=q)
 
+    def test_certificate_refuses_overflowing_costs(self):
+        # N = 10^1000 gives k = 7, so sup distances up to 14, and 14^441 overflows
+        g = random_connected_regular(64, 3, seed=1)
+        assert math.isfinite(witness_certificate(g, math.log(10.0) * 1000, q=100).ratio)
+        with pytest.raises(MetricError, match="q = 441"):
+            witness_certificate(g, math.log(10.0) * 1000, q=441)
+
     def test_growth_trend(self):
         log_n_points = math.log(10.0) * 100
         medians = []
@@ -120,22 +127,27 @@ class TestDistortion:
         for name in ("P5", "C6", "K4", "petersen"):
             g = corpus[name]
             f = VertexMap(path_metric(g), tuple(range(g.n)))
-            r = embedding_distortion(g, vertex_map_image_distances(f))
+            r = embedding_distortion(g, f.image_distances())
             assert r.distortion == pytest.approx(1.0)
             assert r.scale == pytest.approx(1.0)
 
     def test_collapsed_pair_infinite(self):
         g = cycle_graph(4)
         f = VertexMap(uniform_metric(2), (0, 1, 0, 1))
-        r = embedding_distortion(g, vertex_map_image_distances(f))
+        r = embedding_distortion(g, f.image_distances())
         assert math.isinf(r.distortion)
         assert r.colip == 0.0
+
+    def test_single_vertex_refused(self):
+        from nlgap.graphs import GraphError
+        with pytest.raises(GraphError, match="at least two vertices"):
+            embedding_distortion(complete_graph(1), np.zeros((1, 1)))
 
     def test_c6_folding_matches_pair_scan(self):
         g = cycle_graph(6)
         line = path_metric(path_graph(4))
         f = VertexMap(line, tuple(min(v, 6 - v) for v in range(6)))
-        img = vertex_map_image_distances(f)
+        img = f.image_distances()
         r = embedding_distortion(g, img)
         gd = distance_matrix(g)
         lip = max(img[u, v] for u, v in g.edges)
@@ -279,7 +291,7 @@ class TestDistortionGammaConsistency:
         mean_dist = gd.sum() / (g.n * g.n)
         for _ in range(40):
             f = VertexMap(m, tuple(int(x) for x in gen.integers(0, 5, size=8)))
-            img = vertex_map_image_distances(f)
+            img = f.image_distances()
             r = embedding_distortion(g, img)
             assert empirical_average(f, 1) >= r.colip * mean_dist - 1e-9
             assert dirichlet(g, f, 1) <= r.lip + 1e-9

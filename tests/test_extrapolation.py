@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ from nlgap.extrapolation import (check_extrapolation,
                                  check_nonconcentrated, constants, nonconc_ell,
                                  nonconc_params, one_sided_gamma,
                                  verdict_from_gammas)
-from nlgap.graphs import cheeger_exact, complete_graph
+from nlgap.graphs import (cheeger_exact, cheeger_lower_bound, complete_graph, prism_graph,
+                          random_connected_regular)
 from nlgap.metrics import random_euclidean_metric, snowflake, uniform_metric
 from nlgap.poincare import (VertexMap, dirichlet, empirical_average, gamma_exact,
                             gamma_of_map)
@@ -70,13 +72,25 @@ class TestNonConcParams:
         for _ in range(50):
             d = int(rng.integers(3, 7))
             h = Fraction(int(rng.integers(1, 12)), int(rng.integers(1, 6)))
-            q = int(rng.integers(1, 4))
+            q = int(rng.integers(1, 13))
             tau = Fraction(int(rng.integers(1, 9)), 10)
             first_arg = sympy.Max(sympy.log(1 / (2 * sympy.Rational(tau)), 2), 0)
             first = sympy.ceiling(first_arg / sympy.log(1 + sympy.Rational(h) / d, 2))
             second = sympy.ceiling(
                 1 / sympy.log(1 + sympy.Rational(h) / (2 ** (2 * q + 4) * d), 2))
-            assert nonconc_ell(d, float(h), q, float(tau)) == int(first + second)
+            assert nonconc_ell(d, float(h), q, float(tau)) == int(first + second), (d, h, q, tau)
+
+    @pytest.mark.parametrize("q", [26, 30, 441])
+    def test_finite_where_one_plus_x_rounds_to_one(self, q):
+        # h / (2^(2q+4) d) is below 2^-53 here, so log2(1.0 + x) was 0
+        ell = nonconc_ell(3, 0.1, q, 0.5)
+        assert ell > 2.0 ** (2 * q + 4)
+        assert math.isfinite(nonconc_params(3, 0.1, q, 0.5, 5.0 ** q).log_bound)
+
+    @pytest.mark.parametrize("c_r", [math.nan, math.inf])
+    def test_cr_must_be_finite(self, c_r):
+        with pytest.raises(ValueError, match="finite C_R"):
+            nonconc_params(3, 1.0, 1, 0.5, c_r)
 
 
 class TestCheckNonConcentrated:
@@ -173,6 +187,36 @@ class TestCheckExtrapolation:
                 lhs2 = math.log(g_base)
                 rhs2 = max(c.log_c3, c.log_c4 + math.log(g_flake) / (1.0 - eps))
                 assert lhs2 <= rhs2
+
+
+def extrapolation_reference(g, metric, p, q):
+    """check_extrapolation as it was, with one branch per route."""
+    d = g.regular_degree()
+    h = cheeger_lower_bound(g)
+    if p < 1:
+        reduced = snowflake(metric, 1.0 - p)
+        gamma_p = gamma_exact(g, reduced, 1.0).gamma
+        gamma_q = gamma_exact(g, reduced, q / p).gamma
+        v = verdict_from_gammas(gamma_p, gamma_q, constants(d, h, 1.0, q / p),
+                                reduction_derived=True)
+        return replace(v, p=p, q=q)
+    gamma_p = gamma_exact(g, metric, p).gamma
+    gamma_q = gamma_exact(g, metric, q).gamma
+    return verdict_from_gammas(gamma_p, gamma_q, constants(d, h, p, q))
+
+
+class TestExtrapolationAgainstReference:
+    def test_both_routes(self):
+        graphs = [complete_graph(4), prism_graph(), random_connected_regular(6, 3, seed=2)]
+        metrics = [uniform_metric(2), uniform_metric(3), random_euclidean_metric(3, seed=4)]
+        exponents = [(0.25, 0.5), (0.5, 1.0), (0.5, 2), (0.8, 3.0), (1, 1), (1, 2), (2, 3),
+                     (1.5, 2.5)]
+        for g in graphs:
+            for metric in metrics:
+                for p, q in exponents:
+                    v = check_extrapolation(g, metric, p, q)
+                    assert v == extrapolation_reference(g, metric, p, q), (g.n, p, q)
+                    assert (v.p, v.q, v.reduction_derived) == (p, q, p < 1)
 
 
 class TestVerdictFromGammas:

@@ -116,8 +116,11 @@ class TestGridAndUniform:
         assert m.diam() == 2
 
     def test_grid_cap(self):
-        with pytest.raises(MetricError):
-            linf_grid(10, 10, point_cap=10 ** 6)
+        # 33^2 = 1089 is the smallest point count of a plane grid above the cap
+        with pytest.raises(MetricError, match="1089 exceeds cap 1000"):
+            linf_grid(16, 2)
+        with pytest.raises(MetricError, match="exceeds cap 1000"):
+            linf_grid(10, 10)
 
     def test_grid_default_cap(self):
         # 3^7 points would take minutes in validate's O(N^3) triangle scan
@@ -186,6 +189,17 @@ class TestCostMatrix:
             cp = cost_matrix(scaled, p)
             cq = cost_matrix(scaled, q)
             assert (cq <= cp + 1e-12).all()
+
+    @pytest.mark.parametrize("distance", [1e10, 1e-10])
+    def test_overflow_and_underflow_refused(self, distance):
+        m = validate([[0, distance], [distance, 0]])
+        assert cost_matrix(m, 20)[0, 1] == distance ** 20
+        with pytest.raises(MetricError, match="q = 40 "):
+            cost_matrix(m, 40)
+
+    def test_subnormal_cost_kept(self):
+        m = validate([[0, 1e-10], [1e-10, 0]])
+        assert 0 < cost_matrix(m, 31)[0, 1] < 1e-300
 
 
 class TestReduction:

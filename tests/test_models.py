@@ -75,6 +75,61 @@ def assign_reference(g, m, seeds_by_priority):
     return out
 
 
+def decomposition_reference(g, w, m):
+    """equitable_decomposition as it was, with its balancing loop of three
+    nested loops and moved flags."""
+    w = sorted(set(int(v) for v in w))
+    d = max((g.degree(v) for v in range(g.n)), default=0)
+    big_m = models.part_degree_bound(d, m)
+    n_parts = big_m + 1
+    swap_cap = 10 * max(1, len(w)) * n_parts
+    conflicts = {v: set() for v in w}
+    for v in w:
+        row = bfs_distances(g, v, 2 * m)
+        for u in w:
+            if u != v and row[u] <= 2 * m:
+                conflicts[v].add(u)
+    color = {}
+    parts = [set() for _ in range(n_parts)]
+    for v in w:
+        used = {color[u] for u in conflicts[v] if u in color}
+        c = min(i for i in range(n_parts) if i not in used)
+        color[v] = c
+        parts[c].add(v)
+    lo = len(w) // n_parts
+    hi = -(-len(w) // n_parts)
+    swaps = 0
+    while swaps < swap_cap:
+        sizes = [len(p) for p in parts]
+        over = [i for i, s in enumerate(sizes) if s > hi]
+        under = [i for i, s in enumerate(sizes) if s < lo]
+        if not over and not under:
+            break
+        donors = sorted(range(n_parts), key=lambda i: -sizes[i])
+        moved = False
+        targets = under if under else [i for i, s in enumerate(sizes) if s < hi]
+        for src in donors:
+            if sizes[src] <= lo:
+                break
+            for v in sorted(parts[src]):
+                for dst in targets:
+                    if dst != src and not (conflicts[v] & parts[dst]):
+                        parts[src].remove(v)
+                        parts[dst].add(v)
+                        swaps += 1
+                        moved = True
+                        break
+                if moved:
+                    break
+            if moved:
+                break
+        if not moved:
+            break
+    sizes = [len(p) for p in parts]
+    return (tuple(tuple(sorted(p)) for p in parts), all(lo <= s <= hi for s in sizes),
+            max(sizes) - min(sizes), swaps)
+
+
 def philox_state(gen):
     state = gen.bit_generator.state
     return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
@@ -252,6 +307,20 @@ class TestEquitableDecomposition:
             for part in dec.parts:
                 for a, b in itertools.combinations(part, 2):
                     assert bfs_distances(g, a)[b] >= 2 * m + 1
+
+    def test_balancing_matches_reference(self):
+        gen = derive_rng(4, "dec-reference")
+        swaps = 0
+        for trial in range(120):
+            n = 2 * int(gen.integers(4, 20))
+            g = random_regular(n, 3, seed=trial) if trial % 2 else path_graph(n)
+            w = gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False)
+            m = 1 + trial % 3
+            dec = equitable_decomposition(g, w, m=m)
+            got = (dec.parts, dec.equitable, dec.spread, dec.swaps_used)
+            assert got == decomposition_reference(g, w, m), (trial, n, m)
+            swaps += dec.swaps_used
+        assert swaps > 100
 
     def test_degree_bound_enforced(self):
         with pytest.raises(GraphError):

@@ -14,7 +14,7 @@ from nlgap.graphs import (complete_bipartite_graph, complete_graph, cut_size,
 from nlgap.metrics import (MetricError, cost_matrix, linf_grid, path_metric,
                            random_euclidean_metric, uniform_metric, validate)
 from nlgap.poincare import (CapExceeded, VertexMap, average_distortion, dirichlet,
-                            empirical_average, empirical_quantile,
+                            edge_lipschitz, empirical_average, empirical_quantile,
                             enumerate_map_statistics, gamma_euclidean_sq,
                             gamma_exact, gamma_lower_search, gamma_of_map,
                             is_concentrated, _low_block, _map_blocks)
@@ -94,6 +94,45 @@ class TestEmpiricalQuantile:
             assert count_below * tau.denominator < tau.numerator * n * n
 
 
+def quantile_reference(f, tau):
+    """empirical_quantile as it was: the pairs at distance 0 first, then one
+    mask of the positive distances up to t for each level t."""
+    def meets(count):
+        if isinstance(tau, Fraction):
+            return count * tau.denominator >= tau.numerator * nsq
+        return count >= tau * nsq
+
+    nsq = f.n * f.n
+    cnt = f.point_counts()
+    count = int((cnt.astype(np.int64) ** 2).sum())
+    if meets(count):
+        return 0.0
+    dist = f.target.dist
+    for t in [float(v) for v in np.unique(dist) if v > 0]:
+        mask = (dist > 0) & (dist <= t)
+        if meets(count + int(cnt @ mask.astype(np.int64) @ cnt)):
+            return t
+    raise AssertionError("unreachable: total pair count always reaches tau * n^2")
+
+
+class TestQuantileAgainstReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_maps(self, seed):
+        gen = derive_rng(seed, "quantile-case")
+        metrics = [uniform_metric(3), path_metric(path_graph(5)),
+                   random_euclidean_metric(4, seed=seed)]
+        for _ in range(150):
+            metric = metrics[int(gen.integers(0, len(metrics)))]
+            n = int(gen.integers(1, 13))
+            f = VertexMap(metric, tuple(int(x) for x in gen.integers(0, metric.size, size=n)))
+            den = int(gen.integers(2, 2 * n * n + 2))
+            # Fractions whose tau * n^2 may land exactly on a level's count,
+            # and floats near them
+            num = int(gen.integers(1, den))
+            for tau in (Fraction(num, den), num / den, float(gen.uniform(0.01, 0.99))):
+                assert empirical_quantile(f, tau) == quantile_reference(f, tau), (f, tau)
+
+
 class TestConcentration:
     def test_constant_is_concentrated(self):
         f = VertexMap(uniform_metric(2), (0, 0, 0))
@@ -169,8 +208,12 @@ class TestGammaExact:
         assert r.gamma is None and r.witness is None
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            gamma_exact(cycle_graph(8), uniform_metric(3), 1, cap=100)
+        # 3^17 maps lie above the exhaustive cap of 10^8; the check runs
+        # before any map is evaluated
+        with pytest.raises(CapExceeded, match="3\\^17 = 129140163 maps exceeds"):
+            gamma_exact(cycle_graph(17), uniform_metric(3), 1)
+        with pytest.raises(CapExceeded, match="exceed bulk-statistics cap"):
+            enumerate_map_statistics(cycle_graph(15), uniform_metric(3), qs=(1.0,))
 
     def test_two_point_subset_oracle(self, corpus):
         graphs = [corpus[name] for name in
@@ -448,6 +491,29 @@ class TestAverageDistortion:
         g = cycle_graph(4)
         with pytest.raises(ValueError):
             average_distortion(g, VertexMap(uniform_metric(2), (0, 0, 0, 0)))
+
+
+class TestEdgeLipschitz:
+    def test_matches_the_edge_loop(self):
+        gen = derive_rng(5, "edge-lipschitz")
+        for _ in range(60):
+            n = int(gen.integers(2, 12))
+            g = random_irregular_graph(n, gen)
+            metric = random_euclidean_metric(int(gen.integers(2, 6)), seed=int(gen.integers(0, 99)))
+            f = VertexMap(metric, tuple(int(x) for x in gen.integers(0, metric.size, size=n)))
+            img = f.image_distances()
+            # the loops that average_distortion and embedding_distortion ran
+            lip = max(float(img[u, v]) for u, v in g.edges)
+            assert edge_lipschitz(g, img) == lip
+            assert edge_lipschitz(g, img.astype(np.int64) * 3) == max(
+                float(3 * int(img[u, v])) for u, v in g.edges)
+            if not f.is_constant():
+                assert average_distortion(g, f).edge_lipschitz == lip
+
+    def test_image_distances(self):
+        m = path_metric(path_graph(4))
+        img = VertexMap(m, (3, 0, 0)).image_distances()
+        assert img.tolist() == [[0, 3, 3], [3, 0, 0], [3, 0, 0]]
 
 
 class TestBulkStatistics:
