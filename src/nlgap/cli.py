@@ -276,7 +276,7 @@ def cmd_model(args) -> None:
         check_matching_ell(args.l)
         pairs = list(itertools.combinations(range(args.l), 2))
         gen = derive_rng(args.seed, "cli-y")
-        drop_count = round(args.eps * len(pairs))
+        drop_count = math.floor(args.eps * len(pairs))
         drop = set(int(x) for x in gen.choice(len(pairs), size=drop_count, replace=False))
         y = [p for i, p in enumerate(pairs) if i not in drop]
         r = matching_avoidance_mc(args.l, y, c=args.c, trials=args.trials,

@@ -46,9 +46,6 @@ class Graph:
         degs = set(self.degrees())
         return degs.pop() if len(degs) == 1 else None
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
 
 def graph_from_edges(n: int, edges) -> Graph:
     """Build and validate a simple graph from an iterable of vertex pairs."""
@@ -510,18 +507,27 @@ _CANON_CAP = 8
 
 
 @lru_cache(maxsize=_CANON_CAP + 1)
-def _pair_action(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The action of the permutations of [n] on its vertex pairs, read-only:
-    the pairs in lexicographic order, the n x n pair-index matrix pid, and
-    img[p, e], the index of pair e's image under the p-th permutation in
-    itertools order."""
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex pairs of [n] in lexicographic order and the n x n
+    pair-index matrix pid, read-only."""
     pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
     pid = np.zeros((n, n), dtype=np.int8)
     pid[pairs[:, 0], pairs[:, 1]] = pid[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
+    pairs.flags.writeable = pid.flags.writeable = False
+    return pairs, pid
+
+
+@lru_cache(maxsize=_CANON_CAP + 1)
+def _pair_action(n: int) -> np.ndarray:
+    """The action of all n! permutations of [n] on its vertex pairs,
+    read-only: img[p, e] is the index of pair e's image under the p-th
+    permutation in itertools order.  Only laws defined over every
+    relabelling need it; canonical forms sweep the leading relabellings."""
+    pairs, pid = _pairs(n)
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     img = pid[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]]
-    pairs.flags.writeable = pid.flags.writeable = img.flags.writeable = False
-    return pairs, pid, img
+    img.flags.writeable = False
+    return img
 
 
 def _pair_weights(n: int) -> np.ndarray:
@@ -533,39 +539,75 @@ def _pair_weights(n: int) -> np.ndarray:
     return np.int64(1) << (top - np.arange(top + 1, dtype=np.int64))
 
 
+def _leading_images(n: int, key: int) -> np.ndarray:
+    """The keys of the graph on [n] with this key under its leading
+    relabellings: those that send a vertex v of maximum degree D to 0, N(v)
+    onto 1..D and the other vertices onto D+1..n-1, in every order.
+
+    The smallest sorted edge list of a graph with an edge starts
+    (0,1)..(0,D), so some leading relabelling attains the canonical key.
+    There are at most n D! (n-D-1)! of them, never more than n!.
+    """
+    pairs = _pairs(n)[0]
+    weights = _pair_weights(n)
+    edges = pairs[np.flatnonzero(key & weights)]
+    if not len(edges):
+        return np.array([key], dtype=np.int64)  # every relabelling fixes it
+    adj = np.zeros((n, n), dtype=bool)
+    adj[edges[:, 0], edges[:, 1]] = adj[edges[:, 1], edges[:, 0]] = True
+    deg = adj.sum(axis=1)
+    top = int(deg.max())
+    heads = np.array(list(itertools.permutations(range(top))), dtype=np.intp)
+    tails = np.array(list(itertools.permutations(range(n - top - 1))), dtype=np.intp)
+    vertices = np.flatnonzero(deg == top)
+    # order[..., i] is the vertex that a relabelling sends to i
+    order = np.empty((len(vertices), len(heads), len(tails), n), dtype=np.intp)
+    for k, v in enumerate(vertices):
+        others = np.flatnonzero(~adj[v])
+        order[k, :, :, 0] = v
+        order[k, :, :, 1:top + 1] = np.flatnonzero(adj[v])[heads][:, None]
+        order[k, :, :, top + 1:] = others[others != v][tails]
+    order = order.reshape(-1, n)
+    # one pair at a time: a gather of all pairs at once took 21 MiB for K_8
+    images = np.zeros(len(order), dtype=np.int64)
+    for (i, j), w in zip(pairs.tolist(), weights.tolist()):
+        images[adj[order[:, i], order[:, j]]] += w
+    return images
+
+
 def _canonical_keys(n: int, keys) -> np.ndarray:
     """The canonical key of each labelled graph on [n] (n <= 8), given and
     returned as keys: the greatest key over its isomorphism class.
 
     Each pass takes the first graph not yet classified, computes the keys of
-    all n! of its images with the pair-action table and classifies every
-    graph of the batch found among them, so the cost is one pass per class.
+    its leading relabellings (_leading_images), whose maximum is its
+    canonical key, and classifies it and every graph of the batch found
+    among them.  When the batch holds every completion of a class (a
+    labelling in which vertex 0 has maximum degree and N(0) = 1..D), the
+    images of one completion are exactly those completions, so such a batch
+    takes one pass per class; any other graph takes a pass of its own.
     """
     if n > _CANON_CAP:
         raise GraphError(f"canonical form is brute-force only, n <= {_CANON_CAP}")
-    img = _pair_action(n)[2]
-    weights = _pair_weights(n)
-    top = len(weights) - 1
     distinct, inverse = np.unique(np.asarray(keys, dtype=np.int64), return_inverse=True)
     canon = np.full(len(distinct), -1)
     while (todo := np.flatnonzero(canon < 0)).size:
-        ids = np.flatnonzero(distinct[todo[0]] & weights)
-        images = (np.int64(1) << (top - img[:, ids])).sum(axis=1)
+        images = _leading_images(n, int(distinct[todo[0]]))
         # every batch key among the images is in this class, classified or not
         at = np.searchsorted(distinct, images).clip(max=len(distinct) - 1)
-        canon[at[distinct[at] == images]] = images.max()
+        canon[at[distinct[at] == images]] = canon[todo[0]] = images.max()
     return canon[inverse]
 
 
 def _edges_key(n: int, edges) -> int:
     """The key of the graph on [n] with these edges."""
-    pid = _pair_action(n)[1]
+    pid = _pairs(n)[1]
     return int(_pair_weights(n)[[pid[e] for e in edges]].sum())
 
 
 def _key_edges(n: int, key: int) -> list[list[int]]:
     """The sorted edge list of the graph on [n] with this key."""
-    pairs = _pair_action(n)[0]
+    pairs = _pairs(n)[0]
     return pairs[np.flatnonzero(key & _pair_weights(n))].tolist()
 
 
@@ -573,9 +615,9 @@ def _key_edges(n: int, key: int) -> list[list[int]]:
 def canonical_form(g: Graph) -> Graph:
     """Isomorphic copy with the lexicographically smallest sorted edge list.
 
-    The one-graph case of the class sweep: brute force over all n!
-    permutations, so capped at n <= 8.  Constant on isomorphism classes by
-    construction.
+    The one-graph case of the class sweep: brute force over the leading
+    relabellings, at most n D! (n-D-1)! for maximum degree D, capped at
+    n <= 8.  Constant on isomorphism classes by construction.
     """
     if g.n > _CANON_CAP:
         raise GraphError(f"canonical form is brute-force only, n <= {_CANON_CAP}")
@@ -586,9 +628,12 @@ def canonical_form(g: Graph) -> Graph:
 def enumerate_regular_graphs(n: int, d: int, connected_only: bool = True) -> list[Graph]:
     """All d-regular graphs on n vertices up to isomorphism (brute force).
 
-    Enumerates labelled graphs with N(0) = {1,..,d} (every isomorphism
-    class has such a labelling) and keeps one canonical form per class;
-    connectivity is a class invariant, so it is tested on those forms only.
+    Enumerates the completions, the labelled graphs with N(0) = {1,..,d}
+    (every isomorphism class has one), and canonicalizes them in one batch:
+    the leading relabellings of a completion give exactly the completions
+    of its class, so the class sweep makes one pass per class and builds
+    no n! table.  Connectivity is a class invariant, so it is tested on
+    the canonical forms only.
     """
     if n > _CANON_CAP:
         raise GraphError(f"exhaustive enumeration capped at n <= {_CANON_CAP}")

@@ -172,9 +172,15 @@ def linf_grid(k: int, s: int) -> FiniteMetric:
     """Sup-norm metric on the integer grid {-k,..,k}^s, with coordinate labels."""
     if k < 0 or s < 1:
         raise MetricError("parameters", (k, s), "need k >= 0 and s >= 1")
-    count = (2 * k + 1) ** s
-    if count > _GRID_POINT_CAP:
-        raise MetricError("cap", (count,), f"(2k+1)^s = {count} exceeds cap {_GRID_POINT_CAP}")
+    # a running product stops at the cap: (2k+1)^s itself can have millions
+    # of digits, so the count is shown only when it is exact and short
+    count = 1
+    for factors in range(1, s + 1 if k else 1):
+        count *= 2 * k + 1
+        if count > _GRID_POINT_CAP:
+            exact = f" = {count}" if factors == s and count <= _GRID_POINT_CAP ** 2 else ""
+            raise MetricError("cap", (k, s), f"(2k+1)^s{exact} exceeds cap {_GRID_POINT_CAP} "
+                                             f"at k = {k}, s = {s}")
     pts = np.array(list(itertools.product(range(-k, k + 1), repeat=s)), dtype=np.int64)
     dist = np.concatenate(list(sup_distance_blocks(pts))).astype(np.float64)
     return validate(dist, labels=[tuple(p) for p in pts])

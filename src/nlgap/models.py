@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (Graph, GraphError, _canonical_keys, _edges_key, _pair_action,
-                     _pair_weights, _simple_pairings, bfs_distances, canonical_form,
+from .graphs import (Graph, GraphError, _edges_key, _pair_action, _pair_weights, _pairs,
+                     _simple_pairings, bfs_distances, canonical_form,
                      enumerate_regular_graphs, graph_from_edges, random_regular, relabel,
                      sphere)
 from .poincare import VertexMap, empirical_average, is_concentrated
@@ -97,9 +97,6 @@ class SeedTable:
 
     def defined(self) -> list[int]:
         return [v for v, s in enumerate(self.assignment) if s is not None]
-
-    def fibers(self) -> Counter:
-        return Counter(s for s in self.assignment if s is not None)
 
 
 def _assign_by_priority(g: Graph, m: int, seeds_by_priority) -> list[int | None]:
@@ -521,24 +518,27 @@ def is_invariant_generator(generator, u: Graph, seed: int) -> bool:
 # ----------------------------------------------------------------------
 
 def _dist_eq_law(n: int, d: int, ell: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The direct construction's outcomes, from the class sweep's representatives.
+    """The direct construction's outcomes, from the enumerator's class
+    representatives under all n! relabellings.
 
     An outcome is keyed (graph key << P) | deleted-edges key over the P pairs
-    of [n].  Returns the representatives' canonical keys, ascending; the
-    table whose entry [p, c, s] is the outcome of the p-th relabelling of
-    representative c with its s-th ell-subset of sorted edges deleted (both
-    in itertools order); and every outcome once, in descending order, which
-    is the combinations order of the graphs' sorted pair indices, then of
-    the deletions."""
-    img = _pair_action(n)[2]
+    of [n].  Returns the orbits, whose entry [p, c] is the key of the p-th
+    relabelling (in itertools order) of representative c, the
+    representatives in ascending key order; the table whose entry [p, c, s]
+    is that graph with its s-th ell-subset of sorted edges deleted (in
+    itertools order); and every outcome once, in descending order, which is
+    the combinations order of the graphs' sorted pair indices, then of the
+    deletions."""
+    img = _pair_action(n)
     weights = _pair_weights(n)
     reps = np.sort([_edges_key(n, u.edges)
                     for u in enumerate_regular_graphs(n, d, connected_only=False)])
     ids = np.nonzero(reps[:, None] & weights)[1].reshape(len(reps), -1)
     combos = np.array(list(itertools.combinations(range(ids.shape[1]), ell)), dtype=np.intp)
     bits = weights[img[:, ids]]
-    table = (bits.sum(axis=-1)[..., None] << len(weights)) | bits[..., combos].sum(axis=-1)
-    return reps, table, np.unique(table)[::-1].tolist()
+    orbits = bits.sum(axis=-1)
+    table = (orbits[..., None] << len(weights)) | bits[..., combos].sum(axis=-1)
+    return orbits, table, np.unique(table)[::-1].tolist()
 
 
 @dataclass(frozen=True)
@@ -568,7 +568,7 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
     m_edges = n * d // 2
     if not 0 <= ell <= m_edges:
         raise GraphError(f"need 0 <= ell <= dn/2, got ell={ell}")
-    pid = _pair_action(n)[1]
+    pid = _pairs(n)[1]
     weights = _pair_weights(n)
     gen = derive_rng(seed, "dist-eq", n, d, ell)
     sampled = np.concatenate([weights[pid[lo, hi]].sum(axis=1)
@@ -578,12 +578,14 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
 
     # the staged outcome: canonical representative U of the sampled graph,
     # then the drawn deletion and relabelling of U
-    reps, table, cells = _dist_eq_law(n, d, ell)
-    canon = _canonical_keys(n, sampled)
-    rep = np.searchsorted(reps, canon).clip(max=len(reps) - 1)
-    stray = np.count_nonzero(reps[rep] != canon)
+    orbits, table, cells = _dist_eq_law(n, d, ell)
+    # the orbits hold every labelled graph of the law, each under its class
+    labelled, first = np.unique(orbits, return_index=True)
+    at = np.searchsorted(labelled, sampled).clip(max=len(labelled) - 1)
+    stray = np.count_nonzero(labelled[at] != sampled)
     if stray:
         raise AssertionError(f"sampler produced {stray} graphs outside the law")
+    rep = first[at] % orbits.shape[1]
     keys, freq = np.unique(table[perm_idx, rep, combo_idx], return_counts=True)
     counts = dict(zip(keys.tolist(), freq.tolist()))
 

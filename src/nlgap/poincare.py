@@ -78,8 +78,11 @@ def _meets(count, tau, nsq: int):
 
 def empirical_average(f: VertexMap, q: float) -> float:
     """Mean of pairwise image cost over all n^2 ordered vertex pairs."""
+    return _average(f, cost_matrix(f.target, q))
+
+
+def _average(f: VertexMap, costs: np.ndarray) -> float:
     cnt = f.point_counts().astype(np.float64)
-    costs = cost_matrix(f.target, q)
     return float(cnt @ costs @ cnt) / (f.n * f.n)
 
 
@@ -110,12 +113,15 @@ def is_concentrated(f: VertexMap, k_const: float, q: float, tau) -> bool:
 
 def dirichlet(g: Graph, f: VertexMap, q: float) -> float:
     """Mean image cost over the edges of the graph."""
+    return _dirichlet(g, f, cost_matrix(f.target, q))
+
+
+def _dirichlet(g: Graph, f: VertexMap, costs: np.ndarray) -> float:
     if f.n != g.n:
         raise ValueError(f"map length {f.n} != graph order {g.n}")
     if g.m == 0:
         raise ValueError("graph has no edges")
     a = f.assignment
-    costs = cost_matrix(f.target, q)
     return float(sum(costs[a[u], a[v]] for u, v in g.edges)) / g.m
 
 
@@ -129,8 +135,9 @@ def cost_ratio(ave: float, dirichlet: float) -> float:
 def gamma_of_map(g: Graph, f: VertexMap, q: float) -> GammaReport:
     """Full statistics report for one map; the ratio follows cost_ratio,
     and the map is degenerate when both sums vanish."""
-    ave = empirical_average(f, q)
-    dir_ = dirichlet(g, f, q)
+    costs = cost_matrix(f.target, q)
+    ave = _average(f, costs)
+    dir_ = _dirichlet(g, f, costs)
     concentration_k = 5.0 ** q
     quant = empirical_quantile(f, Fraction(1, 2))
     conc = ave <= concentration_k * quant ** q
@@ -159,10 +166,10 @@ _STATISTICS_CAP = 10 ** 7
 
 @lru_cache(maxsize=32)
 def _low_block(b: int, n_points: int):
-    """The maps of the low block of b vertices, in the narrowest types,
-    read-only: low[j], the point of low vertex j in each of the N^b maps;
-    cnt, each map's point counts; rows, the distinct count rows as floats;
-    and row_of, each map's row among them."""
+    """The point counts of the N^b maps of the low block of b vertices, in
+    base-N counter order, in the narrowest types, read-only: cnt, each
+    map's point counts; rows, the distinct count rows as floats; and
+    row_of, each map's row among them."""
     size = n_points ** b
     low = np.indices((n_points,) * b, dtype=np.min_scalar_type(n_points - 1)).reshape(b, size)
     cnt = np.zeros((size, n_points), dtype=np.min_scalar_type(b))
@@ -173,10 +180,16 @@ def _low_block(b: int, n_points: int):
     distinct, row_of = np.unique(cnt.view(np.dtype((np.void, cnt.strides[0])))[:, 0],
                                  return_inverse=True)
     rows = distinct.view(cnt.dtype).reshape(-1, n_points).astype(np.float64)
-    block = (low, cnt, rows, row_of.astype(np.min_scalar_type(len(rows) - 1)))
+    block = (cnt, rows, row_of.astype(np.min_scalar_type(len(rows) - 1)))
     for a in block:
         a.flags.writeable = False
     return block
+
+
+def _axes(b: int, n_points: int, *axes: int) -> tuple[int, ...]:
+    """The shape that lays an array of N along each of the given axes, in
+    increasing order, and broadcasts it over the other of b axes."""
+    return tuple(n_points if j in axes else 1 for j in range(b))
 
 
 def _map_blocks(g: Graph, n_points: int, forms, costs):
@@ -186,10 +199,15 @@ def _map_blocks(g: Graph, n_points: int, forms, costs):
 
     For map k of the slice `block`, with point counts cnt, form_sums[i][k]
     is cnt @ forms[i] @ cnt (every form must be symmetric) and
-    edge_sums[j][k] sums costs[j] over the edges of g.  The low block's
-    counts, forms and internal edge sums are computed once; each assignment
-    of the outer vertices adds a matrix-vector product per form and a
-    gather per edge at an outer vertex.
+    edge_sums[j][k] sums costs[j] over the edges of g, in edge order.  The
+    low block's counts, forms and internal edge sums are computed once; each
+    assignment of the outer vertices adds a matrix-vector product per form
+    and, per edge at an outer vertex, a cost or a row of costs.
+
+    In counter order the block's maps are the cells of an (N,)*b array whose
+    axis j holds the point of low vertex j: a low edge (u, v) adds the cost
+    matrix laid along axes u and v, and an edge from an outer vertex to low
+    vertex v a row of costs along axis v, each broadcast over the others.
     """
     n = g.n
     b = 0
@@ -197,28 +215,34 @@ def _map_blocks(g: Graph, n_points: int, forms, costs):
         b += 1
     outer = n - b
     size = n_points ** b
-    low, cnt_low, rows, row_of = _low_block(b, n_points)
-    # the cache keeps narrow types; the gathers and products below want these
-    low, cnt_low = low.astype(np.intp), cnt_low.astype(np.float64)
+    cnt_low, rows, row_of = _low_block(b, n_points)
+    cnt_low = cnt_low.astype(np.float64)  # the cache keeps narrow types
     # a form depends on the counts only: evaluate it once per distinct row
     low_forms = [np.einsum("mx,xy,my->m", rows, f, rows)[row_of] for f in forms]
     # edges are stored with u < v, so an edge touches the outer vertices iff u does
     inner = [(u - outer, v - outer) for u, v in g.edges if u >= outer]
     touching = [(u, v) for u, v in g.edges if u < outer]
-    low_edges = [sum((c[low[u], low[v]] for u, v in inner), np.zeros(size)) for c in costs]
+    low_edges = []
+    for c in costs:
+        edge = np.zeros((n_points,) * b)
+        for u, v in inner:
+            edge += c.reshape(_axes(b, n_points, u, v))
+        low_edges.append(edge)
     for k, head in enumerate(itertools.product(range(n_points), repeat=outer)):
         cnt_out = np.bincount(np.array(head, dtype=np.int64), minlength=n_points).astype(np.float64)
         form_sums = []
         for f, base in zip(forms, low_forms):
             f_out = f @ cnt_out
             form_sums.append(base + (cnt_out @ f_out + 2.0 * (cnt_low @ f_out)))
-        points = [*head, *low]
         edge_sums = []
         for c, base in zip(costs, low_edges):
             edge = base.copy()
             for u, v in touching:
-                edge += c[points[u]][points[v]]  # a row, then a gather: u is outer
-            edge_sums.append(edge)
+                if v < outer:
+                    edge += c[head[u], head[v]]
+                else:
+                    edge += c[head[u]].reshape(_axes(b, n_points, v - outer))
+            edge_sums.append(edge.reshape(size))
         yield slice(k * size, (k + 1) * size), form_sums, edge_sums
 
 

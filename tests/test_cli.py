@@ -121,6 +121,12 @@ class TestModelAndSpectra:
                          "--c", "0.5", "--trials", "100"]) == 0
         assert body_of(capsys.readouterr().out).splitlines()[-1].endswith(",1.0")
 
+    def test_model_matchings_drops_at_most_eps_of_the_pairs(self, capsys):
+        # eps * C(8, 2) = 5.6: dropping 6 pairs left |Y| = 22 below 22.4
+        assert cli.main(["model", "--lemma", "matchings", "--l", "8", "--eps", "0.2",
+                         "--trials", "200"]) == 0
+        assert body_of(capsys.readouterr().out).splitlines()[-1].startswith("8,0.2,")
+
     def test_model_dist_eq_one_cell_law(self, capsys):
         # chdtrc(0, 0) is nan, which the p-threshold gate never rejected
         assert cli.main(["model", "--lemma", "dist-eq", "--n", "4", "--d", "3", "--l", "6",
@@ -286,6 +292,8 @@ class TestInputDomainExits:
           "--tau", "nan"), "--tau must be finite"),
         (("nonconc", "--gen", "complete:4", "--metric", "uniform:2", "--map", "unused.map"),
          "map file not found: unused.map"),
+        (("gen-metric", "--type", "grid:1000000,1000000", "--out", "unused.txt"),
+         "(2k+1)^s exceeds cap 1000 at k = 1000000, s = 1000000"),
     ])
     def test_exit_one(self, argv, fragment, capsys):
         assert cli.main(list(argv)) == 1

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -793,6 +794,20 @@ class TestCanonical:
             assert got == [edge_key(n, brute_force_canonical(graph_from_edges(n, e)))
                            for e in batch]
         assert got == [brute_force_canonical_key(n, e) for e in batch]
+
+    def test_enumeration_and_canonical_form_build_no_permutation_table(self):
+        # the n! table of _pair_action took 21 MiB at n = 8
+        graphs._pair_action.cache_clear()
+        tracemalloc.start()
+        try:
+            found = enumerate_regular_graphs(8, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        g = relabel(cube_graph(), [3, 1, 4, 0, 5, 2, 7, 6])
+        assert canonical_form.__wrapped__(g) == canonical_form.__wrapped__(cube_graph())
+        assert graphs._pair_action.cache_info().currsize == 0
+        assert len(found) == 5 and peak < 4 * 2 ** 20
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

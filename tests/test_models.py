@@ -468,6 +468,14 @@ class TestDistributionEquality:
                                 [1 << i for i in reversed(range(top)) if key >> i & 1], ell)]
                     assert models._dist_eq_law(n, d, ell)[2] == want
 
+    def test_graph_outside_the_law_is_refused(self, monkeypatch):
+        # the first nine pairs of [6]: vertex 0 has degree 5
+        lo = np.array([[0, 0, 0, 0, 0, 1, 1, 1, 1]])
+        hi = np.array([[1, 2, 3, 4, 5, 2, 3, 4, 5]])
+        monkeypatch.setattr(models, "_simple_pairings", lambda n, d, want, gen: iter([(lo, hi)]))
+        with pytest.raises(AssertionError, match="1 graphs outside the law"):
+            distribution_equality_mc(6, 3, 1, trials=1, seed=0)
+
     @pytest.mark.parametrize("n, d, ell", [(4, 3, 6), (2, 1, 0), (2, 1, 1)])
     def test_one_cell_law_fits_exactly(self, n, d, ell):
         r = distribution_equality_mc(n, d, ell, trials=2000, seed=0)

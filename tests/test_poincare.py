@@ -18,6 +18,7 @@ from nlgap.poincare import (CapExceeded, VertexMap, average_distortion, dirichle
                             enumerate_map_statistics, gamma_euclidean_sq,
                             gamma_exact, gamma_lower_search, gamma_of_map,
                             is_concentrated, _low_block, _map_blocks)
+from nlgap import poincare
 from nlgap.rng import derive_rng
 
 
@@ -546,6 +547,32 @@ def random_irregular_graph(n, gen):
     return graph_from_edges(n, sorted(edges))
 
 
+def gathered_edge_sums(g, n_points, costs):
+    """The edge sums of every map of g in counter order, by the kernel's
+    former per-edge gathers: over the low block of b vertices, one gather of
+    c[low[u], low[v]] per inner edge, added to zeros in edge order; then per
+    outer assignment, one row or scalar gather per edge at an outer vertex."""
+    n, b = g.n, 0
+    while b < n and n_points ** (b + 1) <= poincare._BLOCK_MAPS:
+        b += 1
+    outer, size = n - b, n_points ** b
+    low = np.indices((n_points,) * b).reshape(b, size)
+    inner = [(u - outer, v - outer) for u, v in g.edges if u >= outer]
+    touching = [(u, v) for u, v in g.edges if u < outer]
+    out = []
+    for c in costs:
+        base = sum((c[low[u], low[v]] for u, v in inner), np.zeros(size))
+        blocks = []
+        for head in itertools.product(range(n_points), repeat=outer):
+            points = [*head, *low]
+            edge = base.copy()
+            for u, v in touching:
+                edge += c[points[u]][points[v]]
+            blocks.append(edge)
+        out.append(np.concatenate(blocks))
+    return out
+
+
 def universe_instance(seed):
     """A seeded (graph, metric, q, tau) case for the map-universe kernel.
     Seeds 0 and 1 have more maps than one block holds (3^10 and 2^15), so
@@ -617,11 +644,34 @@ class TestMapUniverseKernel:
                     assert np.array_equal(got, np.einsum("mx,xy,my->m", cnt, f, cnt))
 
     def test_low_block_cache_is_read_only_and_narrow(self):
-        low, cnt, rows, row_of = _low_block(8, 3)
-        assert (low.dtype, cnt.dtype, row_of.dtype) == (np.uint8,) * 3
+        cnt, rows, row_of = _low_block(8, 3)
+        assert (cnt.dtype, row_of.dtype) == (np.uint8,) * 2
         assert len(rows) == 45 and row_of.shape == (3 ** 8,)
         assert np.array_equal(rows[row_of], cnt)
-        assert not any(a.flags.writeable for a in (low, cnt, rows, row_of))
+        assert not any(a.flags.writeable for a in (cnt, rows, row_of))
+
+    @pytest.mark.parametrize("case", [*range(30), "C10 into 3", "5 vertices into 9",
+                                      "cubic 12 into 3"])
+    def test_edge_sums_equal_per_edge_gathers(self, case):
+        # three multi-block shapes: 9 heads of 3^8 maps, 9 heads of 9^4 maps
+        # and 81 heads of 3^8 maps; the non-symmetric cost array tells the
+        # two ends of an edge apart
+        if case == "C10 into 3":
+            g, n_points = cycle_graph(10), 3
+        elif case == "5 vertices into 9":
+            g, n_points = graph_from_edges(5, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 4), (3, 4)]), 9
+        elif case == "cubic 12 into 3":
+            g, n_points = random_connected_regular(12, 3, seed=4), 3
+        else:
+            g, metric = universe_instance(case)[:2]
+            n_points = metric.size
+        gen = derive_rng(5, "edge-sums", str(case))
+        metric = random_euclidean_metric(n_points, seed=int(gen.integers(1 << 30)))
+        costs = [cost_matrix(metric, q) for q in (0.5, 1.0, 3.0)] + [gen.random((n_points,) * 2)]
+        got = [np.concatenate(sums) for sums in zip(*(e for _, _, e in _map_blocks(
+            g, n_points, [], costs)))]
+        for have, want in zip(got, gathered_edge_sums(g, n_points, costs), strict=True):
+            assert np.array_equal(have, want)
 
     def test_two_point_witness_is_best_cut_on_every_small_graph(self):
         # the uniform 2-point metric: gamma_exact's witness, read in Fraction
