@@ -351,7 +351,11 @@ def lambda2(g: Graph) -> float:
 # random regular graphs (pairing model, rejection sampled)
 # ----------------------------------------------------------------------
 
-_PAIRING_STUBS = 1 << 19  # stub keys drawn at once; sets memory only, not the law
+# a batch draws up to this many stub keys: it fixes how many keys each batch
+# takes from the generator, and so the stream every later draw sees
+_PAIRING_STUBS = 1 << 19
+# a batch is sorted and checked this many keys at a time; sets memory only
+_PAIRING_CHUNK = 1 << 15
 _PAIRING_PATIENCE = 10_000  # give up after this many times the expected draws
 
 
@@ -366,6 +370,11 @@ def _simple_pairings(n: int, d: int, want: int, gen):
     exp(-(d^2-1)/4) (Bollobas 1980), and that sets the batch rows.  At the
     smallest n the true rate is lower, by up to 128 times (n = 8, d = 7), so a
     working sampler reaches the give-up rule with probability below exp(-78).
+
+    The batch rows fix how many keys each batch draws, and so the stream:
+    the whole batch is drawn even once want rows are found.  The keys are
+    drawn, sorted and checked _PAIRING_CHUNK at a time, which sets the memory
+    only; the rows past the last one needed are drawn and not sorted.
     """
     if not 1 <= d <= n - 1:
         raise GraphError(f"degree d={d} must satisfy 1 <= d <= n-1 (n={n})")
@@ -374,7 +383,9 @@ def _simple_pairings(n: int, d: int, want: int, gen):
     accept = math.exp(-(d * d - 1) / 4)
     if accept < 1e-6:
         raise GraphError(f"d={d} needs about exp((d^2-1)/4) > 1e6 pairing draws; use d <= 7")
-    stubs = np.repeat(np.arange(n, dtype=np.intp), d)
+    stubs = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), d)
+    code = np.min_scalar_type(n * n - 1)
+    chunk = max(1, _PAIRING_CHUNK // stubs.size)
     limit = _PAIRING_PATIENCE * want / accept
     drawn = got = 0
     while got < want:
@@ -382,15 +393,23 @@ def _simple_pairings(n: int, d: int, want: int, gen):
             raise GraphError(f"pairing model gave up for n={n}, d={d}: {got} of {want} "
                              f"simple pairings in {drawn} draws")
         rows = min(max(1, _PAIRING_STUBS // stubs.size), math.ceil((want - got) / accept))
-        paired = stubs[np.argsort(gen.random((rows, stubs.size)), axis=1)]
-        lo = np.minimum(paired[:, 0::2], paired[:, 1::2])
-        hi = np.maximum(paired[:, 0::2], paired[:, 1::2])
-        codes = np.sort(lo * n + hi, axis=1)
-        ok = (lo != hi).all(axis=1) & (np.diff(codes, axis=1) != 0).all(axis=1)
-        drawn += rows
-        lo, hi = lo[ok][:want - got], hi[ok][:want - got]
-        if len(lo):
+        kept = []
+        for start in range(0, rows, chunk):
+            keys = gen.random((min(chunk, rows - start), stubs.size))
+            if got == want:
+                continue
+            paired = stubs[np.argsort(keys, axis=1)]
+            paired = paired[(paired[:, 0::2] != paired[:, 1::2]).all(axis=1)]
+            lo = np.minimum(paired[:, 0::2], paired[:, 1::2])
+            hi = np.maximum(paired[:, 0::2], paired[:, 1::2])
+            codes = np.sort(lo.astype(code) * n + hi, axis=1)
+            ok = (np.diff(codes, axis=1) != 0).all(axis=1)
+            lo, hi = lo[ok][:want - got], hi[ok][:want - got]
             got += len(lo)
+            kept.append((lo, hi))
+        drawn += rows
+        lo, hi = (np.concatenate(a) for a in zip(*kept))
+        if len(lo):
             yield lo, hi
 
 

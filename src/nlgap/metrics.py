@@ -152,9 +152,25 @@ def is_well_conditioned(metric: FiniteMetric) -> bool:
     return aspect_ratio(metric) <= math.exp(metric.size)
 
 
+# validate scans the dense matrix in O(N^3), so no constructor builds more
+# points than this, and none allocates more bytes than the budget
+_POINT_CAP = 10 ** 3
+_METRIC_BYTES = 1 << 30
+
+
+def _check_size(n_points: int, nbytes: int) -> None:
+    """Refuse, before any allocation, a metric on more than _POINT_CAP points
+    or one whose largest array takes more than _METRIC_BYTES bytes."""
+    if n_points > _POINT_CAP or nbytes > _METRIC_BYTES:
+        raise MetricError("cap", (n_points,), f"N = {n_points} points needing {nbytes} bytes "
+                                              f"exceeds cap {_POINT_CAP} points or "
+                                              f"{_METRIC_BYTES} bytes")
+
+
 def uniform_metric(n_points: int) -> FiniteMetric:
     if n_points < 2:
         raise MetricError("size", (n_points,), "uniform metric needs N >= 2")
+    _check_size(n_points, 8 * n_points * n_points)
     return validate(np.ones((n_points, n_points)) - np.eye(n_points))
 
 
@@ -165,21 +181,19 @@ def path_metric(g: Graph) -> FiniteMetric:
     return validate(distance_matrix(g).astype(np.float64))
 
 
-_GRID_POINT_CAP = 10 ** 3  # linf_grid's dense matrix is validated in O(N^3)
-
-
 def linf_grid(k: int, s: int) -> FiniteMetric:
     """Sup-norm metric on the integer grid {-k,..,k}^s, with coordinate labels."""
-    if k < 0 or s < 1:
-        raise MetricError("parameters", (k, s), "need k >= 0 and s >= 1")
+    # k = 0 is the one-point grid, which no command can use
+    if k < 1 or s < 1:
+        raise MetricError("parameters", (k, s), "need k >= 1 and s >= 1")
     # a running product stops at the cap: (2k+1)^s itself can have millions
     # of digits, so the count is shown only when it is exact and short
     count = 1
-    for factors in range(1, s + 1 if k else 1):
+    for factors in range(1, s + 1):
         count *= 2 * k + 1
-        if count > _GRID_POINT_CAP:
-            exact = f" = {count}" if factors == s and count <= _GRID_POINT_CAP ** 2 else ""
-            raise MetricError("cap", (k, s), f"(2k+1)^s{exact} exceeds cap {_GRID_POINT_CAP} "
+        if count > _POINT_CAP:
+            exact = f" = {count}" if factors == s and count <= _POINT_CAP ** 2 else ""
+            raise MetricError("cap", (k, s), f"(2k+1)^s{exact} exceeds cap {_POINT_CAP} "
                                              f"at k = {k}, s = {s}")
     pts = np.array(list(itertools.product(range(-k, k + 1), repeat=s)), dtype=np.int64)
     dist = np.concatenate(list(sup_distance_blocks(pts))).astype(np.float64)
@@ -188,6 +202,9 @@ def linf_grid(k: int, s: int) -> FiniteMetric:
 
 def random_euclidean_metric(n_points: int, seed: int, dim: int = 2) -> FiniteMetric:
     """Distances of random points in [0,1]^dim; always a valid metric."""
+    if n_points < 1:
+        raise MetricError("size", (n_points,), "random metric needs N >= 1")
+    _check_size(n_points, 8 * n_points * n_points * dim)
     gen = derive_rng(seed, "metric", n_points, dim)
     pts = gen.random((n_points, dim))
     diff = pts[:, None, :] - pts[None, :, :]

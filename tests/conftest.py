@@ -68,3 +68,16 @@ def labelled_regular_keys(n, d):
 @pytest.fixture(scope="session")
 def labelled_regular():
     return labelled_regular_keys
+
+
+def philox_state_of(gen):
+    """Everything that sets the next draws of a Philox generator."""
+    state = gen.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+@pytest.fixture(scope="session")
+def philox_state():
+    return philox_state_of

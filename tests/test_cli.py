@@ -294,6 +294,16 @@ class TestInputDomainExits:
          "map file not found: unused.map"),
         (("gen-metric", "--type", "grid:1000000,1000000", "--out", "unused.txt"),
          "(2k+1)^s exceeds cap 1000 at k = 1000000, s = 1000000"),
+        (("gen-metric", "--type", "grid:0,1000000000", "--out", "unused.txt"),
+         "need k >= 1 and s >= 1"),
+        (("gen-metric", "--type", "random:100000", "--out", "unused.txt"),
+         "N = 100000 points needing 160000000000 bytes exceeds cap 1000 points"),
+        (("gen-metric", "--type", "random:10,100000000", "--out", "unused.txt"),
+         "N = 10 points needing 80000000000 bytes exceeds cap 1000 points or 1073741824 bytes"),
+        (("gamma", "--gen", "cycle:4", "--metric", "uniform:100000", "--q", "1"),
+         "N = 100000 points needing 80000000000 bytes exceeds cap 1000 points"),
+        (("gamma", "--gen", "cycle:4", "--metric", "random:0", "--q", "1"),
+         "random metric needs N >= 1"),
     ])
     def test_exit_one(self, argv, fragment, capsys):
         assert cli.main(list(argv)) == 1
@@ -321,6 +331,17 @@ class TestImportBudget:
         out, modules = self.loaded_scipy("assert nlgap.cli.main(['gamma', '--gen', 'cycle:4', "
                                          "'--metric', 'uniform:2', '--q', '1']) == 0")
         assert body_of(out).splitlines()[-1].startswith("4,2,2,1.0,")
+        assert modules == []
+
+    @pytest.mark.parametrize("argv", [
+        ["model", "--lemma", "matchings", "--trials", "1000"],
+        ["model", "--lemma", "restriction", "--n", "200", "--k", "20", "--trials", "100"],
+        ["model", "--lemma", "typical", "--n", "200", "--trials", "2"],
+        ["witness", "--sizes", "16,32"],
+    ])
+    def test_numpy_only_commands_load_no_scipy(self, argv):
+        # scipy.special alone adds about 24 MB of resident memory
+        _, modules = self.loaded_scipy(f"assert nlgap.cli.main({argv!r}) == 0")
         assert modules == []
 
     def test_dist_eq_loads_scipy_and_keeps_its_p_value(self):

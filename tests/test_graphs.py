@@ -577,6 +577,61 @@ class TestRandomRegular:
             draw()
 
 
+def batch_pairings_reference(n, d, want, gen):
+    """The pairing sampler as it was before chunking: each batch of up to
+    2^19 stub keys drawn, sorted and checked whole, its unused tail too.  The
+    oracle of the chunked sampler's rows and of the stream it leaves."""
+    accept = math.exp(-(d * d - 1) / 4)
+    stubs = np.repeat(np.arange(n, dtype=np.intp), d)
+    got = 0
+    while got < want:
+        rows = min(max(1, (1 << 19) // stubs.size), math.ceil((want - got) / accept))
+        paired = stubs[np.argsort(gen.random((rows, stubs.size)), axis=1)]
+        lo = np.minimum(paired[:, 0::2], paired[:, 1::2])
+        hi = np.maximum(paired[:, 0::2], paired[:, 1::2])
+        codes = np.sort(lo * n + hi, axis=1)
+        ok = (lo != hi).all(axis=1) & (np.diff(codes, axis=1) != 0).all(axis=1)
+        lo, hi = lo[ok][:want - got], hi[ok][:want - got]
+        if len(lo):
+            got += len(lo)
+            yield lo, hi
+
+
+class TestPairingSampler:
+    @pytest.mark.parametrize("n, d, want, chunk_rows", [
+        (6, 3, 1, None), (6, 3, 10 ** 4, None), (20, 4, 500, None), (1000, 3, 1, None),
+        (10, 1, 50, None), (12, 2, 300, None),
+        # chunks of 7 rows: the 40th simple row is found inside a chunk, and
+        # the batch goes on for more chunks, the last one partial
+        (6, 3, 40, 7),
+    ])
+    def test_same_rows_and_stream_as_the_batch_sampler(self, n, d, want, chunk_rows,
+                                                       philox_state, monkeypatch):
+        if chunk_rows is not None:
+            monkeypatch.setattr(graphs, "_PAIRING_CHUNK", chunk_rows * n * d)
+        gen, ref = derive_rng(want, "pairing-chunks", n, d), derive_rng(want, "pairing-chunks", n, d)
+        got = list(graphs._simple_pairings(n, d, want, gen))
+        expected = list(batch_pairings_reference(n, d, want, ref))
+        assert len(got) == len(expected)
+        for side in (0, 1):
+            have = np.concatenate([batch[side] for batch in got])
+            assert len(have) == want
+            assert np.array_equal(have, np.concatenate([batch[side] for batch in expected]))
+        assert philox_state(gen) == philox_state(ref)
+
+    def test_traced_peak_is_one_chunk(self):
+        # sorting whole batches of 2^19 keys peaked at 14.4 MiB
+        gen = derive_rng(0, "pairing-peak")
+        tracemalloc.start()
+        try:
+            for _ in graphs._simple_pairings(6, 3, 10 ** 5, gen):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+
 class TestTreeLike:
     def test_tree_all_vertices(self):
         g = path_graph(7)

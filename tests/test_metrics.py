@@ -127,6 +127,26 @@ class TestGridAndUniform:
         with pytest.raises(MetricError, match="2187 exceeds cap 1000"):
             linf_grid(1, 7)
 
+    @pytest.mark.parametrize("build, fragment", [
+        (lambda: linf_grid(0, 10 ** 9), "need k >= 1 and s >= 1"),
+        (lambda: uniform_metric(1), "uniform metric needs N >= 2"),
+        (lambda: random_euclidean_metric(0, seed=0), "random metric needs N >= 1"),
+    ])
+    def test_degenerate_size_refused(self, build, fragment):
+        with pytest.raises(MetricError, match=fragment):
+            build()
+
+    @pytest.mark.parametrize("build, fragment", [
+        (lambda: uniform_metric(1001), "N = 1001 points needing 8016008 bytes"),
+        (lambda: random_euclidean_metric(1001, seed=0), "N = 1001 points needing 16032016 bytes"),
+        (lambda: random_euclidean_metric(10, seed=0, dim=10 ** 8),
+         "N = 10 points needing 80000000000 bytes"),
+    ])
+    def test_point_cap_refused_before_allocation(self, build, fragment):
+        with pytest.raises(MetricError, match="exceeds cap 1000 points") as info:
+            build()
+        assert info.value.kind == "cap" and fragment in str(info.value)
+
     def test_uniform(self):
         m = uniform_metric(3)
         assert (m.dist[~np.eye(3, dtype=bool)] == 1).all()

@@ -130,13 +130,6 @@ def decomposition_reference(g, w, m):
             max(sizes) - min(sizes), swaps)
 
 
-def philox_state(gen):
-    state = gen.bit_generator.state
-    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
-            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
-            state["uinteger"])
-
-
 def matching_case(ell, seed):
     """Y with at least half of the pairs (so eps = 1/2 is valid), c in
     [0.25, 0.49) and a trial count that is a multiple of neither block size
@@ -524,7 +517,7 @@ class TestBlockDrawnAgainstReference:
     """The block-drawn verifiers give the old loops' results on the same
     random streams."""
 
-    def test_perfect_matching_keeps_the_stream(self):
+    def test_perfect_matching_keeps_the_stream(self, philox_state):
         for ell in (2, 4, 6, 20):
             fast, ref = derive_rng(ell, "state"), derive_rng(ell, "state")
             for _ in range(50):
