@@ -13,7 +13,7 @@ from decimal import Decimal
 import numpy as np
 
 from .graphs import Graph, GraphError, bfs_distances, distance_matrix, is_connected
-from .metrics import _check_exponent, _cost_range_error, sup_distance_blocks
+from .metrics import _check_exponent, _costs, sup_distance_blocks
 from .poincare import cost_ratio, edge_lipschitz
 from .rng import derive_rng
 
@@ -105,11 +105,10 @@ def witness_certificate(g: Graph, log_n_points: float, q: float = 1.0) -> Witnes
     actual map.  Every edge cost is at most 1 by construction."""
     _check_exponent(q)
     grid, p = witness_map(g, log_n_points)
-    with np.errstate(over="ignore"):
-        ave = sum(float(np.power(d.astype(np.float64), q).sum())
-                  for d in sup_distance_blocks(grid.coords)) / (g.n * g.n)
-    if ave == math.inf:
-        raise _cost_range_error(q)
+    # the sup distances of the grid are the levels 0..2k
+    _costs(np.arange(2 * p.k + 1, dtype=np.float64), q)
+    ave = sum(float(np.power(d.astype(np.float64), q).sum())
+              for d in sup_distance_blocks(grid.coords)) / (g.n * g.n)
     edge_costs = grid.edge_costs(g)
     dir_ = float(np.power(np.asarray(edge_costs, dtype=np.float64), q).mean())
     return WitnessReport(params=p, q=q, ave=ave, dirichlet=dir_, ratio=cost_ratio(ave, dir_),

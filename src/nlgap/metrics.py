@@ -57,20 +57,27 @@ def _check_exponent(q: float) -> None:
                           f"beyond which 5^q overflows, got {q}")
 
 
-def _cost_range_error(q: float) -> MetricError:
-    return MetricError("exponent", (q,), f"at cost exponent q = {q} a positive distance "
-                       "raised to q underflows to 0 or overflows to inf")
+# the largest cost: a sum of up to 2^62 costs, n^2 of them for n <= 2^31,
+# stays below the float maximum 2^1024
+_COST_LIMIT = 2.0 ** 960
+
+
+def _costs(dist: np.ndarray, q: float) -> np.ndarray:
+    """Elementwise q-th power of an array of distances.  Refuses a q at which a
+    positive distance goes to 0 or the largest cost passes _COST_LIMIT."""
+    with np.errstate(over="ignore"):
+        costs = np.power(dist, q)
+    top = costs.max(initial=0.0)
+    if np.count_nonzero(costs) != np.count_nonzero(dist) or not top <= _COST_LIMIT:
+        raise MetricError("exponent", (q,), f"at cost exponent q = {q} a positive distance "
+                          "raised to q underflows to 0 or passes the cost bound 2^960")
+    return costs
 
 
 def cost_matrix(metric: FiniteMetric, q: float) -> np.ndarray:
-    """Elementwise q-th power of the distances; for q > 1 this is not a metric.
-    Refuses a q at which an off-diagonal cost is 0 or inf."""
+    """Elementwise q-th power of the distances; for q > 1 this is not a metric."""
     _check_exponent(q)
-    with np.errstate(over="ignore"):
-        costs = np.power(metric.dist, q)
-    if np.count_nonzero(costs) != metric.size * (metric.size - 1) or np.isinf(costs).any():
-        raise _cost_range_error(q)
-    return costs
+    return _costs(metric.dist, q)
 
 
 _SUP_BLOCK = 1 << 22   # elements of the difference array behind one row block
@@ -204,6 +211,8 @@ def random_euclidean_metric(n_points: int, seed: int, dim: int = 2) -> FiniteMet
     """Distances of random points in [0,1]^dim; always a valid metric."""
     if n_points < 1:
         raise MetricError("size", (n_points,), "random metric needs N >= 1")
+    if dim < 1:
+        raise MetricError("parameters", (n_points, dim), f"random metric needs dim >= 1, got {dim}")
     _check_size(n_points, 8 * n_points * n_points * dim)
     gen = derive_rng(seed, "metric", n_points, dim)
     pts = gen.random((n_points, dim))

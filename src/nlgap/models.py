@@ -79,9 +79,6 @@ def draw_model(n: int, d: int, ell: int, seed: int, canonical: bool = True) -> M
 # seed maps
 # ----------------------------------------------------------------------
 
-UNDEFINED = None  # the "no seed" marker
-
-
 @dataclass(frozen=True)
 class SeedTable:
     """Per-vertex assignment to a seed at graph distance exactly m, or None.
@@ -94,9 +91,6 @@ class SeedTable:
     seeds: tuple[int, ...]
     order_rank: tuple[int, ...] | None
     assignment: tuple[int | None, ...]
-
-    def defined(self) -> list[int]:
-        return [v for v, s in enumerate(self.assignment) if s is not None]
 
 
 def _assign_by_priority(g: Graph, m: int, seeds_by_priority) -> list[int | None]:
@@ -132,14 +126,6 @@ def seed_map_h(g: Graph, m: int, seed_set, order_rank) -> SeedTable:
     by_priority = [seeds[i] for i in np.argsort(rank, kind="stable")]
     assignment = _assign_by_priority(g, m, by_priority)
     return SeedTable(m=m, seeds=seeds, order_rank=rank, assignment=tuple(assignment))
-
-
-def order_rank_from_permutation(pi, k: int) -> tuple[int, ...]:
-    """Ranks making the order on R = pi^{-1}([k]) the pullback of the natural
-    order on [k]: the i-th smallest element r of R gets rank pi[r]."""
-    inv = sorted(range(len(pi)), key=lambda v: pi[v])  # pi^{-1}
-    r_sorted = sorted(inv[:k])
-    return tuple(pi[r] for r in r_sorted)
 
 
 # ----------------------------------------------------------------------
@@ -239,25 +225,6 @@ def random_perfect_matching(items, gen) -> list[tuple[int, int]]:
     # the last partner is forced; gen.integers(0, 1) would consume no randomness
     out.append((pool[0], pool[1]))
     return out
-
-
-def all_perfect_matchings(k: int) -> list[tuple[tuple[int, int], ...]]:
-    """Every perfect matching of {0..k-1} (enumeration oracle, small k)."""
-    if k % 2 != 0:
-        raise GraphError("odd set has no perfect matching")
-
-    def rec(pool: tuple[int, ...]):
-        if not pool:
-            yield ()
-            return
-        a = pool[0]
-        for i in range(1, len(pool)):
-            b = pool[i]
-            rest = pool[1:i] + pool[i + 1:]
-            for tail in rec(rest):
-                yield ((a, b),) + tail
-
-    return [tuple(sorted(mu)) for mu in rec(tuple(range(k)))]
 
 
 def matching_avoidance_bound(ell: int, eps: float, c: float) -> float:
@@ -486,31 +453,6 @@ def typical_sets_experiment(n: int, d: int, big_k: float, m: int, trials: int,
                                    v_dprime_size=len(v_dprime), ell0=ell0, k0=k0,
                                    f1=f1, f2=f2, f3=f3))
     return rows
-
-
-# ----------------------------------------------------------------------
-# invariance of pair-set generators
-# ----------------------------------------------------------------------
-
-_INVARIANCE_SAMPLES = 20
-
-
-def is_invariant_generator(generator, u: Graph, seed: int) -> bool:
-    """Check L(U, pi) = pi(L(U, id)) on _INVARIANCE_SAMPLES sampled permutations.
-
-    generator(u, pi) must return a set of vertex pairs; pi is a tuple with
-    pi[v] the new label of v.
-    """
-    identity = tuple(range(u.n))
-    base = {tuple(sorted(p)) for p in generator(u, identity)}
-    gen = derive_rng(seed, "invariance")
-    for _ in range(_INVARIANCE_SAMPLES):
-        pi = tuple(int(x) for x in gen.permutation(u.n))
-        lhs = {tuple(sorted(p)) for p in generator(u, pi)}
-        rhs = {tuple(sorted((pi[a], pi[b]))) for a, b in base}
-        if lhs != rhs:
-            return False
-    return True
 
 
 # ----------------------------------------------------------------------

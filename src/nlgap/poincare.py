@@ -63,8 +63,6 @@ class GammaReport:
     ratio: float          # ave/dirichlet; inf if dirichlet = 0 < ave; nan if degenerate
     degenerate: bool      # both sums vanish (constant on every component)
     quantile_tau: float
-    tau: float
-    concentration_k: float
     concentrated: bool
 
 
@@ -138,12 +136,10 @@ def gamma_of_map(g: Graph, f: VertexMap, q: float) -> GammaReport:
     costs = cost_matrix(f.target, q)
     ave = _average(f, costs)
     dir_ = _dirichlet(g, f, costs)
-    concentration_k = 5.0 ** q
     quant = empirical_quantile(f, Fraction(1, 2))
-    conc = ave <= concentration_k * quant ** q
     return GammaReport(q=q, ave=ave, dirichlet=dir_, ratio=cost_ratio(ave, dir_),
-                       degenerate=ave == 0 and dir_ == 0, quantile_tau=quant, tau=0.5,
-                       concentration_k=concentration_k, concentrated=conc)
+                       degenerate=ave == 0 and dir_ == 0, quantile_tau=quant,
+                       concentrated=ave <= 5.0 ** q * quant ** q)
 
 
 def edge_lipschitz(g: Graph, img: np.ndarray) -> float:

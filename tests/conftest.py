@@ -4,9 +4,9 @@ import itertools
 import pytest
 from hypothesis import settings
 
-from nlgap.graphs import (complete_bipartite_graph, complete_graph, cube_graph,
-                          cycle_graph, path_graph, petersen_graph, prism_graph,
-                          random_regular, star_graph)
+from nlgap.graphs import (complete_bipartite_graph, complete_graph, cycle_graph, path_graph,
+                          petersen_graph, prism_graph, random_regular)
+from oracles import hypercube_graph
 
 # derandomized: every property test runs the same examples on every run
 settings.register_profile("reproducible", derandomize=True)
@@ -21,8 +21,8 @@ def corpus_graphs():
         "C6": cycle_graph(6), "C8": cycle_graph(8), "C10": cycle_graph(10),
         "K4": complete_graph(4), "K5": complete_graph(5), "K6": complete_graph(6),
         "K33": complete_bipartite_graph(3, 3), "prism": prism_graph(),
-        "cube": cube_graph(), "petersen": petersen_graph(),
-        "star6": star_graph(6),
+        "cube": hypercube_graph(3), "petersen": petersen_graph(),
+        "star6": complete_bipartite_graph(1, 5),
     }
 
 

@@ -204,7 +204,19 @@ class TestCleanErrorExits:
         res = run_cli("gamma", "--gen", "cycle:4", "--metric", str(mpath), "--q", "40")
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr == ("error: at cost exponent q = 40.0 a positive distance raised "
-                              "to q underflows to 0 or overflows to inf\n")
+                              "to q underflows to 0 or passes the cost bound 2^960\n")
+
+    @pytest.mark.parametrize("q", ["42", "44"])
+    @pytest.mark.parametrize("mode", [(), ("--heuristic",)])
+    def test_gamma_refuses_costs_whose_sums_overflow(self, q, mode, tmp_path):
+        # 1e7^44 = 1e308 is finite, but a sum of two overflows: the exact run
+        # once read "degenerate" and --heuristic printed inf and nan
+        mpath = tmp_path / "m.txt"
+        mpath.write_text("2\n0 1e7\n1e7 0\n")
+        res = run_cli("gamma", "--gen", "cycle:4", "--metric", str(mpath), "--q", q, *mode)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr == (f"error: at cost exponent q = {float(q)} a positive distance "
+                              "raised to q underflows to 0 or passes the cost bound 2^960\n")
 
     def test_nonconc_at_large_q(self, tmp_path, capsys):
         # 1.0 + h / (2^64 d) rounds to 1, where ell once divided by zero
@@ -304,6 +316,16 @@ class TestInputDomainExits:
          "N = 100000 points needing 80000000000 bytes exceeds cap 1000 points"),
         (("gamma", "--gen", "cycle:4", "--metric", "random:0", "--q", "1"),
          "random metric needs N >= 1"),
+        (("gen-metric", "--type", "random:5,0", "--out", "unused.txt"),
+         "random metric needs dim >= 1, got 0"),
+        (("gen-graph", "--type", "regular:100000000,3", "--out", "unused.txt"),
+         "n = 100000000 gives 150000000 edges, which exceeds the edge cap 1000000"),
+        (("gen-graph", "--type", "complete:100000", "--out", "unused.txt"),
+         "n = 100000 gives 4999950000 edges, which exceeds the edge cap 1000000"),
+        (("witness", "--sizes", "100000000"),
+         "n = 100000000 gives 150000000 edges, which exceeds the edge cap 1000000"),
+        (("spectra", "--gen-regular", "100000000,3"),
+         "n = 100000000 gives 150000000 edges, which exceeds the edge cap 1000000"),
     ])
     def test_exit_one(self, argv, fragment, capsys):
         assert cli.main(list(argv)) == 1

@@ -124,6 +124,11 @@ class TestOneSidedGamma:
         val = one_sided_gamma(3, 3.0, 1, 1, 1.0)
         assert val == pytest.approx(max(256 * math.log(3), math.log(10)))
 
+    def test_large_c_hits_second_branch(self):
+        # 5^q 2^(q/p) C^(q/p) at p = q = 1 is 10 C, far above C3 = 3^256
+        val = one_sided_gamma(3, 3.0, 1, 1, 1e300)
+        assert val == pytest.approx(301 * math.log(10))
+
     def test_functional_bound_exhaustive(self):
         """Every map with ratio_p <= C also has ratio_q <= Gamma."""
         g = complete_graph(4)

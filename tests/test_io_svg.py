@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlgap.graphs import cycle_graph, petersen_graph, random_regular
+from nlgap.graphs import cycle_graph, graph_from_edges, petersen_graph, random_regular
 from nlgap.io import (csv_row, graph_from_text, graph_to_text,
                       map_assignment_from_text, map_to_text, metric_from_text,
                       metric_to_text)
-from nlgap.metrics import random_euclidean_metric, uniform_metric
+from nlgap.metrics import random_euclidean_metric, uniform_metric, validate
 from nlgap.poincare import VertexMap
 from nlgap.svg import emit_svg
 
@@ -19,6 +22,13 @@ class TestGraphFormat:
             back = graph_from_text(text)
             assert back.edges == g.edges and back.n == g.n
             assert graph_to_text(back) == text
+
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_random_graphs(self, case):
+        g = graph_from_edges(*case)
+        assert graph_from_text(graph_to_text(g)) == g
 
     def test_header_line(self):
         text = graph_to_text(cycle_graph(3))
@@ -38,6 +48,20 @@ class TestMetricFormat:
         assert (back.dist == m.dist).all()
         assert metric_to_text(back) == text
 
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.floats(1.0, 2.0), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+        .map(lambda w: (n, w))), st.integers(-300, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_bit_exact_random_floats(self, case, exponent):
+        """Off-diagonal entries in [s, 2s] always satisfy the triangle
+        inequality, so every float in that range is a valid distance."""
+        n, weights = case
+        dist = np.zeros((n, n))
+        dist[np.triu_indices(n, 1)] = np.array(weights) * 10.0 ** exponent
+        m = validate(dist + dist.T)
+        back = metric_from_text(metric_to_text(m))
+        assert back.dist.tobytes() == m.dist.tobytes()
+
     def test_uniform(self):
         text = metric_to_text(uniform_metric(3))
         assert text.splitlines()[0] == "3"
@@ -49,6 +73,14 @@ class TestMapFormat:
         f = VertexMap(m, (0, 2, 1, 1, 0))
         text = map_to_text(f)
         assert map_assignment_from_text(text) == (0, 2, 1, 1, 0)
+
+    @given(st.integers(2, 10).flatmap(
+        lambda size: st.tuples(st.just(size), st.lists(st.integers(0, size - 1), max_size=40))))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_random_maps(self, case):
+        size, assignment = case
+        f = VertexMap(uniform_metric(size), tuple(assignment))
+        assert map_assignment_from_text(map_to_text(f)) == f.assignment
 
 
 class TestStrictParsers:

@@ -13,6 +13,7 @@ from nlgap.metrics import (_SUP_BLOCK, MetricError, aspect_ratio, cost_matrix,
                            path_metric, random_euclidean_metric, snowflake,
                            sup_distance_blocks, uniform_metric, validate,
                            well_conditioned_reduction)
+from oracles import disjoint_union
 
 
 class TestValidate:
@@ -70,6 +71,15 @@ class TestSnowflake:
     def test_always_validates(self, seed, eps):
         m = random_euclidean_metric(5, seed=seed)
         snowflake(m, eps)  # raises on any axiom failure
+
+    @given(st.integers(2, 12), st.integers(0, 10 ** 6), st.integers(1, 4),
+           st.floats(0.01, 0.99), st.floats(0.5, 8.0))
+    @settings(max_examples=100, deadline=None)
+    def test_costs_equal_costs_at_the_reduced_exponent(self, n, seed, dim, eps, q):
+        """(rho^(1-eps))^q = rho^((1-eps) q), up to rounding."""
+        m = random_euclidean_metric(n, seed=seed, dim=dim)
+        np.testing.assert_allclose(cost_matrix(snowflake(m, eps), q),
+                                   cost_matrix(m, (1 - eps) * q), rtol=1e-12, atol=0)
 
 
 class TestAspectRatio:
@@ -160,7 +170,6 @@ class TestGridAndUniform:
         assert is_well_conditioned(m)
 
     def test_disconnected_rejected(self):
-        from nlgap.graphs import disjoint_union
         g = disjoint_union(path_graph(2), path_graph(2))
         with pytest.raises(MetricError):
             path_metric(g)

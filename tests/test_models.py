@@ -8,18 +8,16 @@ from scipy import stats
 
 from nlgap import models
 from nlgap.graphs import (GraphError, bfs_distances, canonical_form, cycle_graph,
-                          diameter, disjoint_union, graph_from_edges, path_graph,
-                          random_regular, relabel)
+                          diameter, graph_from_edges, path_graph, random_regular, relabel)
 from nlgap.metrics import uniform_metric
-from nlgap.models import (all_perfect_matchings, check_matching_ell,
-                          distribution_equality_mc, draw_model,
-                          equitable_decomposition, is_invariant_generator,
-                          matching_avoidance_bound, matching_avoidance_mc,
-                          order_rank_from_permutation, random_perfect_matching,
+from nlgap.models import (check_matching_ell, distribution_equality_mc, draw_model,
+                          equitable_decomposition, matching_avoidance_bound,
+                          matching_avoidance_mc, random_perfect_matching,
                           restriction_concentration_mc, seed_map_g, seed_map_h,
                           typical_sets_experiment, typical_vertex_sets)
 from nlgap.poincare import VertexMap, empirical_average
 from nlgap.rng import derive_rng
+from oracles import all_perfect_matchings, disjoint_union
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +149,35 @@ def restriction_case(seed):
     eps = float(gen.uniform(0.5, 1.5)) / (2 * points)
     k = int(gen.integers(6, 17))
     return VertexMap(uniform_metric(points), assignment), eps, k, 2 * int(gen.integers(100, 300)) + 1
+
+
+def order_rank_from_permutation(pi, k):
+    """Ranks making the order on R = pi^{-1}([k]) the pullback of the natural
+    order on [k]: the i-th smallest element r of R gets rank pi[r]."""
+    inv = sorted(range(len(pi)), key=lambda v: pi[v])  # pi^{-1}
+    r_sorted = sorted(inv[:k])
+    return tuple(pi[r] for r in r_sorted)
+
+
+_INVARIANCE_SAMPLES = 20
+
+
+def is_invariant_generator(generator, u, seed):
+    """Check L(U, pi) = pi(L(U, id)) on _INVARIANCE_SAMPLES sampled permutations.
+
+    generator(u, pi) must return a set of vertex pairs; pi is a tuple with
+    pi[v] the new label of v.
+    """
+    identity = tuple(range(u.n))
+    base = {tuple(sorted(p)) for p in generator(u, identity)}
+    gen = derive_rng(seed, "invariance")
+    for _ in range(_INVARIANCE_SAMPLES):
+        pi = tuple(int(x) for x in gen.permutation(u.n))
+        lhs = {tuple(sorted(p)) for p in generator(u, pi)}
+        rhs = {tuple(sorted((pi[a], pi[b]))) for a, b in base}
+        if lhs != rhs:
+            return False
+    return True
 
 
 class TestCanonicalRep:

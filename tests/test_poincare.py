@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlgap.graphs import (complete_bipartite_graph, complete_graph, cut_size,
-                          cycle_graph, disjoint_union, graph_from_edges, path_graph,
-                          random_connected_regular, relabel)
+from nlgap.graphs import (complete_bipartite_graph, complete_graph, cycle_graph,
+                          graph_from_edges, path_graph, random_connected_regular, relabel)
 from nlgap.metrics import (MetricError, cost_matrix, linf_grid, path_metric,
                            random_euclidean_metric, uniform_metric, validate)
 from nlgap.poincare import (CapExceeded, VertexMap, average_distortion, dirichlet,
@@ -20,6 +19,7 @@ from nlgap.poincare import (CapExceeded, VertexMap, average_distortion, dirichle
                             is_concentrated, _low_block, _map_blocks)
 from nlgap import poincare
 from nlgap.rng import derive_rng
+from oracles import cut_size, disjoint_union
 
 
 def two_point_gamma_oracle(g):
