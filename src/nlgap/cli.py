@@ -1,8 +1,8 @@
 """Command-line interface: one subcommand per experiment family, fully
 reproducible from the echoed config plus the seed.
 
-Exit codes: 0 success, 1 runtime error (bad input, missing file), 2 a
-property check evaluated and failed.
+Exit codes: 0 success, 1 runtime or usage error (bad input, missing file,
+malformed flag), 2 a property check evaluated and failed.
 """
 from __future__ import annotations
 
@@ -16,12 +16,12 @@ from . import __version__
 from .extrapolation import ExtrapolationVerdict, check_extrapolation, check_nonconcentrated
 from .embeddings import (default_delta, embedding_distortion, jls_embedding,
                          universal_space_size, witness_certificate)
-from .graphs import (Graph, GraphError, complete_graph, cycle_graph,
+from .graphs import (_VERTEX_CAP, Graph, complete_graph, cycle_graph,
                      enumerate_regular_graphs, lambda2, path_graph, petersen_graph,
                      prism_graph, random_regular, random_connected_regular)
-from .io import (CsvDocument, csv_row, read_graph, read_map, read_metric, write_graph,
-                 write_map, write_metric)
-from .metrics import (FiniteMetric, MetricError, linf_grid,
+from .io import (CsvDocument, csv_row, graph_from_text, graph_to_text, grid_to_text,
+                 map_assignment_from_text, map_to_text, metric_from_text, metric_to_text)
+from .metrics import (FiniteMetric, linf_grid,
                       random_euclidean_metric, snowflake, uniform_metric)
 from .models import (check_matching_ell, distribution_equality_mc, matching_avoidance_mc,
                      restriction_concentration_mc, typical_sets_experiment)
@@ -39,16 +39,23 @@ class PropertyFailure(RuntimeError):
     pass
 
 
-def _existing(path: str, what: str) -> Path:
+class _Parser(argparse.ArgumentParser):
+    """Usage errors leave through main's one error path; --help still exits 0."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
+def _read(path: str, what: str, parse):
     p = Path(path)
     if not p.exists():
         raise CliError(f"{what} file not found: {p}")
-    return p
+    return parse(p.read_text())
 
 
 def parse_graph_arg(spec: str | None, path: str | None, seed: int) -> Graph:
     if path is not None:
-        return read_graph(_existing(path, "graph"))
+        return _read(path, "graph", graph_from_text)
     if spec is None:
         raise CliError("no graph given: pass --graph FILE or --gen SPEC")
     kind, _, rest = spec.partition(":")
@@ -66,7 +73,7 @@ def parse_graph_arg(spec: str | None, path: str | None, seed: int) -> Graph:
             return prism_graph()
         if kind == "petersen":
             return petersen_graph()
-    except (ValueError, GraphError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad graph spec {spec!r}: {exc}") from exc
     raise CliError(f"unknown graph spec {spec!r}")
 
@@ -83,9 +90,9 @@ def parse_metric_arg(spec: str, seed: int) -> FiniteMetric:
             parts = rest.split(",")
             dim = int(parts[1]) if len(parts) > 1 else 2
             return random_euclidean_metric(int(parts[0]), seed=seed, dim=dim)
-    except (ValueError, MetricError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad metric spec {spec!r}: {exc}") from exc
-    return read_metric(_existing(spec, "metric"))
+    return _read(spec, "metric", metric_from_text)
 
 
 def parse_log_cardinality(text: str) -> float:
@@ -158,7 +165,7 @@ def cmd_gamma(args) -> None:
     report = gamma_of_map(g, res.witness, args.q)
     _emit(args, GAMMA_CSV_HEADER, [gamma_report_csv_row(g, report, metric.size)])
     if args.map_out:
-        write_map(res.witness, args.map_out)
+        Path(args.map_out).write_text(map_to_text(res.witness))
 
 
 def _desk_suite_rows(seed: int):
@@ -200,7 +207,7 @@ def cmd_nonconc(args) -> None:
             raise CliError(f"{flag} must be finite, got {value}")
     g = parse_graph_arg(args.gen, args.graph, args.seed)
     metric = parse_metric_arg(args.metric, args.seed)
-    f = read_map(_existing(args.map, "map"), metric)
+    f = VertexMap(metric, _read(args.map, "map", map_assignment_from_text))
     v = check_nonconcentrated(g, f, args.q, args.cr, Fraction(args.tau).limit_denominator(10 ** 6))
     _emit(args, "hypothesis_met,ell,log_bound,ave,dirichlet,holds,slack_log",
           [csv_row(v.hypothesis_met, v.params.ell, v.params.log_bound, v.ave,
@@ -248,9 +255,7 @@ def cmd_jls(args) -> None:
           [csv_row(g.n, res.attempts, res.success, res.report.lip, res.report.colip,
                    res.report.distortion, res.grid.coords.shape[1], log_size)])
     if args.map_out:
-        lines = [f"{res.grid.coords.shape[0]} {res.grid.coords.shape[1]}"]
-        lines += [" ".join(str(int(x)) for x in row) for row in res.grid.coords]
-        Path(args.map_out).write_text("\n".join(lines) + "\n")
+        Path(args.map_out).write_text(grid_to_text(res.grid))
     if not res.success:
         raise PropertyFailure(
             f"distortion target missed: best {res.report.distortion:.4f}")
@@ -259,7 +264,8 @@ def cmd_jls(args) -> None:
 def cmd_distort(args) -> None:
     g = parse_graph_arg(args.gen, args.graph, args.seed)
     metric = parse_metric_arg(args.metric, args.seed)
-    r = embedding_distortion(g, read_map(_existing(args.map, "map"), metric).image_distances())
+    f = VertexMap(metric, _read(args.map, "map", map_assignment_from_text))
+    r = embedding_distortion(g, f.image_distances())
     _emit(args, "lip,colip,distortion,scale", [csv_row(r.lip, r.colip, r.distortion, r.scale)])
 
 
@@ -284,6 +290,8 @@ def cmd_model(args) -> None:
         _emit(args, "ell,eps,c,trials,empirical,analytic_bound",
               [csv_row(r.ell, r.eps, r.c, r.trials, r.empirical, r.analytic_bound)])
     elif args.lemma == "restriction":
+        if args.n > _VERTEX_CAP:
+            raise CliError(f"--n {args.n} exceeds the vertex cap {_VERTEX_CAP}")
         metric = uniform_metric(args.points)
         f = VertexMap(metric, tuple(v % args.points for v in range(args.n)))
         r = restriction_concentration_mc(f, eps=args.eps, k=args.k,
@@ -310,8 +318,6 @@ def cmd_model(args) -> None:
                 for f in ("f1", "f2", "f3")]
         rows.append(csv_row("frequency", *[None] * 5, *hits))
         _emit(args, "trial,v,v_prime,v_dprime,ell0,k0,f1,f2,f3", rows)
-    else:
-        raise CliError(f"unknown lemma {args.lemma!r}")
 
 
 def cmd_spectra(args) -> None:
@@ -323,10 +329,10 @@ def cmd_spectra(args) -> None:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
     if args.min_fraction is not None and not 0 <= args.min_fraction <= 1:
         raise CliError(f"--min-fraction must lie in [0, 1], got {args.min_fraction}")
-    threshold = 2.1 * math.sqrt(d - 1)
-
     values = [lambda2(random_regular(n, d, seed=args.seed + 104729 * t))
               for t in range(args.trials)]
+    # after the draws, which refuse d < 3 by name
+    threshold = 2.1 * math.sqrt(d - 1)
     rows = [csv_row(t, l2, l2 <= threshold) for t, l2 in enumerate(values)]
     frac = sum(l2 <= threshold for l2 in values) / args.trials
     rows.append(csv_row("fraction", frac, None))
@@ -337,7 +343,7 @@ def cmd_spectra(args) -> None:
 
 def cmd_gen_graph(args) -> None:
     g = parse_graph_arg(args.type, None, args.seed)
-    write_graph(g, args.out)
+    Path(args.out).write_text(graph_to_text(g))
 
 
 def cmd_gen_metric(args) -> None:
@@ -345,16 +351,16 @@ def cmd_gen_metric(args) -> None:
         if not args.base:
             raise CliError("snowflake needs --base METRIC_FILE")
         eps = float(args.type.split(":", 1)[1])
-        metric = snowflake(read_metric(_existing(args.base, "metric")), eps)
+        metric = snowflake(_read(args.base, "metric", metric_from_text), eps)
     else:
         metric = parse_metric_arg(args.type, args.seed)
-    write_metric(metric, args.out)
+    Path(args.out).write_text(metric_to_text(metric))
 
 
 # ---------------------------------------------------------------- wiring
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="nlgap", description=__doc__)
+    top = _Parser(prog="nlgap", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -460,13 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except PropertyFailure as exc:
         print(f"property check failed: {exc}", file=sys.stderr)
         return 2
-    except (CliError, CapExceeded, GraphError, MetricError, ValueError, OSError) as exc:
+    except (CliError, CapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -71,9 +71,8 @@ class GridMap:
         return np.concatenate(list(sup_distance_blocks(self.coords))).astype(np.int64)
 
     def edge_costs(self, g: Graph) -> list[int]:
-        e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
-        c = self.coords
-        return np.abs(c[e[:, 0]] - c[e[:, 1]]).max(axis=1, initial=0).tolist()
+        u, v = g.edge_array.T
+        return np.abs(self.coords[u] - self.coords[v]).max(axis=1, initial=0).tolist()
 
 
 def witness_map(g: Graph, log_n_points: float) -> tuple[GridMap, WitnessParams]:
@@ -129,12 +128,14 @@ class EmbeddingReport:
 
 def embedding_distortion(g: Graph, image_dist: np.ndarray) -> EmbeddingReport:
     """Distortion report of a map given its full image-distance matrix."""
+    img = np.asarray(image_dist, dtype=np.float64)
+    if img.shape != (g.n, g.n):
+        raise GraphError(f"image distances of shape {img.shape} != graph order {g.n}")
     if not is_connected(g):
         raise GraphError("distortion is defined here for connected graphs")
     if g.n < 2:
         raise GraphError("distortion needs a graph with at least two vertices")
     gd = distance_matrix(g)
-    img = np.asarray(image_dist, dtype=np.float64)
     lip = edge_lipschitz(g, img)
     mask = ~np.eye(g.n, dtype=bool)
     with np.errstate(divide="ignore"):

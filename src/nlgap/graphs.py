@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,6 +35,13 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) array of vertex indices."""
+        a = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        a.flags.writeable = False
+        return a
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -49,8 +56,7 @@ class Graph:
 
 def graph_from_edges(n: int, edges) -> Graph:
     """Build and validate a simple graph from an iterable of vertex pairs."""
-    if n < 0:
-        raise GraphError("vertex count must be nonnegative")
+    _check_graph(n, 0)
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -69,15 +75,18 @@ def graph_from_edges(n: int, edges) -> Graph:
     return Graph(n, sorted_edges, tuple(tuple(sorted(a)) for a in adj))
 
 
-# the generators below build each edge as a Python tuple, so they refuse a
-# graph beyond this many edges; K_500, the largest any test builds, has 124,750
+# a graph holds a Python tuple per edge and per vertex; K_500, the largest any
+# test builds, has 124,750 edges, and every path and cycle within the edge cap fits
 _EDGE_CAP = 10 ** 6
+_VERTEX_CAP = _EDGE_CAP + 1
 
 
-def _check_edges(n: int, m: int) -> None:
-    """Refuse, before anything is built, a graph with more than _EDGE_CAP edges."""
+def _check_graph(n: int, m: int) -> None:
+    """Refuse, before anything is built, a graph beyond the edge or vertex cap."""
     if m > _EDGE_CAP:
         raise GraphError(f"n = {n} gives {m} edges, which exceeds the edge cap {_EDGE_CAP}")
+    if not 0 <= n <= _VERTEX_CAP:
+        raise GraphError(f"n = {n} is outside the vertex range 0..{_VERTEX_CAP}")
 
 
 # ----------------------------------------------------------------------
@@ -87,21 +96,22 @@ def _check_edges(n: int, m: int) -> None:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs n >= 3")
-    _check_edges(n, n)
+    _check_graph(n, n)
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n: int) -> Graph:
-    _check_edges(n, n - 1)
+    _check_graph(n, n - 1)
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_graph(n: int) -> Graph:
-    _check_edges(n, n * (n - 1) // 2)
+    _check_graph(n, n * (n - 1) // 2)
     return graph_from_edges(n, itertools.combinations(range(n), 2))
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
+    _check_graph(a + b, a * b)
     return graph_from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -181,8 +191,6 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
 
 def diameter(g: Graph) -> int:
-    if g.n == 0:
-        return 0
     return int(distance_matrix(g).max(initial=0))
 
 
@@ -261,14 +269,9 @@ def cheeger_lower_bound(g: Graph) -> float:
 # spectrum
 # ----------------------------------------------------------------------
 
-def _edge_array(g: Graph) -> np.ndarray:
-    """The edges as an (m, 2) array of vertex indices."""
-    return np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-
-
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=np.float64)
-    u, v = _edge_array(g).T
+    u, v = g.edge_array.T
     a[u, v] = a[v, u] = 1.0
     return a
 
@@ -320,7 +323,7 @@ def lambda2(g: Graph) -> float:
 
             matvec = _matvec
 
-        u, v = _edge_array(g).T
+        u, v = g.edge_array.T
         a = csr_array((np.ones(2 * g.m), (np.concatenate([u, v]), np.concatenate([v, u]))),
                       shape=(g.n, g.n))
         # rng feeds the restart vectors ARPACK draws after a breakdown
@@ -406,7 +409,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     simple pairing of the stream.  Deterministic given the seed."""
     if not 3 <= d <= n - 1:
         raise GraphError(f"degree d={d} must satisfy 3 <= d <= n-1 (n={n})")
-    _check_edges(n, n * d // 2)
+    _check_graph(n, n * d // 2)
     lo, hi = next(_simple_pairings(n, d, 1, derive_rng(seed, "pairing", n, d)))
     return graph_from_edges(n, zip(lo[0].tolist(), hi[0].tolist()))
 

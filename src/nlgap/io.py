@@ -1,17 +1,17 @@
-"""Plain-text file formats (graphs, metrics, vertex maps) and CSV emission.
-Every writer round-trips bit-exactly: graphs store sorted edge lists,
-metrics full matrix rows with shortest round-trip decimals, maps one
-vertex-point pair per line."""
+"""Plain-text file formats (graphs, metrics, vertex maps, grid coordinates)
+and CSV emission.  The graph, metric and map writers round-trip
+bit-exactly: graphs store sorted edge lists, metrics full matrix rows with
+shortest round-trip decimals, maps one vertex-point pair per line."""
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, graph_from_edges
-from .metrics import FiniteMetric, validate
+from .embeddings import GridMap
+from .graphs import Graph, _check_graph, graph_from_edges
+from .metrics import FiniteMetric, _check_size, validate
 from .poincare import VertexMap
 
 
@@ -50,44 +50,29 @@ def graph_to_text(g: Graph) -> str:
 def graph_from_text(text: str) -> Graph:
     rows = _rows(text, "graph")
     n, m = map(int, rows[0].split())
+    _check_graph(n, m)
     edges = [tuple(map(int, r.split())) for r in rows[1:]]
     if len(edges) != m:
         raise ValueError(f"expected {m} edges, found {len(edges)}")
     return graph_from_edges(n, edges)
 
 
-def write_graph(g: Graph, path) -> None:
-    Path(path).write_text(graph_to_text(g))
-
-
-def read_graph(path) -> Graph:
-    return graph_from_text(Path(path).read_text())
-
-
 # ---------------------------------------------------------------- metrics
 
 def metric_to_text(metric: FiniteMetric) -> str:
     lines = [str(metric.size)]
-    for row in metric.dist:
-        lines.append(" ".join(fmt(x) for x in row))
+    lines.extend(" ".join(fmt(x) for x in row) for row in metric.dist)
     return "\n".join(lines) + "\n"
 
 
 def metric_from_text(text: str) -> FiniteMetric:
     rows = _rows(text, "metric")
     n = int(rows[0])
+    _check_size(n, 8 * n * n)
     mat = [[float(x) for x in r.split()] for r in rows[1:]]
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError(f"expected {n} metric rows of {n} entries each")
     return validate(mat)
-
-
-def write_metric(metric: FiniteMetric, path) -> None:
-    Path(path).write_text(metric_to_text(metric))
-
-
-def read_metric(path) -> FiniteMetric:
-    return metric_from_text(Path(path).read_text())
 
 
 # ---------------------------------------------------------------- maps
@@ -107,12 +92,13 @@ def map_assignment_from_text(text: str) -> tuple[int, ...]:
     return tuple(out[v] for v in range(n))
 
 
-def write_map(f: VertexMap, path) -> None:
-    Path(path).write_text(map_to_text(f))
+# ---------------------------------------------------------------- grid coordinates
 
-
-def read_map(path, metric: FiniteMetric) -> VertexMap:
-    return VertexMap(metric, map_assignment_from_text(Path(path).read_text()))
+def grid_to_text(grid: GridMap) -> str:
+    """A line "n width", then each vertex's integer coordinates."""
+    lines = [f"{grid.coords.shape[0]} {grid.coords.shape[1]}"]
+    lines.extend(" ".join(str(int(x)) for x in row) for row in grid.coords)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- reports

@@ -101,15 +101,19 @@ def sup_distance_blocks(coords: np.ndarray):
 def validate(dist, labels=None) -> FiniteMetric:
     """Check the metric axioms and wrap the matrix.
 
-    Raises MetricError naming the first violated axiom (asymmetry, negative
-    entry, nonzero diagonal, zero off-diagonal, triangle inequality) with
-    the witnessing indices.  Triangle checks are exact up to an absolute
-    tolerance of 1e-12 * diam to absorb float noise in constructions.
+    Raises MetricError naming the first violated axiom (non-finite entry,
+    asymmetry, negative entry, nonzero diagonal, zero off-diagonal, triangle
+    inequality) with the witnessing indices.  Triangle checks are exact up
+    to an absolute tolerance of 1e-12 * diam to absorb float noise.
     """
     a = np.asarray(dist, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MetricError("shape", a.shape, f"distance matrix must be square, got {a.shape}")
     n = a.shape[0]
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        i, j = map(int, bad[0])
+        raise MetricError("non-finite", (i, j), f"dist[{i},{j}] = {a[i, j]} is not finite")
     bad = np.argwhere(a != a.T)
     if bad.size:
         i, j = map(int, bad[0])

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, distance_matrix, is_connected, lambda2
+from .graphs import Graph, GraphError, distance_matrix, is_connected, lambda2
 from .metrics import FiniteMetric, MetricError, cost_matrix
 from .rng import derive_rng
 
@@ -48,7 +48,7 @@ class VertexMap:
 
     def image_distances(self) -> np.ndarray:
         """The n x n matrix of distances between the images of vertex pairs."""
-        a = np.asarray(self.assignment)
+        a = np.asarray(self.assignment, dtype=np.intp)
         return self.target.dist[a[:, None], a[None, :]]
 
 
@@ -119,8 +119,13 @@ def _dirichlet(g: Graph, f: VertexMap, costs: np.ndarray) -> float:
         raise ValueError(f"map length {f.n} != graph order {g.n}")
     if g.m == 0:
         raise ValueError("graph has no edges")
-    a = f.assignment
-    return float(sum(costs[a[u], a[v]] for u, v in g.edges)) / g.m
+    return _edge_sum(g, np.asarray(f.assignment), costs) / g.m
+
+
+def _edge_sum(g: Graph, a: np.ndarray, costs: np.ndarray) -> float:
+    """costs[a[u], a[v]] added over the edges of g one by one, in edge order."""
+    u, v = g.edge_array.T
+    return float(np.cumsum(costs[a[u], a[v]])[-1])
 
 
 def cost_ratio(ave: float, dirichlet: float) -> float:
@@ -144,8 +149,8 @@ def gamma_of_map(g: Graph, f: VertexMap, q: float) -> GammaReport:
 
 def edge_lipschitz(g: Graph, img: np.ndarray) -> float:
     """Largest entry of the image-distance matrix img across an edge of g."""
-    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    return float(img[ends[:, 0], ends[:, 1]].max())
+    u, v = g.edge_array.T
+    return float(img[u, v].max())
 
 
 # ----------------------------------------------------------------------
@@ -294,6 +299,8 @@ def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    if g.m == 0:
+        raise ValueError("graph has no edges")
     if not is_connected(g):
         raise ValueError("gamma_lower_search requires a connected graph")
     n, n_points = g.n, metric.size
@@ -304,7 +311,6 @@ def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
             raise ValueError(f"start entries must be integers in [0, {n_points})")
     costs = cost_matrix(metric, q)
     scale = g.m / (n * n)  # ratio = scale * pair_sum / edge_sum
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
     # vertices grouped by degree, so that each group's neighbour lists form
     # one (vertices, degree) array in adjacency order
     degrees = np.array(g.degrees())
@@ -317,10 +323,7 @@ def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
 
     def full_sums(a: np.ndarray) -> tuple[np.ndarray, float, float]:
         cnt = np.bincount(a, minlength=n_points).astype(np.float64)
-        pair = float(cnt @ costs @ cnt)
-        # cumsum adds the edges one by one, in edge order
-        edge = float(np.cumsum(costs[a[ends[0]], a[ends[1]]])[-1]) if g.m else 0.0
-        return cnt, pair, edge
+        return cnt, float(cnt @ costs @ cnt), _edge_sum(g, a, costs)
 
     def ratio(pair: float, edge: float) -> float:
         return scale * pair / edge if edge > 0 else -math.inf
@@ -419,6 +422,8 @@ def average_distortion(g: Graph, f: VertexMap) -> AverageDistortionReport:
     estimate is at most s*D, so their quotient never exceeds the
     bi-Lipschitz distortion of f.
     """
+    if f.n != g.n:
+        raise GraphError(f"map length {f.n} != graph order {g.n}")
     if not is_connected(g):
         raise ValueError("average distortion requires a connected graph")
     if f.is_constant():

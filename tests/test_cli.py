@@ -1,3 +1,4 @@
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from nlgap import cli
-from nlgap.io import read_graph, read_metric
+from nlgap.io import graph_from_text, metric_from_text
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 
@@ -45,7 +46,7 @@ class TestGenRoundTrip:
         res = run_cli("gen-graph", "--type", "regular:10,3", "--seed", "3",
                       "--out", str(out))
         assert res.returncode == 0
-        g = read_graph(out)
+        g = graph_from_text(out.read_text())
         assert g.n == 10 and set(g.degrees()) == {3}
         out2 = tmp_path / "g2.txt"
         run_cli("gen-graph", "--type", "regular:10,3", "--seed", "3", "--out", str(out2))
@@ -55,7 +56,7 @@ class TestGenRoundTrip:
         out = tmp_path / "m.txt"
         res = run_cli("gen-metric", "--type", "random:4", "--seed", "5", "--out", str(out))
         assert res.returncode == 0
-        m = read_metric(out)
+        m = metric_from_text(out.read_text())
         assert m.size == 4
 
     def test_snowflake_requires_base(self, tmp_path):
@@ -69,7 +70,7 @@ class TestGenRoundTrip:
         res = run_cli("gen-metric", "--type", "snowflake:0.5", "--base", str(base),
                       "--out", str(out))
         assert res.returncode == 0
-        m_base, m_flake = read_metric(base), read_metric(out)
+        m_base, m_flake = metric_from_text(base.read_text()), metric_from_text(out.read_text())
         assert abs(m_flake.dist - m_base.dist ** 0.5).max() < 1e-12
 
 
@@ -227,6 +228,60 @@ class TestCleanErrorExits:
         row = body_of(capsys.readouterr().out).splitlines()[-1]
         assert row.startswith("1,38358925935607971840,")
 
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_distort_rejects_map_of_another_order(self, order, tmp_path, capsys):
+        fpath = tmp_path / "f.txt"
+        fpath.write_text(f"{order}\n" + "".join(f"{v} {v % 2}\n" for v in range(order)))
+        assert cli.main(["distort", "--gen", "cycle:4", "--metric", "uniform:2",
+                         "--map", str(fpath)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: image distances of shape ({order}, {order}) != graph order 4\n")
+
+    @pytest.mark.parametrize("header,message", [
+        ("1000000000000 0", "n = 1000000000000 is outside the vertex range 0..1000001"),
+        ("5 1000000000000",
+         "n = 5 gives 1000000000000 edges, which exceeds the edge cap 1000000"),
+    ])
+    def test_oversized_graph_file_header(self, header, message, tmp_path, capsys):
+        gpath = tmp_path / "g.txt"
+        gpath.write_text(header + "\n")
+        assert cli.main(["gamma", "--graph", str(gpath), "--metric", "uniform:2"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_oversized_metric_file_header(self, tmp_path, capsys):
+        mpath = tmp_path / "m.txt"
+        mpath.write_text("2000\n0 1\n1 0\n")
+        assert cli.main(["gamma", "--gen", "cycle:4", "--metric", str(mpath)]) == 1
+        assert capsys.readouterr().err == ("error: N = 2000 points needing 32000000 bytes "
+                                           "exceeds cap 1000 points or 1073741824 bytes\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("gamma", "--gen", "cycle:4", "--metric", "uniform:2", "--q", "abc"),
+         "argument --q: invalid float value: 'abc'"),
+        (("gamma", "--gen", "cycle:4"), "the following arguments are required: --metric"),
+        (("model", "--lemma", "nope"), "argument --lemma: invalid choice: 'nope'"),
+        ((), "the following arguments are required: command"),
+    ])
+    def test_usage_errors_exit_one(self, argv, message, capsys):
+        # argparse alone would print a usage block and exit 2, the code of a
+        # failed property check
+        assert cli.main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([flag])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_restriction_refuses_huge_domain(self, capsys):
+        assert cli.main(["model", "--lemma", "restriction", "--n", str(10 ** 21)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: --n {10 ** 21} exceeds the vertex cap 1000001\n")
+
     def test_distort_rejects_empty_map(self, tmp_path, capsys):
         fpath = tmp_path / "f.txt"
         fpath.write_text("")
@@ -326,6 +381,7 @@ class TestInputDomainExits:
          "n = 100000000 gives 150000000 edges, which exceeds the edge cap 1000000"),
         (("spectra", "--gen-regular", "100000000,3"),
          "n = 100000000 gives 150000000 edges, which exceeds the edge cap 1000000"),
+        (("spectra", "--gen-regular", "20,0"), "degree d=0 must satisfy"),
     ])
     def test_exit_one(self, argv, fragment, capsys):
         assert cli.main(list(argv)) == 1
@@ -333,6 +389,177 @@ class TestInputDomainExits:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert fragment in captured.err and "Traceback" not in captured.err
+
+
+# --------------------------------------------------------------- no-traceback table
+
+HUGE = "1" + "0" * 21
+GRAPH_TEXT = "4 4\n0 1\n0 3\n1 2\n2 3\n"
+METRIC_TEXT = "2\n0 1.0\n1.0 0\n"
+MAP_TEXT = "4\n0 0\n1 1\n2 0\n3 1\n"
+
+
+def spec_variants(kind: str, fields: tuple[str, ...]) -> list[str]:
+    """kind:fields with each field in turn zero, negative, NaN or huge, then
+    cut short: the last field dropped, and a trailing separator."""
+    out = [f"{kind}:" + ",".join(fields[:i] + (bad,) + fields[i + 1:])
+           for i in range(len(fields)) for bad in ("0", "-1", "nan", HUGE)]
+    return out + [f"{kind}:" + ",".join(fields[:-1]), f"{kind}:" + ",".join(fields) + ","]
+
+
+GRAPH_SPECS = [*spec_variants("regular", ("10", "3")), *spec_variants("cycle", ("5",)),
+               *spec_variants("path", ("5",)), *spec_variants("complete", ("5",)),
+               "prism", "petersen", "nope:5", ""]
+METRIC_SPECS = [*spec_variants("uniform", ("3",)), *spec_variants("grid", ("1", "2")),
+                *spec_variants("random", ("4", "2")), "no_such_metric.txt", ""]
+# file texts: cut short, empty, zero, negative, NaN and huge headers, bad entries
+GRAPH_FILES = [GRAPH_TEXT[:-9], GRAPH_TEXT[:-2], "4", "", "0 0\n", "-1 0\n", "nan 0\n",
+               f"{HUGE} 0\n", f"4 {HUGE}\n", "4 1\n0 9\n", "4 1\n0 -1\n", "4 1\n0 0\n"]
+METRIC_FILES = [METRIC_TEXT[:-2], METRIC_TEXT[:-6], "2", "", "0\n", "-1\n", "nan\n",
+                f"{HUGE}\n", "2000\n", "2\n0 nan\nnan 0\n", "2\n0 -1\n-1 0\n",
+                "2\n0 1e999\n1e999 0\n", "2\n0 0\n0 0\n"]
+# besides these, the 3- and 5-vertex maps, which do not fit the 4-vertex graphs
+MAP_FILES = [MAP_TEXT[:-2], MAP_TEXT[:-8], "", "0\n", "-1\n", "nan\n", f"{HUGE}\n",
+             "4\n0 0\n1 1\n2 0\n3 9\n", "4\n0 0\n1 -1\n2 0\n3 1\n",
+             "4\n0 0\n1 1\n2 0\n9 1\n", "3\n0 0\n1 1\n2 0\n",
+             "5\n0 0\n1 1\n2 0\n3 1\n4 0\n"]
+
+INT = ("0", "-1", "nan", HUGE, "")
+FLOAT = ("0", "-1", "nan", "1e300", "1e")
+COUNT = ("0", "-1")
+OUT_PATH = ("", "no_such_dir/out.txt")
+
+# each subcommand: a small valid run, and the values tried for each of its flags
+SUBCOMMANDS = [
+    (("gamma", "--gen", "cycle:4", "--metric", "uniform:2", "--q", "1",
+      "--seed", "0", "--out", "out.csv", "--map-out", "f.out"),
+     {"--gen": GRAPH_SPECS, "--metric": METRIC_SPECS, "--q": FLOAT, "--seed": INT,
+      "--out": OUT_PATH, "--map-out": OUT_PATH}),
+    (("gamma", "--gen", "cycle:4", "--metric", "uniform:2", "--heuristic", "--iters", "20",
+      "--q", "1", "--seed", "0"),
+     {"--gen": GRAPH_SPECS, "--metric": METRIC_SPECS, "--q": FLOAT, "--seed": INT,
+      "--iters": COUNT}),
+    (("extrapolate", "--gen", "cycle:4", "--metric", "uniform:2", "--p", "1", "--q", "2",
+      "--seed", "0"),
+     {"--gen": GRAPH_SPECS, "--metric": METRIC_SPECS, "--p": FLOAT, "--q": FLOAT,
+      "--seed": INT, "--suite": ("nope", "")}),
+    (("nonconc", "--gen", "complete:4", "--metric", "uniform:2", "--map", "f.map", "--q", "1",
+      "--cr", "5", "--tau", "0.5", "--seed", "0"),
+     {"--gen": GRAPH_SPECS, "--metric": METRIC_SPECS, "--q": FLOAT, "--cr": FLOAT,
+      "--tau": FLOAT, "--seed": INT}),
+    (("witness", "--gen", "regular:16,3", "--N", "10^10", "--q", "1", "--seed", "0"),
+     {"--gen": GRAPH_SPECS, "--N": ("0", "-1", "nan", f"10^{HUGE}", "10^"), "--q": FLOAT,
+      "--seed": INT}),
+    (("witness", "--sizes", "16", "--d", "3", "--trials", "1", "--N", "10^10", "--seed", "0",
+      "--svg", "w.svg"),
+     {"--sizes": ("0", "-1", "nan", HUGE, "16,", ""), "--d": INT, "--trials": COUNT,
+      "--svg": OUT_PATH}),
+    (("jls-embed", "--gen", "cycle:8", "--distortion", "3", "--c1", "1", "--retries", "2",
+      "--delta", "10", "--seed", "0", "--map-out", "j.txt"),
+     {"--gen": GRAPH_SPECS, "--distortion": FLOAT, "--c1": FLOAT, "--retries": COUNT,
+      "--delta": INT, "--seed": INT, "--map-out": OUT_PATH}),
+    (("distort", "--gen", "cycle:4", "--metric", "uniform:2", "--map", "f.map"),
+     {"--gen": GRAPH_SPECS, "--metric": METRIC_SPECS}),
+    (("model", "--lemma", "matchings", "--l", "8", "--eps", "0.3", "--c", "0.2",
+      "--trials", "10", "--seed", "0"),
+     {"--lemma": ("nope", ""), "--l": INT, "--eps": FLOAT, "--c": FLOAT, "--trials": COUNT,
+      "--seed": INT}),
+    (("model", "--lemma", "restriction", "--n", "20", "--k", "5", "--eps", "0.2",
+      "--points", "4", "--trials", "10", "--seed", "0"),
+     {"--n": INT, "--k": INT, "--eps": FLOAT, "--points": INT, "--trials": COUNT,
+      "--seed": INT}),
+    (("model", "--lemma", "dist-eq", "--n", "4", "--d", "3", "--l", "2", "--trials", "10",
+      "--p-threshold", "0.001", "--seed", "0"),
+     {"--n": INT, "--d": INT, "--l": INT, "--trials": COUNT, "--p-threshold": FLOAT,
+      "--seed": INT}),
+    (("model", "--lemma", "typical", "--n", "120", "--d", "3", "--bigk", "6", "--m", "3",
+      "--trials", "1", "--seed", "0"),
+     {"--n": INT, "--d": INT, "--bigk": FLOAT, "--m": INT, "--trials": COUNT, "--seed": INT}),
+    (("spectra", "--gen-regular", "20,3", "--trials", "2", "--min-fraction", "0.5",
+      "--seed", "0"),
+     {"--gen-regular": [s.partition(":")[2] for s in spec_variants("regular", ("20", "3"))],
+      "--trials": COUNT, "--min-fraction": FLOAT, "--seed": INT}),
+    (("gen-graph", "--type", "cycle:5", "--seed", "0", "--out", "g.out"),
+     {"--type": GRAPH_SPECS, "--seed": INT, "--out": OUT_PATH}),
+    (("gen-metric", "--type", "uniform:3", "--seed", "0", "--out", "m.out"),
+     {"--type": METRIC_SPECS, "--seed": INT, "--out": OUT_PATH}),
+    (("gen-metric", "--type", "snowflake:0.5", "--base", "m.txt", "--out", "s.out"),
+     {"--type": [f"snowflake:{x}" for x in FLOAT], "--base": ("no_such_metric.txt",)}),
+]
+
+
+def with_flag(base: tuple, flag: str, value: str) -> list[str]:
+    """base with the value of flag replaced, or flag appended."""
+    argv = list(base)
+    if flag not in argv:
+        return argv + [flag, value]
+    argv[argv.index(flag) + 1] = value
+    return argv
+
+
+def table_cases():
+    """(argv, files): one flag or file out of its domain per call.  The files
+    g.txt, m.txt and f.map hold a valid graph, metric and map unless
+    overridden."""
+    cases = [(["gamma", "--gen", "cycle:4", "--metric", "uniform:2", "--q", "abc"], {}),
+             (["gamma", "--gen", "cycle:4"], {}), (["model", "--lemma", "nope"], {}), ([], {})]
+    for base, flags in SUBCOMMANDS:
+        cases += [(with_flag(base, flag, v), {}) for flag, values in flags.items()
+                  for v in values]
+    graph_cmd = ["gamma", "--graph", "g.txt", "--metric", "m.txt"]
+    cases += [(graph_cmd, {"g.txt": t}) for t in GRAPH_FILES]
+    cases += [(graph_cmd, {"m.txt": t}) for t in METRIC_FILES]
+    for cmd in ("distort", "nonconc"):
+        cases += [([cmd, "--graph", "g.txt", "--metric", "uniform:2", "--map", "f.map"],
+                   {"f.map": t}) for t in MAP_FILES]
+    return cases
+
+
+TABLE_CASES = table_cases()
+
+
+class Overtime(Exception):
+    pass
+
+
+class TestNoTracebackTable:
+    """Every subcommand over zero, negative, NaN, huge and cut-short values of
+    each flag, spec field and input file, one at a time, in process: each call
+    exits 0, 1 or 2 within TIME_LIMIT_S seconds and prints no traceback; an
+    exit 1 prints one "error: " line, and exit 2 is a failed property check.
+
+    Work counts (--trials, --iters, --retries) get only zero and negative
+    values: a huge count is a valid long run, not out of the domain
+    (gamma --heuristic --iters 10^21 runs until it is stopped)."""
+
+    TIME_LIMIT_S = 5.0
+
+    @pytest.mark.parametrize("argv,files", TABLE_CASES,
+                             ids=[" ".join(a) + "|" + ";".join(f"{k}={v!r}" for k, v in f.items())
+                                  for a, f in TABLE_CASES])
+    def test_exits_cleanly(self, argv, files, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, text in {"g.txt": GRAPH_TEXT, "m.txt": METRIC_TEXT, "f.map": MAP_TEXT,
+                           **files}.items():
+            Path(name).write_text(text)
+
+        def overtime(signum, frame):
+            raise Overtime(f"{argv} ran past {self.TIME_LIMIT_S} s")
+
+        previous = signal.signal(signal.SIGALRM, overtime)
+        signal.setitimer(signal.ITIMER_REAL, self.TIME_LIMIT_S)
+        try:
+            code = cli.main(argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.out + captured.err
+        if code == 1:
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if code == 2:
+            assert captured.err.startswith("property check failed: ")
 
 
 class TestImportBudget:

@@ -225,6 +225,30 @@ class TestConstruction:
             for u, v in g.edges:
                 assert v in g.adjacency[u] and u in g.adjacency[v]
 
+    def test_edge_array_is_one_read_only_copy_outside_equality(self, corpus):
+        for g in [*corpus.values(), graph_from_edges(3, [])]:
+            a = g.edge_array
+            assert a is g.edge_array and not a.flags.writeable
+            assert a.dtype == np.intp and a.shape == (g.m, 2)
+            assert [tuple(e) for e in a.tolist()] == list(g.edges)
+            # the cached array stays out of __eq__ and __hash__, which the
+            # lru_caches keyed by graphs use
+            fresh = graph_from_edges(g.n, g.edges)
+            assert fresh == g and hash(fresh) == hash(g)
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: graph_from_edges(graphs._VERTEX_CAP + 1, []),
+         "n = 1000002 is outside the vertex range 0..1000001"),
+        (lambda: complete_bipartite_graph(1001, 1000),
+         "n = 2001 gives 1001000 edges, which exceeds the edge cap 1000000"),
+        (lambda: complete_bipartite_graph(10 ** 12, 0),
+         "n = 1000000000000 is outside the vertex range 0..1000001"),
+    ])
+    def test_size_caps_refused_before_building(self, build, message):
+        with pytest.raises(GraphError) as info:
+            build()
+        assert str(info.value) == message
+
 
 class TestDistances:
     def test_path_from_end(self):

@@ -43,6 +43,13 @@ class TestValidate:
             validate([[0, -1], [-1, 0]])
         assert err.value.kind == "negative"
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_non_finite_named(self, x):
+        # inf once reached the triangle check, whose inf - inf warned
+        with pytest.raises(MetricError) as err:
+            validate([[0, x], [x, 0]])
+        assert err.value.kind == "non-finite" and err.value.indices == (0, 1)
+
     def test_path_metrics_are_valid(self, corpus):
         for name, g in corpus.items():
             path_metric(g)  # validates internally

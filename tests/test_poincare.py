@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlgap.graphs import (complete_bipartite_graph, complete_graph, cycle_graph,
+from nlgap.graphs import (GraphError, complete_bipartite_graph, complete_graph, cycle_graph,
                           graph_from_edges, path_graph, random_connected_regular, relabel)
 from nlgap.metrics import (MetricError, cost_matrix, linf_grid, path_metric,
                            random_euclidean_metric, uniform_metric, validate)
@@ -162,6 +162,19 @@ class TestDirichlet:
         f = VertexMap(uniform_metric(2), (0, 1, 0, 1))
         assert dirichlet(cycle_graph(4), f, 1) == pytest.approx(1.0)
 
+    def test_adds_the_edges_one_by_one_in_edge_order(self):
+        # the exact search and the heuristic search compare ratios built on
+        # this sum, so it must round as the edge loop does
+        gen = derive_rng(3, "dirichlet-order")
+        for t in range(20):
+            g = random_connected_regular(60, 3 + t % 2, seed=t)
+            metric = random_euclidean_metric(7, seed=t)
+            q = float(gen.uniform(0.5, 3.0))
+            a = tuple(int(x) for x in gen.integers(0, 7, size=g.n))
+            costs = cost_matrix(metric, q)
+            loop = float(sum(costs[a[u], a[v]] for u, v in g.edges)) / g.m
+            assert dirichlet(g, VertexMap(metric, a), q) == loop
+
 
 class TestGammaOfMap:
     def test_single_edge_report(self):
@@ -293,6 +306,12 @@ class TestGammaLowerSearch:
         m = uniform_metric(2)
         r = gamma_lower_search(g, m, 1, iters=1, seed=0, start=(0, 0, 0, 0))
         assert r.gamma >= 0.0
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_edgeless_graph_refused(self, n):
+        # n = 0 once divided by zero
+        with pytest.raises(ValueError, match="graph has no edges"):
+            gamma_lower_search(graph_from_edges(n, []), uniform_metric(2), 1, iters=5, seed=0)
 
     @pytest.mark.parametrize("start, problem", [
         ((0, 1, 0, 1, 1), "5 entries"),
@@ -492,6 +511,11 @@ class TestAverageDistortion:
         g = cycle_graph(4)
         with pytest.raises(ValueError):
             average_distortion(g, VertexMap(uniform_metric(2), (0, 0, 0, 0)))
+
+    @pytest.mark.parametrize("a", [(0, 1, 0), (0, 1, 0, 1, 0)])
+    def test_map_of_another_order_rejected(self, a):
+        with pytest.raises(GraphError, match=f"map length {len(a)} != graph order 4"):
+            average_distortion(cycle_graph(4), VertexMap(uniform_metric(2), a))
 
 
 class TestEdgeLipschitz:
