@@ -48,8 +48,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path: str, what: str, parse):
     p = Path(path)
-    if not p.exists():
-        raise CliError(f"{what} file not found: {p}")
+    if not p.is_file():   # Path('') is the current directory, so this refuses '' too
+        raise CliError(f"{what} file not found: {path}")
     return parse(p.read_text())
 
 

@@ -111,6 +111,8 @@ def complete_graph(n: int) -> Graph:
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
+    if a < 0 or b < 0:
+        raise GraphError(f"complete bipartite graph needs parts a, b >= 0, got a={a}, b={b}")
     _check_graph(a + b, a * b)
     return graph_from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 

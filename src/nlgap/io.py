@@ -31,12 +31,31 @@ def csv_row(*fields) -> str:
                     for f in fields)
 
 
-def _rows(text: str, what: str) -> list[str]:
-    """The non-blank lines of a file; an empty file is an error."""
-    rows = [r for r in text.splitlines() if r.strip()]
+def _rows(text: str, what: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a file with their 1-based line numbers; an
+    empty file is an error."""
+    rows = [(i, r) for i, r in enumerate(text.splitlines(), 1) if r.strip()]
     if not rows:
         raise ValueError(f"empty {what} file")
     return rows
+
+
+def _fields(row: tuple[int, str], what: str, convert, count: int | None = None) -> list:
+    """The whitespace-separated fields of a numbered row of a what file,
+    each through convert (int or float), exactly count of them if given."""
+    line, text = row
+    try:
+        values = [convert(x) for x in text.split()]
+    except ValueError:   # not a number, or an int past Python's digit limit
+        values = None
+    if values is None or count is not None and len(values) != count:
+        shown = text.strip()
+        if len(shown) > 40:
+            shown = shown[:37] + "..."
+        noun = "integer" if convert is int else "number"
+        expected = f"{noun}s" if count is None else f"{count} {noun}" + "s" * (count != 1)
+        raise ValueError(f"{what} file line {line}: expected {expected}, got {shown!r}")
+    return values
 
 
 # ---------------------------------------------------------------- graphs
@@ -48,13 +67,12 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    rows = _rows(text, "graph")
-    n, m = map(int, rows[0].split())
+    head, *rows = _rows(text, "graph")
+    n, m = _fields(head, "graph", int, 2)
     _check_graph(n, m)
-    edges = [tuple(map(int, r.split())) for r in rows[1:]]
-    if len(edges) != m:
-        raise ValueError(f"expected {m} edges, found {len(edges)}")
-    return graph_from_edges(n, edges)
+    if len(rows) != m:
+        raise ValueError(f"graph file line {head[0]}: expected {m} edges, found {len(rows)}")
+    return graph_from_edges(n, [tuple(_fields(r, "graph", int, 2)) for r in rows])
 
 
 # ---------------------------------------------------------------- metrics
@@ -66,12 +84,17 @@ def metric_to_text(metric: FiniteMetric) -> str:
 
 
 def metric_from_text(text: str) -> FiniteMetric:
-    rows = _rows(text, "metric")
-    n = int(rows[0])
+    head, *rows = _rows(text, "metric")
+    n, = _fields(head, "metric", int, 1)
     _check_size(n, 8 * n * n)
-    mat = [[float(x) for x in r.split()] for r in rows[1:]]
-    if len(mat) != n or any(len(row) != n for row in mat):
-        raise ValueError(f"expected {n} metric rows of {n} entries each")
+    if len(rows) != n:
+        raise ValueError(f"metric file line {head[0]}: expected {n} metric rows of {n} "
+                         f"entries each, found {len(rows)} rows")
+    mat = [_fields(r, "metric", float) for r in rows]
+    for (line, _), row in zip(rows, mat):
+        if len(row) != n:
+            raise ValueError(f"metric file line {line}: expected {n} metric rows of {n} "
+                             f"entries each, found {len(row)} entries")
     return validate(mat)
 
 
@@ -84,11 +107,17 @@ def map_to_text(f: VertexMap) -> str:
 
 
 def map_assignment_from_text(text: str) -> tuple[int, ...]:
-    rows = _rows(text, "map")
-    n = int(rows[0])
-    out = dict(map(int, r.split()) for r in rows[1:])
-    if len(rows) - 1 != n or sorted(out) != list(range(n)):
-        raise ValueError(f"a map on {n} vertices needs one line for each vertex 0..{n - 1}")
+    head, *rows = _rows(text, "map")
+    n, = _fields(head, "map", int, 1)
+    need = f"a map on {n} vertices needs one line for each vertex 0..{n - 1}"
+    if len(rows) != n:
+        raise ValueError(f"map file line {head[0]}: {need}, found {len(rows)} lines")
+    out = {}
+    for row in rows:
+        v, p = _fields(row, "map", int, 2)
+        if not 0 <= v < n or v in out:
+            raise ValueError(f"map file line {row[0]}: {need}, got vertex {v} here")
+        out[v] = p
     return tuple(out[v] for v in range(n))
 
 

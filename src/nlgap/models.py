@@ -10,6 +10,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 
@@ -483,6 +484,59 @@ def _dist_eq_law(n: int, d: int, ell: int) -> tuple[np.ndarray, np.ndarray, list
     return orbits, table, np.unique(table)[::-1].tolist()
 
 
+_CHI2_DIGITS = 60  # working precision; the float result is correctly rounded
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510"
+              "58209749445923078164062862089986280348253421170679")
+
+
+def _chi2_sf(df: int, x: float) -> float:
+    """P(X >= x) for X chi-square with df degrees of freedom: the regularized
+    upper incomplete gamma Q(a, y) at a = df/2, y = x/2, correctly rounded.
+
+    Below y = a + 1 it sums the series of P = 1 - Q, above it runs Lentz's
+    continued fraction for Q (Numerical Recipes 6.2).  Gamma(a) is the exact
+    product (a - 1)(a - 2)...Gamma(a mod 1), with Gamma(1/2) = sqrt(pi).  The
+    exponent range is unbounded, so a far tail comes out as 0.0.  Any df
+    gives 1.0 at x <= 0, which covers a one-cell law's chi2 = 0 at df = 0."""
+    if x <= 0:
+        return 1.0
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = _CHI2_DIGITS, MAX_EMAX, MIN_EMIN
+        # ten digits above the rounding noise, or a step may never reach it
+        eps = Decimal(10) ** (10 - _CHI2_DIGITS)
+        a, y = Decimal(df) / 2, Decimal(x) / 2
+        gamma = _PI.sqrt() if df % 2 else Decimal(1)
+        t = a - 1
+        while t > 0:
+            gamma *= t
+            t -= 1
+        front = (a * y.ln() - y).exp() / gamma
+        if y < a + 1:
+            term = total = 1 / a
+            k = a
+            while term > total * eps:
+                k += 1
+                term *= y / k
+                total += term
+            return float(1 - front * total)
+        tiny = Decimal(10) ** (-3 * _CHI2_DIGITS)
+        b = y + 1 - a
+        c, d = 1 / tiny, 1 / b
+        h = d
+        i, step = 0, 0
+        while abs(step - 1) >= eps:
+            i += 1
+            an = i * (a - i)
+            b += 2
+            d = an * d + b
+            d = 1 / (d if abs(d) >= tiny else tiny)
+            c = b + an / c
+            c = c if abs(c) >= tiny else tiny
+            step = d * c
+            h *= step
+        return float(front * h)
+
+
 @dataclass(frozen=True)
 class DistEqResult:
     n: int
@@ -533,10 +587,5 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
 
     expected = trials / len(cells)
     chi2 = sum((counts.get(c, 0) - expected) ** 2 / expected for c in cells)
-    # imported here so that importing nlgap loads no scipy
-    from scipy.special import chdtrc
-    # a one-cell law is fitted exactly; chdtrc(0, 0) is nan, which no
-    # p-value threshold would reject
-    p = 1.0 if len(cells) == 1 else float(chdtrc(len(cells) - 1, chi2))
     return DistEqResult(n=n, d=d, ell=ell, trials=trials, cells=len(cells),
-                        chi2=chi2, p_value=p)
+                        chi2=chi2, p_value=_chi2_sf(len(cells) - 1, chi2))

@@ -191,6 +191,14 @@ class TestCleanErrorExits:
         assert (capsys.readouterr().err
                 == "error: distortion needs a graph with at least two vertices\n")
 
+    @pytest.mark.parametrize("path", ["", "."])
+    @pytest.mark.parametrize("argv", [("gamma", "--gen", "cycle:4", "--metric"),
+                                      ("gen-metric", "--out", "unused.txt", "--type")])
+    def test_metric_path_not_a_file(self, argv, path, capsys):
+        # Path('') is the current directory: '' once printed "Is a directory: '.'"
+        assert cli.main([*argv, path]) == 1
+        assert capsys.readouterr().err == f"error: metric file not found: {path}\n"
+
     def test_snowflake_base_not_found(self, tmp_path, capsys):
         missing = tmp_path / "none.txt"
         assert cli.main(["gen-metric", "--type", "snowflake:0.5", "--base", str(missing),
@@ -411,7 +419,7 @@ GRAPH_SPECS = [*spec_variants("regular", ("10", "3")), *spec_variants("cycle", (
                *spec_variants("path", ("5",)), *spec_variants("complete", ("5",)),
                "prism", "petersen", "nope:5", ""]
 METRIC_SPECS = [*spec_variants("uniform", ("3",)), *spec_variants("grid", ("1", "2")),
-                *spec_variants("random", ("4", "2")), "no_such_metric.txt", ""]
+                *spec_variants("random", ("4", "2")), "no_such_metric.txt", "", "."]
 # file texts: cut short, empty, zero, negative, NaN and huge headers, bad entries
 GRAPH_FILES = [GRAPH_TEXT[:-9], GRAPH_TEXT[:-2], "4", "", "0 0\n", "-1 0\n", "nan 0\n",
                f"{HUGE} 0\n", f"4 {HUGE}\n", "4 1\n0 9\n", "4 1\n0 -1\n", "4 1\n0 0\n"]
@@ -428,6 +436,7 @@ INT = ("0", "-1", "nan", HUGE, "")
 FLOAT = ("0", "-1", "nan", "1e300", "1e")
 COUNT = ("0", "-1")
 OUT_PATH = ("", "no_such_dir/out.txt")
+IN_PATH = ("", ".", "no_such_file.txt")
 
 # each subcommand: a small valid run, and the values tried for each of its flags
 SUBCOMMANDS = [
@@ -506,6 +515,9 @@ def table_cases():
     for base, flags in SUBCOMMANDS:
         cases += [(with_flag(base, flag, v), {}) for flag, values in flags.items()
                   for v in values]
+    cases += [(["gamma", "--graph", p, "--metric", "m.txt"], {}) for p in IN_PATH]
+    cases += [(["distort", "--graph", "g.txt", "--metric", "uniform:2", "--map", p], {})
+              for p in IN_PATH]
     graph_cmd = ["gamma", "--graph", "g.txt", "--metric", "m.txt"]
     cases += [(graph_cmd, {"g.txt": t}) for t in GRAPH_FILES]
     cases += [(graph_cmd, {"m.txt": t}) for t in METRIC_FILES]
@@ -564,7 +576,7 @@ class TestNoTracebackTable:
 
 class TestImportBudget:
     """scipy loads only in the calls that use it: lambda2 on large connected
-    graphs and the dist-eq p-value.  Each case runs in a fresh interpreter."""
+    graphs.  Each case runs in a fresh interpreter."""
 
     @staticmethod
     def loaded_scipy(calls: str):
@@ -587,20 +599,17 @@ class TestImportBudget:
         ["model", "--lemma", "restriction", "--n", "200", "--k", "20", "--trials", "100"],
         ["model", "--lemma", "typical", "--n", "200", "--trials", "2"],
         ["witness", "--sizes", "16,32"],
+        ["model", "--lemma", "dist-eq", "--n", "6", "--d", "3", "--l", "1",
+         "--trials", "40000", "--seed", "12"],
     ])
     def test_numpy_only_commands_load_no_scipy(self, argv):
         # scipy.special alone adds about 24 MB of resident memory
-        _, modules = self.loaded_scipy(f"assert nlgap.cli.main({argv!r}) == 0")
+        out, modules = self.loaded_scipy(f"assert nlgap.cli.main({argv!r}) == 0")
         assert modules == []
-
-    def test_dist_eq_loads_scipy_and_keeps_its_p_value(self):
-        out, modules = self.loaded_scipy("assert nlgap.cli.main(['model', '--lemma', 'dist-eq', "
-                                         "'--n', '6', '--d', '3', '--l', '1', "
-                                         "'--trials', '40000', '--seed', '12']) == 0")
-        # the p-value pinned in test_models
-        assert (body_of(out).splitlines()[-1]
-                == "6,3,1,40000,630,651.0334999999998,0.26341542340173324")
-        assert "scipy.special" in modules
+        if "dist-eq" in argv:
+            # the p-value pinned in test_models
+            assert (body_of(out).splitlines()[-1]
+                    == "6,3,1,40000,630,651.0334999999998,0.26341542340173324")
 
 
 class TestWitnessSvg:

@@ -243,6 +243,11 @@ class TestConstruction:
          "n = 2001 gives 1001000 edges, which exceeds the edge cap 1000000"),
         (lambda: complete_bipartite_graph(10 ** 12, 0),
          "n = 1000000000000 is outside the vertex range 0..1000001"),
+        # a negative part once gave an edgeless graph on a + b vertices
+        (lambda: complete_bipartite_graph(-1, 2),
+         "complete bipartite graph needs parts a, b >= 0, got a=-1, b=2"),
+        (lambda: complete_bipartite_graph(3, -10 ** 12),
+         "complete bipartite graph needs parts a, b >= 0, got a=3, b=-1000000000000"),
     ])
     def test_size_caps_refused_before_building(self, build, message):
         with pytest.raises(GraphError) as info:

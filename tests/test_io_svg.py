@@ -1,16 +1,18 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlgap.graphs import cycle_graph, graph_from_edges, petersen_graph, random_regular
+from nlgap.graphs import (GraphError, cycle_graph, graph_from_edges, petersen_graph,
+                          random_regular)
 from nlgap.io import (csv_row, graph_from_text, graph_to_text,
                       map_assignment_from_text, map_to_text, metric_from_text,
                       metric_to_text)
-from nlgap.metrics import random_euclidean_metric, uniform_metric, validate
+from nlgap.metrics import MetricError, random_euclidean_metric, uniform_metric, validate
 from nlgap.poincare import VertexMap
 from nlgap.svg import emit_svg
 
@@ -112,6 +114,53 @@ class TestStrictParsers:
     def test_empty_rejected(self, parse, text):
         with pytest.raises(ValueError, match="empty"):
             parse(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("4 4\n0 1\n0 3\n1 2\n2 ", "graph file line 5: expected 2 integers, got '2'"),
+        ("4", "graph file line 1: expected 2 integers, got '4'"),
+        ("2 1\n\n0 x\n", "graph file line 3: expected 2 integers, got '0 x'"),
+        ("1" * 5000 + " 0", "graph file line 1: expected 2 integers, got '" + "1" * 37 + "...'"),
+    ], ids=["cut-row", "one-field-header", "not-an-integer", "past-the-digit-limit"])
+    def test_malformed_graph_row_named(self, text, message):
+        with pytest.raises(ValueError) as info:
+            graph_from_text(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("4\n0 0\n1 1\n2 0\n3 ", "map file line 5: expected 2 integers, got '3'"),
+        ("2 0\n0 0\n1 1\n", "map file line 1: expected 1 integer, got '2 0'"),
+    ])
+    def test_malformed_map_row_named(self, text, message):
+        with pytest.raises(ValueError) as info:
+            map_assignment_from_text(text)
+        assert str(info.value) == message
+
+    def test_malformed_metric_row_named(self):
+        with pytest.raises(ValueError) as info:
+            metric_from_text("2\n0 1.0\n1.0 zero\n")
+        assert str(info.value) == "metric file line 3: expected numbers, got '1.0 zero'"
+
+    @pytest.mark.parametrize("parse, what", [(graph_from_text, "graph"),
+                                             (metric_from_text, "metric"),
+                                             (map_assignment_from_text, "map")])
+    @given(text=st.one_of(
+        st.text(),
+        st.text(alphabet="0123456789 -+.e\n"),
+        st.builds(lambda text, cut: text[:cut],
+                  st.sampled_from(["4 4\n0 1\n0 3\n1 2\n2 3\n", "2\n0 1.0\n1.0 0\n",
+                                   "4\n0 0\n1 1\n2 0\n3 1\n"]),
+                  st.integers(0, 24))))
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_malformed_text(self, parse, what, text):
+        """Any text parses, or fails as a ValueError: a malformed file is named
+        by kind and line, and numbers outside the domain by the graph or
+        metric checks."""
+        try:
+            parse(text)
+        except (GraphError, MetricError):
+            pass
+        except ValueError as exc:
+            assert re.match(rf"(empty {what} file$|{what} file line [1-9][0-9]*: )", str(exc)), exc
 
 
 class TestCsvRow:

@@ -1,10 +1,13 @@
 import itertools
 import math
+import signal
+import time
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from nlgap import models
 from nlgap.graphs import (GraphError, bfs_distances, canonical_form, cycle_graph,
@@ -518,6 +521,81 @@ class TestDistributionEquality:
     def test_deletions_out_of_range(self, ell):
         with pytest.raises(GraphError, match="ell"):
             distribution_equality_mc(6, 3, ell, trials=10, seed=0)
+
+
+def chi2_sf_reference(df, x):
+    """Q(df/2, x/2) from mpmath at 200 bits; a 70-digit decimal string
+    rounds to the nearest float, subnormals included."""
+    with mpmath.workprec(200):
+        q = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                            regularized=True)
+        return float(mpmath.nstr(q, 70, min_fixed=1, max_fixed=0))
+
+
+CHI2_DFS = [1, 2, 3, 69, 629, 2519, 8819, 13859]
+
+
+def chi2_grid(df, sigmas):
+    """x at df + k sqrt(2 df) for k in sigmas, at the branch point x = df + 2
+    (y = a + 1) and its two float neighbours, and at 1e-300 and 1e12."""
+    edge = df + 2.0
+    bulk = {df + k * math.sqrt(2 * df) for k in sigmas}
+    return sorted({x for x in bulk if x > 0}
+                  | {edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf), 1e-300, 1e12})
+
+
+class TestChi2Tail:
+    """models._chi2_sf, the dist-eq p-value, against mpmath and scipy."""
+
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        """A loop that never converges fails the test instead of hanging it."""
+        def overtime(signum, frame):
+            raise TimeoutError("the chi-square tail ran past 30 s")
+
+        previous = signal.signal(signal.SIGALRM, overtime)
+        signal.setitimer(signal.ITIMER_REAL, 30)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("df", CHI2_DFS)
+    def test_correctly_rounded(self, df):
+        for x in chi2_grid(df, (-5, -3, -1, -0.3, 0.3, 1, 2, 3, 5, 8, 12, 20, 40)):
+            assert models._chi2_sf(df, x) == chi2_sf_reference(df, x), x
+
+    @pytest.mark.parametrize("df", CHI2_DFS)
+    def test_within_scipy(self, df):
+        # scipy's chdtrc drifts by about 1.5e-12 relative at 40 sigma (values
+        # near 1e-206 to 1e-268), where the mpmath test above still holds
+        for x in chi2_grid(df, (-5, -3, -1, -0.3, 0.3, 1, 2, 3, 5, 8, 12, 20)):
+            want = float(special.chdtrc(df, x))
+            if want > 1e-300:
+                assert models._chi2_sf(df, x) == pytest.approx(want, rel=1e-12, abs=0), x
+
+    @pytest.mark.parametrize("df", [0, *CHI2_DFS])
+    def test_zero_gives_one(self, df):
+        assert models._chi2_sf(df, 0.0) == 1.0
+
+    @pytest.mark.parametrize("df", CHI2_DFS)
+    def test_far_tail_gives_zero(self, df):
+        assert models._chi2_sf(df, 1e12) == models._chi2_sf(df, 1e308) == 0.0
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 69, 629])
+    def test_non_increasing(self, df):
+        xs = np.linspace(0, df + 20 * math.sqrt(2 * df), 300)
+        q = [models._chi2_sf(df, float(x)) for x in xs]
+        assert all(a >= b for a, b in zip(q, q[1:]))
+        assert q[0] == 1.0 and q[-1] < 1e-6
+
+    @pytest.mark.parametrize("df", [8819, 13859, 14000])
+    def test_each_call_is_fast(self, df):
+        for x in chi2_grid(df, (-3, 0, 3, 40)):
+            started = time.perf_counter()
+            models._chi2_sf(df, x)
+            assert time.perf_counter() - started < 0.1, x
 
 
 class TestTrialCount:
