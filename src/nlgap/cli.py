@@ -19,13 +19,13 @@ from .embeddings import (default_delta, embedding_distortion, jls_embedding,
 from .graphs import (_VERTEX_CAP, Graph, complete_graph, cycle_graph,
                      enumerate_regular_graphs, lambda2, path_graph, petersen_graph,
                      prism_graph, random_regular, random_connected_regular)
-from .io import (CsvDocument, csv_row, graph_from_text, graph_to_text, grid_to_text,
+from .io import (CsvDocument, _fields, csv_row, graph_from_text, graph_to_text, grid_to_text,
                  map_assignment_from_text, map_to_text, metric_from_text, metric_to_text)
 from .metrics import (FiniteMetric, linf_grid,
                       random_euclidean_metric, snowflake, uniform_metric)
 from .models import (check_matching_ell, distribution_equality_mc, matching_avoidance_mc,
                      restriction_concentration_mc, typical_sets_experiment)
-from .poincare import (CapExceeded, GammaReport, VertexMap, gamma_exact,
+from .poincare import (CapExceeded, VertexMap, gamma_exact,
                        gamma_lower_search, gamma_of_map)
 from .rng import derive_rng
 from .svg import emit_svg
@@ -53,45 +53,50 @@ def _read(path: str, what: str, parse):
     return parse(p.read_text())
 
 
+# kind: (its fields, builder(seed, *fields)); a trailing [,field] may be left out
+GRAPH_SPECS = {
+    "regular": ("n,d", lambda seed, n, d: random_regular(n, d, seed)),
+    "cycle": ("n", lambda seed, n: cycle_graph(n)),
+    "path": ("n", lambda seed, n: path_graph(n)),
+    "complete": ("n", lambda seed, n: complete_graph(n)),
+    "prism": ("", lambda seed: prism_graph()),
+    "petersen": ("", lambda seed: petersen_graph()),
+}
+METRIC_SPECS = {
+    "uniform": ("N", lambda seed, n: uniform_metric(n)),
+    "grid": ("k,s", lambda seed, k, s: linf_grid(k, s)),
+    "random": ("N[,dim]", lambda seed, n, dim=2: random_euclidean_metric(n, seed, dim)),
+}
+
+
+def _kinds(table: dict) -> str:
+    return " | ".join(f"{kind}:{names}".rstrip(":") for kind, (names, _) in table.items())
+
+
+def _spec(table: dict, family: str, spec: str, seed: int):
+    """What a kind:fields spec names, from exactly as many integers as its table lists."""
+    kind, _, rest = spec.partition(":")
+    names, build = table[kind]
+    # one integer per listed field, less an optional [,field] left out
+    count = names.count(",") + bool(names) - ("[" in names and "," not in rest)
+    where = f"bad {family} spec {kind}:{names}".rstrip(":")
+    return build(seed, *_fields(where, rest, int, count, ","))
+
+
 def parse_graph_arg(spec: str | None, path: str | None, seed: int) -> Graph:
     if path is not None:
         return _read(path, "graph", graph_from_text)
     if spec is None:
         raise CliError("no graph given: pass --graph FILE or --gen SPEC")
-    kind, _, rest = spec.partition(":")
-    try:
-        if kind == "regular":
-            n, d = map(int, rest.split(","))
-            return random_regular(n, d, seed)
-        if kind == "cycle":
-            return cycle_graph(int(rest))
-        if kind == "path":
-            return path_graph(int(rest))
-        if kind == "complete":
-            return complete_graph(int(rest))
-        if kind == "prism":
-            return prism_graph()
-        if kind == "petersen":
-            return petersen_graph()
-    except ValueError as exc:
-        raise CliError(f"bad graph spec {spec!r}: {exc}") from exc
-    raise CliError(f"unknown graph spec {spec!r}")
+    if spec.partition(":")[0] not in GRAPH_SPECS:
+        raise CliError(f"unknown graph spec {spec[:40]!r}: kinds are {_kinds(GRAPH_SPECS)}")
+    return _spec(GRAPH_SPECS, "graph", spec, seed)
 
 
 def parse_metric_arg(spec: str, seed: int) -> FiniteMetric:
-    kind, _, rest = spec.partition(":")
-    try:
-        if kind == "uniform":
-            return uniform_metric(int(rest))
-        if kind == "grid":
-            k, s = map(int, rest.split(","))
-            return linf_grid(k, s)
-        if kind == "random":
-            parts = rest.split(",")
-            dim = int(parts[1]) if len(parts) > 1 else 2
-            return random_euclidean_metric(int(parts[0]), seed=seed, dim=dim)
-    except ValueError as exc:
-        raise CliError(f"bad metric spec {spec!r}: {exc}") from exc
+    """A metric spec of a known kind, else a metric file."""
+    if spec.partition(":")[0] in METRIC_SPECS:
+        return _spec(METRIC_SPECS, "metric", spec, seed)
     return _read(spec, "metric", metric_from_text)
 
 
@@ -111,10 +116,8 @@ def parse_log_cardinality(text: str) -> float:
 
 
 def _echo(args: argparse.Namespace) -> str:
-    skip = {"func"}
-    items = [f"{k}={v}" for k, v in sorted(vars(args).items())
-             if k not in skip and v is not None]
-    return " ".join(items)
+    return " ".join(f"{k}={v}" for k, v in sorted(vars(args).items())
+                    if k != "func" and v is not None)
 
 
 def _emit(args: argparse.Namespace, header: str, rows: list[str]) -> None:
@@ -126,15 +129,6 @@ def _emit(args: argparse.Namespace, header: str, rows: list[str]) -> None:
 
 
 # ---------------------------------------------------------------- report layouts
-
-GAMMA_CSV_HEADER = "n,d,N,q,ave,dirichlet,ratio,Qtau,concentrated"
-
-
-def gamma_report_csv_row(g: Graph, report: GammaReport, n_points: int) -> str:
-    return csv_row(g.n, g.regular_degree(), n_points, report.q, report.ave,
-                   report.dirichlet, report.ratio, report.quantile_tau,
-                   report.concentrated)
-
 
 VERDICT_CSV_HEADER = ("instance,p,q,gamma_p,gamma_q,log_c1,log_c2,log_c3,log_c4,"
                       "lhs1_log,rhs1_log,lhs2_log,rhs2_log,pass,slack1_log,slack2_log")
@@ -163,7 +157,9 @@ def cmd_gamma(args) -> None:
     if res.witness is None:
         raise CliError("instance is degenerate: no non-constant maps")
     report = gamma_of_map(g, res.witness, args.q)
-    _emit(args, GAMMA_CSV_HEADER, [gamma_report_csv_row(g, report, metric.size)])
+    _emit(args, "n,d,N,q,ave,dirichlet,ratio,Qtau,concentrated",
+          [csv_row(g.n, g.regular_degree(), metric.size, report.q, report.ave,
+                   report.dirichlet, report.ratio, report.quantile_tau, report.concentrated)])
     if args.map_out:
         Path(args.map_out).write_text(map_to_text(res.witness))
 
@@ -232,7 +228,7 @@ def cmd_witness(args) -> None:
         if args.trials < 1:
             raise CliError(f"--trials must be >= 1, got {args.trials}")
         pts = []
-        for n in (int(x) for x in args.sizes.split(",")):
+        for n in _fields("--sizes n1,n2,...", args.sizes, int, sep=","):
             ratios = [certify(random_connected_regular(n, args.d, seed=args.seed + 1000 * n + t))
                       for t in range(args.trials)]
             pts.append((math.log(n), sorted(ratios)[len(ratios) // 2]))
@@ -321,10 +317,7 @@ def cmd_model(args) -> None:
 
 
 def cmd_spectra(args) -> None:
-    try:
-        n, d = map(int, args.gen_regular.split(","))
-    except ValueError:
-        raise CliError(f"--gen-regular must be two integers N,D, got {args.gen_regular!r}") from None
+    n, d = _fields("--gen-regular n,d", args.gen_regular, int, 2, ",")
     if args.trials < 1:
         raise CliError(f"--trials must be >= 1, got {args.trials}")
     if args.min_fraction is not None and not 0 <= args.min_fraction <= 1:
@@ -347,10 +340,11 @@ def cmd_gen_graph(args) -> None:
 
 
 def cmd_gen_metric(args) -> None:
-    if args.type.startswith("snowflake:"):
+    kind, _, rest = args.type.partition(":")
+    if kind == "snowflake":
         if not args.base:
             raise CliError("snowflake needs --base METRIC_FILE")
-        eps = float(args.type.split(":", 1)[1])
+        eps, = _fields("bad metric spec snowflake:eps", rest, float, 1, ",")
         metric = snowflake(_read(args.base, "metric", metric_from_text), eps)
     else:
         metric = parse_metric_arg(args.type, args.seed)
@@ -364,15 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
+    metric_help = f"metric spec ({_kinds(METRIC_SPECS)}) or FILE"
+
     def common(p, metric=False, graph=False, mapfile=False):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output CSV path (default stdout)")
         if graph:
             p.add_argument("--graph", help="graph file")
-            p.add_argument("--gen", help="graph spec, e.g. regular:64,3 or cycle:16")
+            p.add_argument("--gen", help=f"graph spec: {_kinds(GRAPH_SPECS)}")
         if metric:
-            p.add_argument("--metric", required=True,
-                           help="metric spec (uniform:N, grid:k,s, random:N) or file")
+            p.add_argument("--metric", required=True, help=metric_help)
         if mapfile:
             p.add_argument("--map", required=True, help="vertex map file")
 
@@ -386,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extrapolate", help="exponent comparison inequalities")
     common(p, metric=False, graph=True)
-    p.add_argument("--metric", help="metric spec or file")
+    p.add_argument("--metric", help=metric_help)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--suite", choices=["desk"], help="run the desk-scale suite")
@@ -449,14 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("gen-graph", help="write a graph file")
-    p.add_argument("--type", required=True, help="regular:n,d | cycle:n | complete:n | path:n")
+    p.add_argument("--type", required=True, help=_kinds(GRAPH_SPECS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_graph)
 
     p = sub.add_parser("gen-metric", help="write a metric file")
-    p.add_argument("--type", required=True,
-                   help="uniform:N | grid:k,s | random:N | snowflake:eps")
+    p.add_argument("--type", required=True, help=_kinds(METRIC_SPECS) + " | snowflake:eps")
     p.add_argument("--base", help="base metric file for snowflake")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -105,7 +105,7 @@ def check_nonconcentrated(g: Graph, f: VertexMap, q: float, c_r: float, tau) -> 
     if d is None:
         raise ValueError("the bound applies to regular graphs")
     if not 1.0 / g.n < float(tau) < 1.0:
-        raise ValueError(f"need tau in (1/n, 1), got {tau}")
+        raise ValueError(f"need tau in (1/n, 1), got {float(tau)}")
     params = nonconc_params(d, cheeger_lower_bound(g), q, float(tau), c_r)
     if is_concentrated(f, c_r, q, tau):
         return NonConcVerdict(False, params, math.nan, math.nan, None, None)

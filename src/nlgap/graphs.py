@@ -82,11 +82,13 @@ _VERTEX_CAP = _EDGE_CAP + 1
 
 
 def _check_graph(n: int, m: int) -> None:
-    """Refuse, before anything is built, a graph beyond the edge or vertex cap."""
+    """Refuse, before anything is built, a graph beyond the caps or with m < 0."""
     if m > _EDGE_CAP:
         raise GraphError(f"n = {n} gives {m} edges, which exceeds the edge cap {_EDGE_CAP}")
     if not 0 <= n <= _VERTEX_CAP:
         raise GraphError(f"n = {n} is outside the vertex range 0..{_VERTEX_CAP}")
+    if m < 0:
+        raise GraphError(f"edge count m = {m} is negative")
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +103,7 @@ def cycle_graph(n: int) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
-    _check_graph(n, n - 1)
+    _check_graph(n, max(n - 1, 0))
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 

@@ -31,30 +31,31 @@ def csv_row(*fields) -> str:
                     for f in fields)
 
 
-def _rows(text: str, what: str) -> list[tuple[int, str]]:
-    """The non-blank lines of a file with their 1-based line numbers; an
-    empty file is an error."""
-    rows = [(i, r) for i, r in enumerate(text.splitlines(), 1) if r.strip()]
+def _rows(text: str, what: str) -> list[tuple[str, str]]:
+    """The non-blank lines of a file, each labelled "<what> file line <k>";
+    an empty file is an error."""
+    rows = [(f"{what} file line {i}", r) for i, r in enumerate(text.splitlines(), 1) if r.strip()]
     if not rows:
         raise ValueError(f"empty {what} file")
     return rows
 
 
-def _fields(row: tuple[int, str], what: str, convert, count: int | None = None) -> list:
-    """The whitespace-separated fields of a numbered row of a what file,
-    each through convert (int or float), exactly count of them if given."""
-    line, text = row
+def _fields(where: str, text: str, convert, count: int | None = None, sep=None) -> list:
+    """The fields of text split at sep (whitespace by default), each through
+    convert (int or float) and within int64 if ints, exactly count of them if
+    given; an error starts with where, the file line or flag it came from."""
     try:
-        values = [convert(x) for x in text.split()]
+        values = [convert(x) for x in text.split(sep)] if text else []
     except ValueError:   # not a number, or an int past Python's digit limit
         values = None
-    if values is None or count is not None and len(values) != count:
+    if (values is None or count is not None and len(values) != count
+            or convert is int and any(not -2 ** 63 <= v < 2 ** 63 for v in values)):
         shown = text.strip()
         if len(shown) > 40:
             shown = shown[:37] + "..."
         noun = "integer" if convert is int else "number"
         expected = f"{noun}s" if count is None else f"{count} {noun}" + "s" * (count != 1)
-        raise ValueError(f"{what} file line {line}: expected {expected}, got {shown!r}")
+        raise ValueError(f"{where}: expected {expected}, got {shown!r}")
     return values
 
 
@@ -68,11 +69,11 @@ def graph_to_text(g: Graph) -> str:
 
 def graph_from_text(text: str) -> Graph:
     head, *rows = _rows(text, "graph")
-    n, m = _fields(head, "graph", int, 2)
+    n, m = _fields(*head, int, 2)
     _check_graph(n, m)
     if len(rows) != m:
-        raise ValueError(f"graph file line {head[0]}: expected {m} edges, found {len(rows)}")
-    return graph_from_edges(n, [tuple(_fields(r, "graph", int, 2)) for r in rows])
+        raise ValueError(f"{head[0]}: expected {m} edges, found {len(rows)}")
+    return graph_from_edges(n, [tuple(_fields(*r, int, 2)) for r in rows])
 
 
 # ---------------------------------------------------------------- metrics
@@ -85,15 +86,15 @@ def metric_to_text(metric: FiniteMetric) -> str:
 
 def metric_from_text(text: str) -> FiniteMetric:
     head, *rows = _rows(text, "metric")
-    n, = _fields(head, "metric", int, 1)
+    n, = _fields(*head, int, 1)
     _check_size(n, 8 * n * n)
     if len(rows) != n:
-        raise ValueError(f"metric file line {head[0]}: expected {n} metric rows of {n} "
+        raise ValueError(f"{head[0]}: expected {n} metric rows of {n} "
                          f"entries each, found {len(rows)} rows")
-    mat = [_fields(r, "metric", float) for r in rows]
-    for (line, _), row in zip(rows, mat):
+    mat = [_fields(*r, float) for r in rows]
+    for (where, _), row in zip(rows, mat):
         if len(row) != n:
-            raise ValueError(f"metric file line {line}: expected {n} metric rows of {n} "
+            raise ValueError(f"{where}: expected {n} metric rows of {n} "
                              f"entries each, found {len(row)} entries")
     return validate(mat)
 
@@ -108,15 +109,15 @@ def map_to_text(f: VertexMap) -> str:
 
 def map_assignment_from_text(text: str) -> tuple[int, ...]:
     head, *rows = _rows(text, "map")
-    n, = _fields(head, "map", int, 1)
+    n, = _fields(*head, int, 1)
     need = f"a map on {n} vertices needs one line for each vertex 0..{n - 1}"
     if len(rows) != n:
-        raise ValueError(f"map file line {head[0]}: {need}, found {len(rows)} lines")
+        raise ValueError(f"{head[0]}: {need}, found {len(rows)} lines")
     out = {}
     for row in rows:
-        v, p = _fields(row, "map", int, 2)
+        v, p = _fields(*row, int, 2)
         if not 0 <= v < n or v in out:
-            raise ValueError(f"map file line {row[0]}: {need}, got vertex {v} here")
+            raise ValueError(f"{row[0]}: {need}, got vertex {v} here")
         out[v] = p
     return tuple(out[v] for v in range(n))
 

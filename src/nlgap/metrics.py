@@ -172,6 +172,8 @@ _METRIC_BYTES = 1 << 30
 def _check_size(n_points: int, nbytes: int) -> None:
     """Refuse, before any allocation, a metric on more than _POINT_CAP points
     or one whose largest array takes more than _METRIC_BYTES bytes."""
+    if n_points < 0:
+        raise MetricError("size", (n_points,), f"point count N = {n_points} is negative")
     if n_points > _POINT_CAP or nbytes > _METRIC_BYTES:
         raise MetricError("cap", (n_points,), f"N = {n_points} points needing {nbytes} bytes "
                                               f"exceeds cap {_POINT_CAP} points or "

@@ -436,7 +436,7 @@ def typical_sets_experiment(n: int, d: int, big_k: float, m: int, trials: int,
     ell0 = int(d * n // (big_k * m))
     k0 = int(big_k * n // (d - 1) ** m)
     if ell0 < 1 or k0 < 1:
-        raise GraphError(f"degenerate parameters: ell0={ell0}, k0={k0}")
+        raise GraphError(f"degenerate parameters: ell0={ell0:.6g}, k0={k0:.6g}")
     # the asymptotic regime has (d-1)^m >> K; at desk scale the nominal k0
     # can exceed n, in which case every vertex becomes a seed
     k0 = min(k0, n)

@@ -8,7 +8,8 @@ import pytest
 from nlgap import cli
 from nlgap.io import graph_from_text, metric_from_text
 
-RESULTS = Path(__file__).resolve().parents[1] / "results"
+ROOT = Path(__file__).resolve().parents[1]
+RESULTS = ROOT / "results"
 
 
 def run_cli(*argv, cwd=None):
@@ -263,6 +264,30 @@ class TestCleanErrorExits:
         assert capsys.readouterr().err == ("error: N = 2000 points needing 32000000 bytes "
                                            "exceeds cap 1000 points or 1073741824 bytes\n")
 
+    @pytest.mark.parametrize("argv,text,message", [
+        (("--graph", "PATH", "--metric", "uniform:2"), "4 -1\n", "edge count m = -1 is negative"),
+        (("--gen", "cycle:4", "--metric", "PATH"), "-1\n", "point count N = -1 is negative"),
+    ])
+    def test_negative_file_header_count(self, argv, text, message, tmp_path, capsys):
+        # these once read "expected -1 edges, found 0" and "expected -1 metric rows"
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        assert cli.main(["gamma", *(str(path) if a == "PATH" else a for a in argv)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("nonconc", "--gen", "regular:6,3", "--metric", "uniform:2", "--map", "MAP",
+          "--tau", "1e300"), "need tau in (1/n, 1), got 1e+300"),
+        (("model", "--lemma", "typical", "--bigk", "1e300"),
+         "degenerate parameters: ell0=0, k0=3.75e+299"),
+    ])
+    def test_huge_parameters_printed_as_floats(self, argv, message, tmp_path, capsys):
+        # these printed a 300-digit Fraction and a 300-digit integer
+        fpath = tmp_path / "f.map"
+        fpath.write_text("6\n0 0\n1 0\n2 1\n3 1\n4 0\n5 1\n")
+        assert cli.main([str(fpath) if a == "MAP" else a for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv,message", [
         (("gamma", "--gen", "cycle:4", "--metric", "uniform:2", "--q", "abc"),
          "argument --q: invalid float value: 'abc'"),
@@ -340,8 +365,9 @@ class TestInputDomainExits:
          "--min-fraction must lie in [0, 1]"),
         (("spectra", "--gen-regular", "60,3", "--min-fraction", "-0.5"),
          "--min-fraction must lie in [0, 1]"),
-        (("spectra", "--gen-regular", "1000"), "--gen-regular must be two integers"),
-        (("spectra", "--gen-regular", "a,3"), "--gen-regular must be two integers"),
+        (("spectra", "--gen-regular", "1000"),
+         "--gen-regular n,d: expected 2 integers, got '1000'"),
+        (("spectra", "--gen-regular", "a,3"), "--gen-regular n,d: expected 2 integers, got 'a,3'"),
         (("model", "--lemma", "typical", "--n", "10", "--d", "3", "--bigk", "1e-320",
           "--m", "1", "--trials", "1"), "big_k=1e-320"),
         (("model", "--lemma", "typical", "--n", "10", "--d", "3", "--bigk", "20",
@@ -399,6 +425,72 @@ class TestInputDomainExits:
         assert fragment in captured.err and "Traceback" not in captured.err
 
 
+class TestSpecGrammar:
+    """Spec fields are read by io's field parser: a wrong field count, a
+    non-number or an integer outside int64 exits 1 with one line that names
+    the spec's form and shows the fields, cut to 40 characters."""
+
+    GEN = ("gamma", "--metric", "uniform:2", "--gen")
+    METRIC = ("gamma", "--gen", "cycle:4", "--metric")
+    NINES = "9" * 37 + "..."
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param((*GEN, "regular:10"),
+                     "bad graph spec regular:n,d: expected 2 integers, got '10'", id="regular:10"),
+        pytest.param((*GEN, "cycle:nan"),
+                     "bad graph spec cycle:n: expected 1 integer, got 'nan'", id="cycle:nan"),
+        pytest.param((*GEN, "cycle:" + "9" * 5000),
+                     f"bad graph spec cycle:n: expected 1 integer, got '{NINES}'",
+                     id="cycle:5000-nines"),
+        pytest.param((*GEN, "complete:" + "9" * 4000),
+                     f"bad graph spec complete:n: expected 1 integer, got '{NINES}'",
+                     id="complete:4000-nines"),
+        pytest.param((*GEN, "prism:7"),
+                     "bad graph spec prism: expected 0 integers, got '7'", id="prism:7"),
+        pytest.param((*GEN, "nope:5"),
+                     "unknown graph spec 'nope:5': kinds are regular:n,d | cycle:n | path:n | "
+                     "complete:n | prism | petersen", id="nope:5"),
+        pytest.param((*METRIC, "random:3,2,9"),
+                     "bad metric spec random:N[,dim]: expected 2 integers, got '3,2,9'",
+                     id="random:3,2,9"),
+        pytest.param((*METRIC, "grid:1"),
+                     "bad metric spec grid:k,s: expected 2 integers, got '1'", id="grid:1"),
+        pytest.param(("witness", "--sizes", "nan"),
+                     "--sizes n1,n2,...: expected integers, got 'nan'", id="sizes-nan"),
+        pytest.param(("witness", "--sizes", "16,,16"),
+                     "--sizes n1,n2,...: expected integers, got '16,,16'", id="sizes-16,,16"),
+        pytest.param(("gen-metric", "--type", "snowflake:1e", "--base", "m.txt",
+                      "--out", "unused.txt"),
+                     "bad metric spec snowflake:eps: expected 1 number, got '1e'",
+                     id="snowflake:1e"),
+        pytest.param(("spectra", "--gen-regular", "1000"),
+                     "--gen-regular n,d: expected 2 integers, got '1000'", id="gen-regular-1000"),
+        pytest.param(("spectra", "--gen-regular", "a,3"),
+                     "--gen-regular n,d: expected 2 integers, got 'a,3'", id="gen-regular-a,3"),
+    ])
+    def test_malformed_spec_pinned(self, argv, message, capsys):
+        assert cli.main(list(argv)) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("spec,code,err", [
+        ("prism", 0, ""), ("petersen", 0, ""),
+        # the largest int64 passes the parser and meets the edge cap
+        (f"cycle:{2 ** 63 - 1}", 1, f"error: n = {2 ** 63 - 1} gives {2 ** 63 - 1} edges, "
+                                    "which exceeds the edge cap 1000000\n"),
+    ])
+    def test_spec_reaches_its_constructor(self, spec, code, err, capsys):
+        assert cli.main(["gamma", "--gen", spec, "--metric", "uniform:2", "--heuristic"]) == code
+        assert capsys.readouterr().err == err
+
+    def test_random_dim_defaults_to_two(self, tmp_path):
+        texts = []
+        for spec in ("random:5", "random:5,2"):
+            out = tmp_path / "m.txt"
+            assert cli.main(["gen-metric", "--type", spec, "--seed", "3", "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+
+
 # --------------------------------------------------------------- no-traceback table
 
 HUGE = "1" + "0" * 21
@@ -408,21 +500,24 @@ MAP_TEXT = "4\n0 0\n1 1\n2 0\n3 1\n"
 
 
 def spec_variants(kind: str, fields: tuple[str, ...]) -> list[str]:
-    """kind:fields with each field in turn zero, negative, NaN or huge, then
-    cut short: the last field dropped, and a trailing separator."""
+    """kind:fields with each field in turn zero, negative, NaN, huge or 5000
+    digits long, then cut short (the last field dropped, a trailing
+    separator) and one field too many."""
     out = [f"{kind}:" + ",".join(fields[:i] + (bad,) + fields[i + 1:])
-           for i in range(len(fields)) for bad in ("0", "-1", "nan", HUGE)]
-    return out + [f"{kind}:" + ",".join(fields[:-1]), f"{kind}:" + ",".join(fields) + ","]
+           for i in range(len(fields)) for bad in ("0", "-1", "nan", HUGE, "9" * 5000)]
+    return out + [f"{kind}:" + ",".join(fields[:-1]), f"{kind}:" + ",".join(fields) + ",",
+                  f"{kind}:" + ",".join(fields + ("1",))]
 
 
 GRAPH_SPECS = [*spec_variants("regular", ("10", "3")), *spec_variants("cycle", ("5",)),
                *spec_variants("path", ("5",)), *spec_variants("complete", ("5",)),
-               "prism", "petersen", "nope:5", ""]
+               "prism", "petersen", "prism:7", "petersen:1", "nope:5", ""]
 METRIC_SPECS = [*spec_variants("uniform", ("3",)), *spec_variants("grid", ("1", "2")),
                 *spec_variants("random", ("4", "2")), "no_such_metric.txt", "", "."]
 # file texts: cut short, empty, zero, negative, NaN and huge headers, bad entries
 GRAPH_FILES = [GRAPH_TEXT[:-9], GRAPH_TEXT[:-2], "4", "", "0 0\n", "-1 0\n", "nan 0\n",
-               f"{HUGE} 0\n", f"4 {HUGE}\n", "4 1\n0 9\n", "4 1\n0 -1\n", "4 1\n0 0\n"]
+               f"{HUGE} 0\n", f"4 {HUGE}\n", "4 1\n0 9\n", "4 1\n0 -1\n", "4 1\n0 0\n",
+               "4 -1\n"]
 METRIC_FILES = [METRIC_TEXT[:-2], METRIC_TEXT[:-6], "2", "", "0\n", "-1\n", "nan\n",
                 f"{HUGE}\n", "2000\n", "2\n0 nan\nnan 0\n", "2\n0 -1\n-1 0\n",
                 "2\n0 1e999\n1e999 0\n", "2\n0 0\n0 0\n"]
@@ -530,6 +625,11 @@ def table_cases():
 TABLE_CASES = table_cases()
 
 
+def short(arg: str) -> str:
+    """An argument as a test id shows it: one past 100 characters is cut."""
+    return arg if len(arg) <= 100 else f"{arg[:20]}...({len(arg)} chars)"
+
+
 class Overtime(Exception):
     pass
 
@@ -538,7 +638,8 @@ class TestNoTracebackTable:
     """Every subcommand over zero, negative, NaN, huge and cut-short values of
     each flag, spec field and input file, one at a time, in process: each call
     exits 0, 1 or 2 within TIME_LIMIT_S seconds and prints no traceback; an
-    exit 1 prints one "error: " line, and exit 2 is a failed property check.
+    exit 1 prints one "error: " line of at most 200 bytes with none of
+    Python's own conversion messages, and exit 2 is a failed property check.
 
     Work counts (--trials, --iters, --retries) get only zero and negative
     values: a huge count is a valid long run, not out of the domain
@@ -547,7 +648,8 @@ class TestNoTracebackTable:
     TIME_LIMIT_S = 5.0
 
     @pytest.mark.parametrize("argv,files", TABLE_CASES,
-                             ids=[" ".join(a) + "|" + ";".join(f"{k}={v!r}" for k, v in f.items())
+                             ids=[" ".join(short(x) for x in a) + "|"
+                                  + ";".join(f"{k}={v!r}" for k, v in f.items())
                                   for a, f in TABLE_CASES])
     def test_exits_cleanly(self, argv, files, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -570,6 +672,10 @@ class TestNoTracebackTable:
         assert "Traceback" not in captured.out + captured.err
         if code == 1:
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            # Python's own messages and echoes of huge values stay out
+            assert len(captured.err.encode()) <= 200, captured.err
+            for phrase in ("unpack", "invalid literal", "could not convert", "Exceeds the limit"):
+                assert phrase not in captured.err
         if code == 2:
             assert captured.err.startswith("property check failed: ")
 
@@ -689,3 +795,54 @@ class TestCommittedResults:
                             "--bigk", "20", "--m", "4", "--trials", "2", "--seed", "5")
         committed = body_of((RESULTS / "model_diagnostics.csv").read_text()).splitlines()
         assert got[:3] == committed[:3]  # header and trials 0..1
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each nlgap line in the code blocks of the README's
+    CLI and Experiments sections."""
+    out, section, fenced = [], "", False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("## "):
+            section = line[3:]
+        elif line.startswith("```"):
+            fenced = not fenced
+        elif fenced and section in ("CLI", "Experiments") and line.startswith("nlgap "):
+            out.append(line.split()[1:])
+    return out
+
+
+class TestReadmeInStep:
+    """The README's commands and the CLI's help stay in step with the spec
+    tables; the commands are parsed, not run."""
+
+    COMMANDS = readme_commands()
+
+    def test_commands_found(self):
+        assert len(self.COMMANDS) == 16
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_command_parses(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        graphs = [args.gen] if getattr(args, "gen", None) else []
+        metrics = [args.metric] if getattr(args, "metric", None) else []
+        if args.command in ("gen-graph", "gen-metric"):
+            (graphs if args.command == "gen-graph" else metrics).append(args.type)
+        for spec in graphs:
+            assert spec.partition(":")[0] in cli.GRAPH_SPECS, spec
+        for spec in metrics:
+            kind, colon, _ = spec.partition(":")
+            assert kind in [*cli.METRIC_SPECS, "snowflake"] or not colon, spec
+
+    @pytest.mark.parametrize("argv,tables", [
+        (["gamma"], [cli.GRAPH_SPECS, cli.METRIC_SPECS]),
+        (["extrapolate"], [cli.GRAPH_SPECS, cli.METRIC_SPECS]),
+        (["gen-graph"], [cli.GRAPH_SPECS]),
+        (["gen-metric"], [cli.METRIC_SPECS]),
+    ])
+    def test_help_lists_every_form(self, argv, tables, capsys):
+        with pytest.raises(SystemExit):
+            cli.main([*argv, "--help"])
+        shown = " ".join(capsys.readouterr().out.split())
+        for table in tables:
+            for kind, (names, _) in table.items():
+                assert f"{kind}:{names}".rstrip(":") in shown

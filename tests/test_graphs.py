@@ -254,6 +254,13 @@ class TestConstruction:
             build()
         assert str(info.value) == message
 
+    def test_negative_edge_count_refused(self):
+        # path_graph(0) asks for n - 1 = -1 edges, and must still build
+        assert (path_graph(0).n, path_graph(0).m) == (0, 0)
+        with pytest.raises(GraphError) as info:
+            graphs._check_graph(4, -1)
+        assert str(info.value) == "edge count m = -1 is negative"
+
 
 class TestDistances:
     def test_path_from_end(self):

@@ -120,7 +120,9 @@ class TestStrictParsers:
         ("4", "graph file line 1: expected 2 integers, got '4'"),
         ("2 1\n\n0 x\n", "graph file line 3: expected 2 integers, got '0 x'"),
         ("1" * 5000 + " 0", "graph file line 1: expected 2 integers, got '" + "1" * 37 + "...'"),
-    ], ids=["cut-row", "one-field-header", "not-an-integer", "past-the-digit-limit"])
+        (f"{2 ** 63} 0", f"graph file line 1: expected 2 integers, got '{2 ** 63} 0'"),
+    ], ids=["cut-row", "one-field-header", "not-an-integer", "past-the-digit-limit",
+            "past-int64"])
     def test_malformed_graph_row_named(self, text, message):
         with pytest.raises(ValueError) as info:
             graph_from_text(text)
@@ -133,6 +135,16 @@ class TestStrictParsers:
     def test_malformed_map_row_named(self, text, message):
         with pytest.raises(ValueError) as info:
             map_assignment_from_text(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("parse, text, error, message", [
+        (graph_from_text, "4 -1\n", GraphError, "edge count m = -1 is negative"),
+        (metric_from_text, "-1\n", MetricError, "point count N = -1 is negative"),
+    ])
+    def test_negative_header_count_named(self, parse, text, error, message):
+        # these once read "expected -1 edges, found 0" and "expected -1 metric rows"
+        with pytest.raises(error) as info:
+            parse(text)
         assert str(info.value) == message
 
     def test_malformed_metric_row_named(self):
