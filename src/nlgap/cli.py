@@ -46,6 +46,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _int64(text: str) -> int:
+    """The type of every integer flag: one integer within int64, by
+    io._fields' rule, so argparse names the flag and shows at most 40
+    characters of a refused value."""
+    try:
+        return _fields("", text, int, 1)[0]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc).removeprefix(": ")) from None
+
+
 def _read(path: str, what: str, parse):
     p = Path(path)
     if not p.is_file():   # Path('') is the current directory, so this refuses '' too
@@ -361,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     metric_help = f"metric spec ({_kinds(METRIC_SPECS)}) or FILE"
 
     def common(p, metric=False, graph=False, mapfile=False):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int64, default=0)
         p.add_argument("--out", help="output CSV path (default stdout)")
         if graph:
             p.add_argument("--graph", help="graph file")
@@ -375,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, metric=True, graph=True)
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--heuristic", action="store_true")
-    p.add_argument("--iters", type=int, default=2000)
+    p.add_argument("--iters", type=_int64, default=2000)
     p.add_argument("--map-out", dest="map_out")
     p.set_defaults(func=cmd_gamma)
 
@@ -400,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target cardinality, e.g. 10^100")
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--sizes", help="comma list of n for the growth experiment")
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--d", type=_int64, default=3)
+    p.add_argument("--trials", type=_int64, default=10)
     p.add_argument("--svg", help="write a growth chart here")
     p.set_defaults(func=cmd_witness)
 
@@ -409,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, graph=True)
     p.add_argument("--distortion", "--D", type=float, default=3.0)
     p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--retries", type=int, default=50)
-    p.add_argument("--delta", type=int)
+    p.add_argument("--retries", type=_int64, default=50)
+    p.add_argument("--delta", type=_int64)
     p.add_argument("--map-out", dest="map_out")
     p.set_defaults(func=cmd_jls)
 
@@ -422,16 +432,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lemma", required=True,
                    choices=["matchings", "restriction", "dist-eq", "typical"])
-    p.add_argument("--l", type=int, default=20)
+    p.add_argument("--l", type=_int64, default=20)
     p.add_argument("--eps", type=float, default=0.2)
     p.add_argument("--c", type=float, default=0.1)
-    p.add_argument("--trials", type=int, default=10 ** 5)
-    p.add_argument("--n", type=int, default=6)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--k", type=int, default=62)
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--trials", type=_int64, default=10 ** 5)
+    p.add_argument("--n", type=_int64, default=6)
+    p.add_argument("--d", type=_int64, default=3)
+    p.add_argument("--k", type=_int64, default=62)
+    p.add_argument("--m", type=_int64, default=4)
     p.add_argument("--bigk", type=float, default=20.0)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_int64, default=100)
     p.add_argument("--p-threshold", dest="p_threshold", type=float, default=0.001)
     p.set_defaults(func=cmd_model)
 
@@ -439,20 +449,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--gen-regular", dest="gen_regular", required=True,
                    help="n,d for the sampled family")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int64, default=100)
     p.add_argument("--min-fraction", dest="min_fraction", type=float)
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("gen-graph", help="write a graph file")
     p.add_argument("--type", required=True, help=_kinds(GRAPH_SPECS))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int64, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_graph)
 
     p = sub.add_parser("gen-metric", help="write a metric file")
     p.add_argument("--type", required=True, help=_kinds(METRIC_SPECS) + " | snowflake:eps")
     p.add_argument("--base", help="base metric file for snowflake")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int64, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_metric)
 

@@ -287,14 +287,18 @@ def spectrum(g: Graph) -> np.ndarray:
     return np.linalg.eigvalsh(adjacency_matrix(g))
 
 
-# Lanczos beats the dense solve from about n = 400 on random 3- and 4-regular
-# graphs (4.3 vs 5.6 ms at n=400, 11 vs 40 ms at n=1000, 17 vs 311 ms at
-# n=2000).  Random 3- to 6-regular graphs converged within n/14 implicit
-# restarts (8 graphs for each d at n = 400, 1000, 2000, 4000).  A graph with a
-# small spectral gap needs about n restarts (C_1000: 1090, several times the
-# dense time), so lambda2 stops after n/8 and falls back to the dense solve.
-# Paths and cycles (maximum degree <= 2) have that gap, so they skip Lanczos.
+# On random cubic graphs _top_two beats the dense solve from about n = 400
+# (5-6 vs 11 ms at n=400, 11-16 vs 79 ms at n=1000) and takes 21-29 ms at
+# n=2000 and 49-53 ms at n=4000, against 33-40 and 78-85 ms for ARPACK
+# eigsh (medians over 8 graphs, 2 cores).  Random 3- to 6-regular graphs
+# converged within 16, 22 and 31 cycles at n = 400, 1000, 2000 (8 graphs for
+# each d).  A graph with a small spectral gap needs about n/3 (a 4-clique
+# with a path tail, n = 1000: 371), so lambda2 stops after n/8 and falls
+# back to the dense solve.  Paths and cycles (maximum degree <= 2) have that
+# gap, so they skip Lanczos.
 _LANCZOS_MIN_N = 400
+_LANCZOS_BASIS = 24  # Lanczos vectors per restart cycle
+_LANCZOS_KEEP = 10   # largest Ritz vectors carried across a restart
 
 
 def lambda2(g: Graph) -> float:
@@ -302,44 +306,78 @@ def lambda2(g: Graph) -> float:
 
     A connected graph with at least _LANCZOS_MIN_N vertices and a vertex of
     degree at least 3 takes the top two eigenvalues of its sparse adjacency
-    from ARPACK Lanczos, started from a fixed vector so that repeated calls
-    agree bit for bit.  Smaller graphs, paths and cycles, disconnected ones
-    (whose largest eigenvalue can be repeated, which Lanczos from one start
-    vector need not see) and runs that do not converge use the dense spectrum.
+    from _top_two, started from a fixed vector so that repeated calls agree
+    bit for bit.  Smaller graphs, paths and cycles, disconnected ones (whose
+    largest eigenvalue can be repeated, which Lanczos from one start vector
+    need not see) and runs that do not converge use the dense spectrum.
     """
     if g.n < 2:
         raise GraphError("lambda2 needs n >= 2")
     if g.n >= _LANCZOS_MIN_N and max(g.degrees()) > 2 and is_connected(g):
-        # imported here so that importing nlgap loads no scipy
-        from scipy.sparse import csr_array
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-        class CsrProduct(LinearOperator):
-            """ARPACK's matvec is the CSR product itself, without the shape
-            checks and dispatch of scipy's generic operator wrapper."""
-
-            def __init__(self, a):
-                super().__init__(a.dtype, a.shape)
-                self.a = a
-
-            def _matvec(self, x):
-                return self.a @ x
-
-            matvec = _matvec
-
         u, v = g.edge_array.T
-        a = csr_array((np.ones(2 * g.m), (np.concatenate([u, v]), np.concatenate([v, u]))),
-                      shape=(g.n, g.n))
-        # rng feeds the restart vectors ARPACK draws after a breakdown
-        gen = derive_rng(0, "lambda2", g.n)
-        try:
-            top = eigsh(CsrProduct(a), k=2, which="LA", v0=gen.uniform(-1.0, 1.0, g.n),
-                        rng=gen, maxiter=g.n // 8, return_eigenvectors=False)
-        except ArpackNoConvergence:
-            pass
-        else:
-            return float(top.min())
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+        top = _top_two(lambda x: np.bincount(rows, weights=x[cols], minlength=g.n),
+                       derive_rng(0, "lambda2", g.n).uniform(-1.0, 1.0, g.n), g.n // 8)
+        if top is not None:
+            return float(top[0])
     return float(spectrum(g)[-2])
+
+
+def _top_two(matvec, x: np.ndarray, max_cycles: int) -> np.ndarray | None:
+    """The two largest eigenvalues, ascending, of the symmetric operator
+    matvec, by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl.
+    22, 2000) from the start vector x; None if max_cycles cycles do not
+    converge.
+
+    The basis vectors are the rows of V, and T = V A V^T.  A cycle extends
+    the basis to _LANCZOS_BASIS vectors, then restarts from the
+    _LANCZOS_KEEP largest Ritz vectors and the residual direction: their
+    block of T is the diagonal of Ritz values, coupled to the residual by
+    beta * S[-1, kept].  Each new vector is orthogonalised against the whole
+    basis by classical Gram-Schmidt, with a second pass when the first
+    cancels more than 1 - 1/sqrt(2) of its norm (the DGKS test), so the
+    basis stays orthonormal to rounding and T has no spurious copies of
+    converged Ritz values.  It stops when both top Ritz residuals
+    |beta * S[-1, i]| are at most 20 eps max|theta|.
+    """
+    eps = np.finfo(np.float64).eps
+    basis, keep = _LANCZOS_BASIS, _LANCZOS_KEEP
+    V = np.empty((basis + 1, x.size))
+    T = np.zeros((basis, basis))
+    V[0] = x / np.linalg.norm(x)
+    k = 0
+    norm = 0.0  # the largest |A v| so far, an estimate of |A| from below
+    for _ in range(max_cycles):
+        for j in range(k, basis):
+            w = matvec(V[j])
+            first = np.linalg.norm(w)
+            norm = max(norm, first)
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
+            beta = np.linalg.norm(w)
+            if beta < first / math.sqrt(2):
+                again = V[:j + 1] @ w
+                w -= again @ V[:j + 1]
+                h += again
+                beta = np.linalg.norm(w)
+            T[j, j] = h[j]
+            # rounding leaves beta at a few eps |A| once the Krylov space is
+            # invariant; then T's leading block holds its exact eigenvalues
+            if beta <= 1e3 * eps * norm:
+                return np.linalg.eigvalsh(T[:j + 1, :j + 1])[-2:]
+            if j + 1 < basis:
+                T[j, j + 1] = T[j + 1, j] = beta
+            V[j + 1] = w / beta
+        theta, s = np.linalg.eigh(T)
+        if np.abs(beta * s[-1, -2:]).max() <= 20 * eps * np.abs(theta).max():
+            return theta[-2:]
+        V[:keep] = s[:, -keep:].T @ V[:basis]
+        V[keep] = V[basis]
+        T[:] = 0.0
+        np.fill_diagonal(T[:keep, :keep], theta[-keep:])
+        T[:keep, keep] = T[keep, :keep] = beta * s[-1, -keep:]
+        k = keep
+    return None
 
 
 # ----------------------------------------------------------------------

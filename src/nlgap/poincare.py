@@ -315,7 +315,7 @@ def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
     # one (vertices, degree) array in adjacency order
     degrees = np.array(g.degrees())
     groups = []
-    for d in np.unique(degrees):
+    for d in sorted(set(g.degrees())):
         vs = np.flatnonzero(degrees == d)
         nbrs = np.array([g.adjacency[v] for v in vs], dtype=np.int64).reshape(vs.size, d)
         groups.append((vs, nbrs))

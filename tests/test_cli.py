@@ -310,10 +310,13 @@ class TestCleanErrorExits:
         assert exit_.value.code == 0
         assert capsys.readouterr().out
 
-    def test_restriction_refuses_huge_domain(self, capsys):
-        assert cli.main(["model", "--lemma", "restriction", "--n", str(10 ** 21)]) == 1
-        assert (capsys.readouterr().err
-                == f"error: --n {10 ** 21} exceeds the vertex cap 1000001\n")
+    @pytest.mark.parametrize("n,message", [
+        (10 ** 18, f"--n {10 ** 18} exceeds the vertex cap 1000001"),
+        # past int64 the flag's type refuses it first
+        (10 ** 21, f"argument --n: expected 1 integer, got '{10 ** 21}'")])
+    def test_restriction_refuses_huge_domain(self, n, message, capsys):
+        assert cli.main(["model", "--lemma", "restriction", "--n", str(n)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_distort_rejects_empty_map(self, tmp_path, capsys):
         fpath = tmp_path / "f.txt"
@@ -467,6 +470,20 @@ class TestSpecGrammar:
                      "--gen-regular n,d: expected 2 integers, got '1000'", id="gen-regular-1000"),
         pytest.param(("spectra", "--gen-regular", "a,3"),
                      "--gen-regular n,d: expected 2 integers, got 'a,3'", id="gen-regular-a,3"),
+        # integer flags take the same rule: within int64, the value cut to 40
+        # characters; 4000 digits once reached Python's digit limit in the
+        # point cap's message, and a 4000-digit seed was echoed into # config:
+        pytest.param(("model", "--lemma", "restriction", "--n", "20", "--k", "5",
+                      "--points", "9" * 4000),
+                     f"argument --points: expected 1 integer, got '{NINES}'",
+                     id="points-4000-nines"),
+        pytest.param(("gamma", "--gen", "cycle:4", "--metric", "uniform:2", "--seed", "9" * 4000),
+                     f"argument --seed: expected 1 integer, got '{NINES}'", id="seed-4000-nines"),
+        pytest.param(("gamma", "--gen", "cycle:4", "--metric", "uniform:2",
+                      "--seed", str(2 ** 63)),
+                     f"argument --seed: expected 1 integer, got '{2 ** 63}'", id="seed-2^63"),
+        pytest.param(("spectra", "--gen-regular", "20,3", "--trials", "2.5"),
+                     "argument --trials: expected 1 integer, got '2.5'", id="trials-2.5"),
     ])
     def test_malformed_spec_pinned(self, argv, message, capsys):
         assert cli.main(list(argv)) == 1
@@ -527,9 +544,9 @@ MAP_FILES = [MAP_TEXT[:-2], MAP_TEXT[:-8], "", "0\n", "-1\n", "nan\n", f"{HUGE}\
              "4\n0 0\n1 1\n2 0\n9 1\n", "3\n0 0\n1 1\n2 0\n",
              "5\n0 0\n1 1\n2 0\n3 1\n4 0\n"]
 
-INT = ("0", "-1", "nan", HUGE, "")
+INT = ("0", "-1", "nan", HUGE, "", "9" * 5000)
 FLOAT = ("0", "-1", "nan", "1e300", "1e")
-COUNT = ("0", "-1")
+COUNT = ("0", "-1", "9" * 5000)
 OUT_PATH = ("", "no_such_dir/out.txt")
 IN_PATH = ("", ".", "no_such_file.txt")
 
@@ -641,9 +658,10 @@ class TestNoTracebackTable:
     exit 1 prints one "error: " line of at most 200 bytes with none of
     Python's own conversion messages, and exit 2 is a failed property check.
 
-    Work counts (--trials, --iters, --retries) get only zero and negative
-    values: a huge count is a valid long run, not out of the domain
-    (gamma --heuristic --iters 10^21 runs until it is stopped)."""
+    Work counts (--trials, --iters, --retries) get only zero, negative and
+    5000-digit values: a huge count within int64 is a valid long run, not
+    out of the domain (gamma --heuristic --iters 10^18 runs until it is
+    stopped)."""
 
     TIME_LIMIT_S = 5.0
 
@@ -681,8 +699,9 @@ class TestNoTracebackTable:
 
 
 class TestImportBudget:
-    """scipy loads only in the calls that use it: lambda2 on large connected
-    graphs.  Each case runs in a fresh interpreter."""
+    """No command loads scipy, which is a test-only oracle: lambda2 runs
+    its own Lanczos solver and the dist-eq p-value is computed in decimal.
+    Each case runs in a fresh interpreter."""
 
     @staticmethod
     def loaded_scipy(calls: str):
@@ -707,6 +726,7 @@ class TestImportBudget:
         ["witness", "--sizes", "16,32"],
         ["model", "--lemma", "dist-eq", "--n", "6", "--d", "3", "--l", "1",
          "--trials", "40000", "--seed", "12"],
+        ["spectra", "--gen-regular", "1000,3", "--trials", "2"],
     ])
     def test_numpy_only_commands_load_no_scipy(self, argv):
         # scipy.special alone adds about 24 MB of resident memory

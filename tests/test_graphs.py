@@ -444,31 +444,60 @@ CLOSED_FORM_LAMBDA2 = {
     "K200,300": (lambda: complete_bipartite_graph(200, 300), 0.0),
     "star500": (lambda: complete_bipartite_graph(1, 499), 0.0),
 }
+# the number of distinct adjacency eigenvalues (K_n: n-1, -1; K_{a,b}:
+# +-sqrt(ab), 0; Q_k: k, k-2, ..., -k), which is the dimension of the Krylov
+# space of a start vector with a component in every eigenspace: Lanczos
+# breaks down after exactly that many products
+KRYLOV_DIMENSION = {"K500": 2, "K200,300": 3, "star500": 3, "Q9": 10, "Q10": 11}
+
+
+def ladder_graph(k):
+    """P_k x K2: maximum degree 3 and a top gap of order 1/k^2."""
+    return graph_from_edges(2 * k, [(i, i + 1) for i in range(k - 1)]
+                            + [(k + i, k + i + 1) for i in range(k - 1)]
+                            + [(i, k + i) for i in range(k)])
+
+
+def lollipop_graph(clique, n):
+    """K_clique with a path tail out of its last vertex, n vertices in all."""
+    return graph_from_edges(n, list(itertools.combinations(range(clique), 2))
+                            + [(i, i + 1) for i in range(clique - 1, n - 1)])
 
 
 class TestLambda2:
-    """Connected graphs with n >= _LANCZOS_MIN_N take lambda2 from ARPACK
-    Lanczos; the dense spectrum and closed forms are its oracles."""
+    """Connected graphs with n >= _LANCZOS_MIN_N take lambda2 from the
+    thick-restart Lanczos solver graphs._top_two; the dense spectrum and
+    closed forms are its oracles."""
 
     @staticmethod
     def sparse_lambda2(g, monkeypatch):
-        """lambda2 with the dense path disabled, so a fallback fails the test."""
+        """lambda2 with the dense path disabled, so a fallback fails the test,
+        and the number of matrix-vector products the solver made."""
+        top_two, products = graphs._top_two, []
+
+        def counted(matvec, x, max_cycles):
+            def product(v):
+                products.append(1)
+                return matvec(v)
+            return top_two(product, x, max_cycles)
+
         def no_dense(_):
             raise AssertionError("lambda2 fell back to the dense spectrum")
         with monkeypatch.context() as m:
+            m.setattr(graphs, "_top_two", counted)
             m.setattr(graphs, "spectrum", no_dense)
-            return lambda2(g)
+            return lambda2(g), len(products)
 
     @pytest.mark.parametrize("n", [400, 1000, 2000])
     @pytest.mark.parametrize("d", [3, 4])
     def test_random_regular_matches_dense(self, n, d, monkeypatch):
         g = random_regular(n, d, seed=n + d)
-        assert abs(self.sparse_lambda2(g, monkeypatch) - spectrum(g)[-2]) < 1e-11
+        assert abs(self.sparse_lambda2(g, monkeypatch)[0] - spectrum(g)[-2]) < 1e-11
 
     def test_irregular_matches_dense(self, monkeypatch):
         g = tree_plus_chords(600, 60, seed=3)
         assert g.regular_degree() is None and is_connected(g)
-        assert abs(self.sparse_lambda2(g, monkeypatch) - spectrum(g)[-2]) < 1e-11
+        assert abs(self.sparse_lambda2(g, monkeypatch)[0] - spectrum(g)[-2]) < 1e-11
 
     @pytest.mark.parametrize("name", sorted(CLOSED_FORM_LAMBDA2))
     def test_repeated_and_clustered_closed_forms(self, name):
@@ -479,61 +508,63 @@ class TestLambda2:
         assert abs(got - expect) < 1e-11
         assert abs(got - spectrum(g)[-2]) < 1e-11
 
+    @pytest.mark.parametrize("name", sorted(KRYLOV_DIMENSION))
+    def test_breakdown_stops_at_the_krylov_dimension(self, name, monkeypatch):
+        # a breakdown test that misses the invariant space goes on with a
+        # vector of rounding noise
+        build, expect = CLOSED_FORM_LAMBDA2[name]
+        g = build()
+        got, products = self.sparse_lambda2(g, monkeypatch)
+        assert products == KRYLOV_DIMENSION[name]
+        assert abs(got - expect) < 1e-11
+        assert abs(got - spectrum(g)[-2]) < 1e-11
+
     def test_small_spectral_gap_falls_back_to_dense(self):
-        # C_1000 needs about 1090 implicit restarts, far past the cap
+        # C_1000 would need 130 restart cycles, past the cap of 125
         g = cycle_graph(1000)
         assert lambda2(g) == spectrum(g)[-2]
 
     @pytest.mark.parametrize("build", [lambda: cycle_graph(1000), lambda: path_graph(1000)],
                              ids=["C1000", "P1000"])
     def test_paths_and_cycles_skip_lanczos(self, build, monkeypatch):
-        import scipy.sparse.linalg
-
-        def no_lanczos(*args, **kwargs):
+        def no_lanczos(*args):
             raise AssertionError("lambda2 ran Lanczos on a graph of maximum degree 2")
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
+        monkeypatch.setattr(graphs, "_top_two", no_lanczos)
         g = build()
         assert lambda2(g) == spectrum(g)[-2]
 
     def test_no_convergence_falls_back_to_dense(self, monkeypatch):
-        # the ladder P250 x K2 has maximum degree 3 and a top gap of order
-        # 1/n^2, so Lanczos stops at its restart cap
-        import scipy.sparse.linalg
-        eigsh, raised = scipy.sparse.linalg.eigsh, []
+        # a 4-clique with a 996-vertex path tail has maximum degree 4 and a
+        # top gap of order 1/n^2: it needs 371 restart cycles, past the cap of 125
+        top_two, dense_spectrum, returned, dense = graphs._top_two, graphs.spectrum, [], []
 
-        def spy(*args, **kwargs):
-            try:
-                return eigsh(*args, **kwargs)
-            except scipy.sparse.linalg.ArpackNoConvergence:
-                raised.append(True)
-                raise
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
-        k = 250
-        g = graph_from_edges(2 * k, [(i, i + 1) for i in range(k - 1)]
-                             + [(k + i, k + i + 1) for i in range(k - 1)]
-                             + [(i, k + i) for i in range(k)])
-        assert lambda2(g) == spectrum(g)[-2]
-        assert raised == [True]
+        def solver_spy(*args):
+            returned.append(top_two(*args))
+            return returned[-1]
+
+        def dense_spy(g):
+            dense.append(g)
+            return dense_spectrum(g)
+        monkeypatch.setattr(graphs, "_top_two", solver_spy)
+        monkeypatch.setattr(graphs, "spectrum", dense_spy)
+        g = lollipop_graph(4, 1000)
+        got = lambda2(g)
+        assert returned == [None] and dense == [g]
+        assert got == dense_spectrum(g)[-2]
 
     @pytest.mark.parametrize("build", [
         *(pytest.param(functools.partial(random_regular, n, d, seed=n + d), id=f"regular{n},{d}")
           for n in (400, 1000, 2000) for d in (3, 4, 5, 6)),
         pytest.param(lambda: tree_plus_chords(600, 60, seed=3), id="tree600+60"),
         pytest.param(lambda: complete_bipartite_graph(200, 300), id="K200,300"),
-        pytest.param(lambda: hypercube_graph(9), id="Q9")])
-    def test_operator_matches_direct_eigsh(self, build):
-        # bit for bit against eigsh on a csr_array built from the dense
-        # adjacency, with lambda2's start vector, restart stream and cap;
-        # K_{200,300} makes ARPACK draw restart vectors, and Q9 has lambda2
-        # of multiplicity 9
-        from scipy.sparse import csr_array
-        from scipy.sparse.linalg import eigsh
+        pytest.param(lambda: hypercube_graph(9), id="Q9"),
+        # converges in 51 of its 62 allowed restart cycles (738 products)
+        pytest.param(lambda: ladder_graph(250), id="ladder250")])
+    def test_matches_dense_oracle(self, build, monkeypatch):
+        # without the dense fallback: K_{200,300} and Q9 (lambda2 of
+        # multiplicity 9) end in a breakdown, the others converge
         g = build()
-        gen = derive_rng(0, "lambda2", g.n)
-        top = eigsh(csr_array(adjacency_matrix(g)), k=2, which="LA",
-                    v0=gen.uniform(-1.0, 1.0, g.n), rng=gen, maxiter=g.n // 8,
-                    return_eigenvectors=False)
-        assert lambda2(g) == float(top.min())
+        assert abs(self.sparse_lambda2(g, monkeypatch)[0] - spectrum(g)[-2]) < 1e-11
 
     def test_disconnected_union_uses_repeated_top_eigenvalue(self):
         g = disjoint_union(random_regular(500, 3, seed=1), random_regular(500, 3, seed=2))
@@ -544,14 +575,13 @@ class TestLambda2:
                                        lambda: complete_bipartite_graph(200, 300)],
                              ids=["cubic1000", "K200,300"])
     def test_bitwise_deterministic(self, build):
-        # K_{200,300} exhausts its Krylov space and makes ARPACK draw restart vectors
-        from scipy.sparse import csr_array
-        from scipy.sparse.linalg import eigsh
+        # K_{200,300} ends in a breakdown; between the calls, another solve
+        # and a draw from numpy's global generator leave the result alone
         g = build()
         first = lambda2(g)
         assert lambda2(g) == first
-        other = random_regular(600, 3, seed=9)
-        eigsh(csr_array(adjacency_matrix(other)), k=3, which="LA")   # unseeded
+        lambda2(random_regular(600, 3, seed=9))
+        np.random.uniform(-1.0, 1.0, g.n)
         assert lambda2(g) == first
 
     def test_adjacency_matches_edge_loop(self, corpus):
