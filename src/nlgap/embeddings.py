@@ -9,11 +9,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, GraphError, bfs_distances, distance_matrix, is_connected
-from .metrics import _check_exponent, _costs, sup_distance_blocks
+from .graphs import Graph, GraphError, distance_matrix, is_connected
+from .metrics import _SUP_BLOCK, _check_exponent, _costs, sup_distance_blocks
 from .poincare import cost_ratio, edge_lipschitz
 from .rng import derive_rng
 
@@ -58,7 +59,11 @@ class GridMap:
     """Map of vertices into an integer grid with sup-norm distances.
 
     The grid itself is never materialized; coordinates are stored per
-    vertex and pairwise distances are evaluated on demand.
+    vertex and pairwise distances are evaluated on demand, in the dtype of
+    the coordinates.  witness_map and jls_embedding store the narrowest
+    integer type that holds the difference of any two coordinates: int8 for
+    witness coordinates in -k..k with k <= 63, and a type holding +-diam(g)
+    for the distance-to-set coordinates in 0..diam(g).
     """
 
     coords: np.ndarray  # (n, width) integers; the dtype holds any difference
@@ -79,13 +84,35 @@ def witness_map(g: Graph, log_n_points: float) -> tuple[GridMap, WitnessParams]:
     """Coordinates trunc_k(dist(v, seed_i) - r0) over the first s0 vertices.
 
     Coordinates beyond s0 are identically zero and therefore omitted from
-    the stored array; sup-norm distances are unaffected.
+    the stored array; sup-norm distances are unaffected.  All s0 searches
+    run as one level-synchronous BFS over the (n, d) neighbour table, which
+    is exact since witness_params refuses irregular graphs.  It stops at
+    depth r0 + k, past which every coordinate is k; each layer gathers the
+    frontier of at most _SUP_BLOCK // (d * s0) vertices at a time.  The
+    coordinates lie in -k..k and are stored in the narrowest type holding
+    their differences, -2k..2k (int8 for k <= 63).
     """
     if not is_connected(g):
         raise GraphError("witness construction requires a connected graph")
     p = witness_params(g, log_n_points)
-    dist = np.stack([bfs_distances(g, i) for i in range(p.s0)], axis=1)
-    return GridMap(np.clip(dist - p.r0, -p.k, p.k).astype(np.int16)), p
+    nbrs = np.array(g.adjacency, dtype=np.intp)
+    seeds = np.arange(p.s0)
+    coords = np.full((p.n, p.s0), p.k, dtype=np.min_scalar_type(-2 * p.k - 1))
+    coords[seeds, seeds] = max(-p.r0, -p.k)
+    frontier = np.zeros((p.n, p.s0), dtype=bool)
+    frontier[seeds, seeds] = True
+    reached, layer = frontier.copy(), np.empty_like(frontier)
+    rows = max(1, _SUP_BLOCK // (p.d * p.s0))
+    for depth in range(1, p.r0 + p.k):
+        for a in range(0, p.n, rows):
+            frontier[nbrs[a:a + rows]].any(axis=1, out=layer[a:a + rows])
+        layer &= ~reached
+        if not layer.any():
+            break
+        reached |= layer
+        coords[layer] = max(depth - p.r0, -p.k)
+        frontier, layer = layer, frontier
+    return GridMap(coords), p
 
 
 @dataclass(frozen=True)
@@ -104,10 +131,14 @@ def witness_certificate(g: Graph, log_n_points: float, q: float = 1.0) -> Witnes
     actual map.  Every edge cost is at most 1 by construction."""
     _check_exponent(q)
     grid, p = witness_map(g, log_n_points)
-    # the sup distances of the grid are the levels 0..2k
-    _costs(np.arange(2 * p.k + 1, dtype=np.float64), q)
-    ave = sum(float(np.power(d.astype(np.float64), q).sum())
-              for d in sup_distance_blocks(grid.coords)) / (g.n * g.n)
+    # the sup distances of the grid are the levels 0..2k: ave is their exact
+    # histogram weighted by the level costs, rounded once
+    levels = 2 * p.k + 1
+    costs = _costs(np.arange(levels, dtype=np.float64), q)
+    hist = sum(np.bincount(block.ravel(), minlength=levels)
+               for block in sup_distance_blocks(grid.coords))
+    ave = float(sum(Fraction(c) * int(h) for c, h in zip(costs.tolist(), hist))
+                / (g.n * g.n))
     edge_costs = grid.edge_costs(g)
     dir_ = float(np.power(np.asarray(edge_costs, dtype=np.float64), q).mean())
     return WitnessReport(params=p, q=q, ave=ave, dirichlet=dir_, ratio=cost_ratio(ave, dir_),

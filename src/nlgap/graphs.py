@@ -344,22 +344,24 @@ def _top_two(matvec, x: np.ndarray, max_cycles: int) -> np.ndarray | None:
     basis, keep = _LANCZOS_BASIS, _LANCZOS_KEEP
     V = np.empty((basis + 1, x.size))
     T = np.zeros((basis, basis))
-    V[0] = x / np.linalg.norm(x)
+    # math.sqrt(w.dot(w)) is how np.linalg.norm computes a real vector's norm
+    V[0] = x / math.sqrt(x.dot(x))
     k = 0
     norm = 0.0  # the largest |A v| so far, an estimate of |A| from below
     for _ in range(max_cycles):
         for j in range(k, basis):
             w = matvec(V[j])
-            first = np.linalg.norm(w)
+            first = math.sqrt(w.dot(w))
             norm = max(norm, first)
-            h = V[:j + 1] @ w
-            w -= h @ V[:j + 1]
-            beta = np.linalg.norm(w)
+            Vj = V[:j + 1]
+            h = Vj @ w
+            w -= h @ Vj
+            beta = math.sqrt(w.dot(w))
             if beta < first / math.sqrt(2):
-                again = V[:j + 1] @ w
-                w -= again @ V[:j + 1]
+                again = Vj @ w
+                w -= again @ Vj
                 h += again
-                beta = np.linalg.norm(w)
+                beta = math.sqrt(w.dot(w))
             T[j, j] = h[j]
             # rounding leaves beta at a few eps |A| once the Krylov space is
             # invariant; then T's leading block holds its exact eigenvalues
@@ -367,7 +369,7 @@ def _top_two(matvec, x: np.ndarray, max_cycles: int) -> np.ndarray | None:
                 return np.linalg.eigvalsh(T[:j + 1, :j + 1])[-2:]
             if j + 1 < basis:
                 T[j, j + 1] = T[j + 1, j] = beta
-            V[j + 1] = w / beta
+            np.divide(w, beta, out=V[j + 1])
         theta, s = np.linalg.eigh(T)
         if np.abs(beta * s[-1, -2:]).max() <= 20 * eps * np.abs(theta).max():
             return theta[-2:]

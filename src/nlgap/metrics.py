@@ -88,12 +88,21 @@ def sup_distance_blocks(coords: np.ndarray):
     max(1, _SUP_BLOCK // (n * width)) rows, in the dtype of coords.
 
     At most one difference array is alive at a time: its absolute value is
-    taken in place and it is freed before the block is handed out."""
+    taken in place and it is freed before the block is handed out.  With
+    fewer coordinates than points (the witness map) the differences are laid
+    out coordinate-major, from a transposed copy of coords, so the maximum is
+    taken elementwise across contiguous (rows, n) slices rather than along a
+    short last axis; with more coordinates than points (the distance-to-set
+    embedding) the point-major reduction is the faster one."""
     n, width = coords.shape
     rows = max(1, _SUP_BLOCK // max(1, n * width))
+    cols = np.ascontiguousarray(coords.T) if width < n else None
     for a in range(0, n, rows):
-        diff = coords[a:a + rows, None, :] - coords[None, :, :]
-        block = np.abs(diff, out=diff).max(axis=2, initial=0)
+        if cols is None:
+            diff, axis = coords[a:a + rows, None, :] - coords[None, :, :], 2
+        else:
+            diff, axis = cols[:, a:a + rows, None] - cols[:, None, :], 0
+        block = np.abs(diff, out=diff).max(axis=axis, initial=0)
         del diff
         yield block
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from nlgap.embeddings import (GridMap, embedding_distortion, default_delta,
 from nlgap.graphs import (bfs_distances, complete_graph, cycle_graph, diameter,
                           distance_matrix, graph_from_edges, multi_source_distances,
                           path_graph, petersen_graph, random_connected_regular)
-from nlgap.metrics import MetricError, path_metric, uniform_metric
+from nlgap.metrics import (_SUP_BLOCK, MetricError, path_metric, sup_distance_blocks,
+                           uniform_metric)
 from nlgap.poincare import VertexMap
 from nlgap.rng import derive_rng
 
@@ -109,6 +111,7 @@ class TestWitnessMapOracle:
     @pytest.mark.parametrize("n,d,seed,log_n_points", [
         (16, 3, 1, math.log(10.0) * 100), (24, 4, 2, math.log(10.0) * 50),
         (64, 3, 3, math.log(1e9)), (100, 3, 4, math.log(10.0) * 300),
+        (16, 3, 1, math.exp(64.5)),   # k = 64: differences up to 128 need int16
     ])
     def test_matches_scalar_loop(self, n, d, seed, log_n_points):
         g = random_connected_regular(n, d, seed=seed)
@@ -118,8 +121,47 @@ class TestWitnessMapOracle:
             row = bfs_distances(g, i)
             for v in range(n):
                 ref[v, i] = int(trunc(p.k, row[v] - p.r0))
-        assert grid.coords.dtype == np.int16
+        assert grid.coords.dtype == (np.int8 if p.k <= 63 else np.int16)
         assert np.array_equal(grid.coords, ref)
+
+    def test_dense_graph_gather_is_blocked(self):
+        # K_300 at N = 10^1000: d = 299 and s0 = 300, so gathering the whole
+        # frontier at once would hold n * d * s0 = 27 M booleans
+        g = complete_graph(300)
+        log_n_points = math.log(10.0) * 1000
+        p = witness_params(g, log_n_points)
+        assert (p.d, p.s0) == (299, 300)
+        tables = g.n * p.s0   # bytes of one (n, s0) table of int8 or bool
+        neighbours = g.n * p.d * np.dtype(np.intp).itemsize
+        tracemalloc.start()
+        try:
+            grid, _ = witness_map(g, log_n_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * tables + neighbours + _SUP_BLOCK
+        assert np.array_equal(grid.coords, 1 - np.eye(g.n, dtype=np.int8))
+
+
+class TestWitnessAverage:
+    """ave is the mean cost over all ordered pairs, correctly rounded."""
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.7])
+    @pytest.mark.parametrize("n,seed", [(16, 1), (24, 2), (40, 3)])
+    def test_correctly_rounded_mean(self, n, seed, q):
+        g = random_connected_regular(n, 3, seed=seed)
+        log_n_points = math.log(10.0) * 100
+        r = witness_certificate(g, log_n_points, q=q)
+        coords = witness_map(g, log_n_points)[0].coords
+        c = coords.astype(np.int64)
+        dense = np.abs(c[:, None, :] - c[None, :, :]).max(axis=2)
+        costs = np.power(dense.astype(np.float64), q).ravel().tolist()
+        assert r.ave == float(sum(map(Fraction, costs)) / (n * n))
+        if q in (1.0, 2.0):
+            # integer costs: the per-block float sums are exact as well
+            per_block = sum(float(np.power(b.astype(np.float64), q).sum())
+                            for b in sup_distance_blocks(coords)) / (n * n)
+            assert r.ave == per_block
 
 
 class TestDistortion:

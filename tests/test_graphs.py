@@ -584,6 +584,13 @@ class TestLambda2:
         np.random.uniform(-1.0, 1.0, g.n)
         assert lambda2(g) == first
 
+    @pytest.mark.parametrize("seed,pinned", [(0, "0x1.689c91b86ee6ap+1"),
+                                             (1, "0x1.68902325f74cbp+1"),
+                                             (4, "0x1.682795482c773p+1")])
+    def test_pinned_bits(self, seed, pinned):
+        # a rewrite of the solver that keeps its arithmetic keeps these bits
+        assert float.hex(lambda2(random_regular(1000, 3, seed=seed))) == pinned
+
     def test_adjacency_matches_edge_loop(self, corpus):
         for g in list(corpus.values()) + [tree_plus_chords(60, 9, seed=1),
                                            graph_from_edges(0, []), graph_from_edges(3, [])]:

@@ -200,6 +200,27 @@ class TestSupDistanceBlocks:
         if width == 0:
             assert not dense.any()
 
+    @pytest.mark.parametrize("n,width,lo,hi", [
+        (1024, 96, -5, 5),      # the witness shape: coordinate-major
+        (100, 2336, 0, 100),    # the distance-to-set shape: point-major
+        (300, 40, -64, 63),     # differences of 127, the largest int8
+    ])
+    def test_int8_blocks_match_dense(self, n, width, lo, hi):
+        gen = np.random.Generator(np.random.Philox(width))
+        c = gen.integers(lo, hi + 1, size=(n, width), dtype=np.int8)
+        c[:2, 0] = lo, hi
+        rows = max(1, _SUP_BLOCK // (n * width))
+        a = 0
+        for block in sup_distance_blocks(c):
+            assert block.dtype == np.int8 and len(block) == min(rows, n - a)
+            # the dense formula, in int16 so that no difference wraps
+            dense = np.abs(c[a:a + rows, None, :].astype(np.int16) - c[None, :, :]).max(axis=2)
+            assert np.array_equal(block, dense)
+            if a == 0:
+                assert block[0, 1] == hi - lo
+            a += len(block)
+        assert a == n
+
     def test_traced_peak_is_one_difference_block(self):
         # the witness shape: n=1024 points, 96 int16 coordinates
         n, width = 1024, 96
