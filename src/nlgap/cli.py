@@ -275,7 +275,22 @@ def cmd_distort(args) -> None:
     _emit(args, "lip,colip,distortion,scale", [csv_row(r.lip, r.colip, r.distortion, r.scale)])
 
 
+# each lemma's flag defaults; the flags of the other lemmas stay None, and
+# so out of the # config: echo
+MODEL_DEFAULTS = {
+    "matchings": {"l": 20, "eps": 0.2, "c": 0.1, "trials": 10 ** 5},
+    # criterion 8's instance
+    "restriction": {"n": 10 ** 4, "k": 62, "eps": 1 / 31, "points": 100, "trials": 10 ** 4},
+    "dist-eq": {"n": 6, "d": 3, "l": 2, "trials": 10 ** 5, "p_threshold": 0.001},
+    # the README experiment
+    "typical": {"n": 2000, "d": 3, "bigk": 20.0, "m": 4, "trials": 20},
+}
+
+
 def cmd_model(args) -> None:
+    for flag, value in MODEL_DEFAULTS[args.lemma].items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
     if args.lemma == "matchings":
         import itertools
         for flag, value in (("--eps", args.eps), ("--c", args.c)):
@@ -432,17 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lemma", required=True,
                    choices=["matchings", "restriction", "dist-eq", "typical"])
-    p.add_argument("--l", type=_int64, default=20)
-    p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--c", type=float, default=0.1)
-    p.add_argument("--trials", type=_int64, default=10 ** 5)
-    p.add_argument("--n", type=_int64, default=6)
-    p.add_argument("--d", type=_int64, default=3)
-    p.add_argument("--k", type=_int64, default=62)
-    p.add_argument("--m", type=_int64, default=4)
-    p.add_argument("--bigk", type=float, default=20.0)
-    p.add_argument("--points", type=_int64, default=100)
-    p.add_argument("--p-threshold", dest="p_threshold", type=float, default=0.001)
+    # each lemma's defaults are its row of MODEL_DEFAULTS
+    for flag, kind in (("--l", _int64), ("--eps", float), ("--c", float), ("--trials", _int64),
+                       ("--n", _int64), ("--d", _int64), ("--k", _int64), ("--m", _int64),
+                       ("--bigk", float), ("--points", _int64), ("--p-threshold", float)):
+        p.add_argument(flag, type=kind)
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("spectra", help="second-eigenvalue frequency experiment")

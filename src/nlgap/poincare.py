@@ -165,6 +165,20 @@ _EXACT_CAP = 10 ** 8
 _STATISTICS_CAP = 10 ** 7
 
 
+def _universe_size(n: int, n_points: int, cap: int, refusal: str) -> int:
+    """N^n, the number of maps, or CapExceeded with 'N^n maps ' + refusal
+    when it passes the cap.  A running product stops at the cap: N^n itself
+    can have millions of digits, so the count is shown only when it is exact
+    and short."""
+    total = 1
+    for factors in range(1, n + 1):
+        total *= n_points
+        if total > cap:
+            exact = f" = {total}" if factors == n and total <= cap ** 2 else ""
+            raise CapExceeded(f"{n_points}^{n}{exact} maps {refusal}")
+    return total
+
+
 @lru_cache(maxsize=32)
 def _low_block(b: int, n_points: int):
     """The point counts of the N^b maps of the low block of b vertices, in
@@ -264,12 +278,9 @@ def gamma_exact(g: Graph, metric: FiniteMetric, q: float) -> GammaExactResult:
     if not is_connected(g):
         raise ValueError("gamma_exact requires a connected graph")
     n, n_points = g.n, metric.size
-    total = n_points ** n
-    if total > _EXACT_CAP:
-        raise CapExceeded(
-            f"{n_points}^{n} = {total} maps exceeds the exhaustive cap {_EXACT_CAP}; "
-            "use gamma_lower_search instead"
-        )
+    total = _universe_size(n, n_points, _EXACT_CAP,
+                           f"exceeds the exhaustive cap {_EXACT_CAP}; "
+                           "use gamma_lower_search instead")
     costs = cost_matrix(metric, q)
     best = -math.inf
     best_index: int | None = None
@@ -286,8 +297,7 @@ def gamma_exact(g: Graph, metric: FiniteMetric, q: float) -> GammaExactResult:
 
 
 def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
-                       iters: int, seed: int,
-                       start: tuple[int, ...] | None = None) -> GammaExactResult:
+                       iters: int, seed: int) -> GammaExactResult:
     """Heuristic lower bound: random restarts plus single-vertex hill climbing.
 
     iters counts improvement steps across restarts.  The result never
@@ -304,11 +314,6 @@ def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
     if not is_connected(g):
         raise ValueError("gamma_lower_search requires a connected graph")
     n, n_points = g.n, metric.size
-    if start is not None:
-        if len(start) != n:
-            raise ValueError(f"start has {len(start)} entries for a graph of order {n}")
-        if any(not (isinstance(x, (int, np.integer)) and 0 <= x < n_points) for x in start):
-            raise ValueError(f"start entries must be integers in [0, {n_points})")
     costs = cost_matrix(metric, q)
     scale = g.m / (n * n)  # ratio = scale * pair_sum / edge_sum
     # vertices grouped by degree, so that each group's neighbour lists form
@@ -335,64 +340,48 @@ def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
             a[int(gen.integers(0, n))] = (a[0] + 1) % n_points
         return a
 
-    if start is not None:
-        current = np.asarray(start, dtype=np.int64).copy()
-        if len(set(current.tolist())) <= 1 and n_points > 1:
-            current[0] = (current[0] + 1) % n_points
-    else:
-        current = fresh(0)
+    current = fresh(0)
     cnt, pair, edge = full_sums(current)
-    best = ratio(pair, edge)
-    best_map = current.copy()
-    restart = 0
-    steps = 0
+    best, best_map = ratio(pair, edge), current.copy()
+    restart = steps = 0
     while steps < iters:
-        base = ratio(pair, edge)
-        # steepest single-vertex ascent, scoring the n x N moves at once:
-        # row v, column x holds the sums after moving v to point x
-        moved = costs.T[current]  # moved[v, x] = costs[x, current[v]]
+        steps += 1
+        # steepest single-vertex ascent over the n x N move table: row v,
+        # column x holds the sums after moving v to point x.  validate
+        # refuses asymmetric metrics, so moved[v, x] = costs[x, current[v]]
+        moved = costs[current]
         # vecdot rounds each row's dot product as costs[y] @ cnt does; a
         # matrix-vector product may round differently
         pair_new = pair + 2.0 * (costs @ cnt - np.vecdot(costs, cnt)[current][:, None] - moved)
-        # nbr_sum[v, x] adds costs[x, current[u]] over the neighbours u of v
-        # one by one, in adjacency order; own[v] sums the row
-        # costs[current[v]] at the neighbours with numpy, which adds pairwise
-        # from 8 terms on.  These are the orders of the per-vertex reference
-        # loop in the tests, so that equal moves tie there and here alike.
-        nbr_sum = np.empty((n, n_points))
-        own = np.empty(n)
-        for vs, nbr in groups:
+        # nbr[v, x] adds costs[x, current[u]] over the neighbours u of v one
+        # by one, in adjacency order; at x = current[v] it is v's own cost
+        nbr = np.empty((n, n_points))
+        for vs, nbrs in groups:
             part = np.zeros((len(vs), n_points))
-            for slot in nbr.T:
+            for slot in nbrs.T:
                 part += moved[slot]
-            nbr_sum[vs] = part
-            own[vs] = costs[current[vs][:, None], current[nbr]].sum(axis=1)
-        edge_new = edge + nbr_sum - own[:, None]
+            nbr[vs] = part
+        edge_new = edge + nbr - nbr[everyone, current][:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(edge_new > 0, scale * pair_new / edge_new, -math.inf)
         ratios[everyone, current] = -math.inf
         v, x = divmod(int(np.argmax(ratios)), n_points)
-        if ratios[v, x] > base:
-            move_ratio = float(ratios[v, x])
+        if ratios[v, x] > ratio(pair, edge):
             pair, edge = float(pair_new[v, x]), float(edge_new[v, x])
             cnt[current[v]] -= 1
             cnt[x] += 1
             current[v] = x
-            steps += 1
-            if move_ratio > best:
-                # re-derive the sums so the recorded value is drift-free
-                cnt, pair, edge = full_sums(current)
-                exact_now = ratio(pair, edge)
-                if exact_now > best:
-                    best, best_map = exact_now, current.copy()
+            if ratios[v, x] <= best:
+                continue
         else:
             restart += 1
-            steps += 1
             current = fresh(restart)
-            cnt, pair, edge = full_sums(current)
-            r = ratio(pair, edge)
-            if r > best:
-                best, best_map = r, current.copy()
+        # a restart or a move past the best: re-derive the sums so that the
+        # recorded value is drift-free
+        cnt, pair, edge = full_sums(current)
+        r = ratio(pair, edge)
+        if r > best:
+            best, best_map = r, current.copy()
     if best == -math.inf:
         return GammaExactResult(None, None, steps)
     return GammaExactResult(best, VertexMap(metric, tuple(int(x) for x in best_map)), steps)
@@ -463,9 +452,8 @@ def enumerate_map_statistics(g: Graph, metric: FiniteMetric, qs,
     its exhaustive inequality checks on top of these arrays.
     """
     n, n_points = g.n, metric.size
-    total = n_points ** n
-    if total > _STATISTICS_CAP:
-        raise CapExceeded(f"{total} maps exceed bulk-statistics cap {_STATISTICS_CAP}")
+    total = _universe_size(n, n_points, _STATISTICS_CAP,
+                           f"exceed bulk-statistics cap {_STATISTICS_CAP}")
     qs, taus = tuple(qs), tuple(taus)
     if any(not 0 < tau < 1 for tau in taus):
         raise ValueError("quantile level must lie in (0,1)")

@@ -135,6 +135,15 @@ class TestModelAndSpectra:
                          "--trials", "2000"]) == 0
         assert body_of(capsys.readouterr().out).splitlines()[-1] == "4,3,6,2000,1,0.0,1.0"
 
+    @pytest.mark.parametrize("lemma", ["matchings", "restriction", "dist-eq", "typical"])
+    def test_model_runs_on_its_own_defaults(self, lemma, capsys):
+        # the lemmas once shared the matchings defaults, which the other three
+        # refused; the echo lists the lemma's own flags only
+        assert cli.main(["model", "--lemma", lemma, "--trials", "2"]) == 0
+        config = capsys.readouterr().out.splitlines()[0].removeprefix("# config: ")
+        flags = {item.partition("=")[0] for item in config.split()}
+        assert flags == {"command", "lemma", "seed", *cli.MODEL_DEFAULTS[lemma]}
+
     def test_spectra_small(self):
         res = run_cli("spectra", "--gen-regular", "60,3", "--trials", "5", "--seed", "2")
         assert res.returncode == 0
@@ -278,7 +287,7 @@ class TestCleanErrorExits:
     @pytest.mark.parametrize("argv,message", [
         (("nonconc", "--gen", "regular:6,3", "--metric", "uniform:2", "--map", "MAP",
           "--tau", "1e300"), "need tau in (1/n, 1), got 1e+300"),
-        (("model", "--lemma", "typical", "--bigk", "1e300"),
+        (("model", "--lemma", "typical", "--n", "6", "--bigk", "1e300"),
          "degenerate parameters: ell0=0, k0=3.75e+299"),
     ])
     def test_huge_parameters_printed_as_floats(self, argv, message, tmp_path, capsys):
@@ -317,6 +326,16 @@ class TestCleanErrorExits:
     def test_restriction_refuses_huge_domain(self, n, message, capsys):
         assert cli.main(["model", "--lemma", "restriction", "--n", str(n)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("n", [14000, 100000])
+    def test_exhaustive_cap_message_is_short(self, n, capsys):
+        # 2^14000 once printed all 4,215 digits, and 2^100000 Python's own
+        # message about its integer-to-string digit limit
+        assert cli.main(["gamma", "--gen", f"cycle:{n}", "--metric", "uniform:2"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: 2^{n} maps exceeds the exhaustive cap 100000000; "
+                       "use gamma_lower_search instead; rerun with --heuristic\n")
+        assert len(err.encode()) < 200
 
     def test_distort_rejects_empty_map(self, tmp_path, capsys):
         fpath = tmp_path / "f.txt"
