@@ -203,20 +203,25 @@ def path_metric(g: Graph) -> FiniteMetric:
     return validate(distance_matrix(g).astype(np.float64))
 
 
+def capped_power(base: int, exponent: int, cap: int, refuse) -> int:
+    """base^exponent, or raise refuse(shown) once a running product passes the
+    cap.  The power itself can have millions of digits, so shown is
+    ' = count' only when the count is exact and at most cap^2, else ''."""
+    total = 1
+    for factors in range(1, exponent + 1):
+        total *= base
+        if total > cap:
+            raise refuse(f" = {total}" if factors == exponent and total <= cap ** 2 else "")
+    return total
+
+
 def linf_grid(k: int, s: int) -> FiniteMetric:
     """Sup-norm metric on the integer grid {-k,..,k}^s, with coordinate labels."""
     # k = 0 is the one-point grid, which no command can use
     if k < 1 or s < 1:
         raise MetricError("parameters", (k, s), "need k >= 1 and s >= 1")
-    # a running product stops at the cap: (2k+1)^s itself can have millions
-    # of digits, so the count is shown only when it is exact and short
-    count = 1
-    for factors in range(1, s + 1):
-        count *= 2 * k + 1
-        if count > _POINT_CAP:
-            exact = f" = {count}" if factors == s and count <= _POINT_CAP ** 2 else ""
-            raise MetricError("cap", (k, s), f"(2k+1)^s{exact} exceeds cap {_POINT_CAP} "
-                                             f"at k = {k}, s = {s}")
+    capped_power(2 * k + 1, s, _POINT_CAP, lambda shown: MetricError(
+        "cap", (k, s), f"(2k+1)^s{shown} exceeds cap {_POINT_CAP} at k = {k}, s = {s}"))
     pts = np.array(list(itertools.product(range(-k, k + 1), repeat=s)), dtype=np.int64)
     dist = np.concatenate(list(sup_distance_blocks(pts))).astype(np.float64)
     return validate(dist, labels=[tuple(p) for p in pts])

@@ -36,7 +36,8 @@ class ModelDraw:
 
     g is uniform on the d-regular graphs, u its canonical representative,
     deleted a uniform ell-subset of u's edges, pi a uniform permutation;
-    h = pi(u) and h_minus = pi(u with the deleted edges removed).
+    u_minus is u with the deleted edges removed, h = pi(u) and
+    h_minus = pi(u_minus).
     """
 
     g: Graph
@@ -44,12 +45,9 @@ class ModelDraw:
     pi: tuple[int, ...]
     ell: int
     deleted: tuple[tuple[int, int], ...]
+    u_minus: Graph
     h: Graph
     h_minus: Graph
-
-    def u_minus(self) -> Graph:
-        gone = set(self.deleted)
-        return graph_from_edges(self.u.n, [e for e in self.u.edges if e not in gone])
 
 
 def draw_model(n: int, d: int, ell: int, seed: int, canonical: bool = True) -> ModelDraw:
@@ -70,10 +68,10 @@ def draw_model(n: int, d: int, ell: int, seed: int, canonical: bool = True) -> M
     deleted = tuple(u.edges[i] for i in idx)
     gen_pi = derive_rng(seed, "model-pi")
     pi = tuple(int(p) for p in gen_pi.permutation(n))
-    h = relabel(u, pi)
     gone = set(deleted)
-    h_minus = relabel(graph_from_edges(n, [e for e in u.edges if e not in gone]), pi)
-    return ModelDraw(g=g, u=u, pi=pi, ell=ell, deleted=deleted, h=h, h_minus=h_minus)
+    u_minus = graph_from_edges(n, [e for e in u.edges if e not in gone])
+    return ModelDraw(g=g, u=u, pi=pi, ell=ell, deleted=deleted, u_minus=u_minus,
+                     h=relabel(u, pi), h_minus=relabel(u_minus, pi))
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +309,7 @@ def matching_avoidance_mc(ell: int, y_pairs, c: float, trials: int, seed: int,
 # restriction of concentrated maps to random small sets
 # ----------------------------------------------------------------------
 
-_RESTRICTION_PAIRS = 1 << 18  # sampled pairs scored at once; sets memory only
+_RESTRICTION_COUNTS = 1 << 16  # point counts (trials x N) drawn at once; sets memory only
 
 
 @dataclass(frozen=True)
@@ -323,6 +321,15 @@ class RestrictionMCResult:
     bound: float              # 1 - 15 / (eps^2 k)
     hypothesis_met: bool      # concentrated, eps <= 1/31, k >= 2/eps
     ave: float
+
+
+def far_pair_counts(far: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The far pairs of each sample, from its row of point counts x and the
+    0/1 far-point matrix F: (x F x - x . diag F) / 2, as diag F counts each
+    element against itself.  Every partial sum is an integer of at most k^2,
+    so the float64 products are exact in any summation order for k^2 < 2^53."""
+    x = counts.astype(np.float64)
+    return ((x @ far * x).sum(axis=1) - x @ far.diagonal()) / 2
 
 
 def restriction_concentration_mc(f: VertexMap, eps, k: int, trials: int,
@@ -347,21 +354,16 @@ def restriction_concentration_mc(f: VertexMap, eps, k: int, trials: int,
     hypothesis = (is_concentrated(f, 5.0, 1.0, eps) and eps_f <= 1.0 / 31.0
                   and k >= 2.0 / eps_f)
     gen = derive_rng(seed, "restriction-mc", k)
-    # far[a * N + b]: points a and b keep distance >= ave/5; a sampled pair is
-    # scored by its flat index, in the narrowest type that holds every index
-    far = (f.target.dist >= ave / 5.0).ravel()
-    assign = np.asarray(f.assignment, dtype=np.min_scalar_type(far.size - 1))
-    pairs_total = k * (k - 1) // 2
-    need = (1.0 - 2.0 * eps_f) * pairs_total
-    iu, ju = np.triu_indices(k, 1)
-    per_block = max(1, _RESTRICTION_PAIRS // pairs_total)
+    far = (f.target.dist >= ave / 5.0).astype(np.float64)
+    need = (1.0 - 2.0 * eps_f) * (k * (k - 1) // 2)
+    counts = f.point_counts()
+    per_block = max(1, _RESTRICTION_COUNTS // f.target.size)
     hits = 0
     for start in range(0, trials, per_block):
-        pts = assign[np.stack([gen.choice(n, size=k, replace=False)
-                               for _ in range(min(per_block, trials - start))])]
-        flat = (pts * f.target.size)[:, iu]
-        flat += pts[:, ju]
-        hits += int(np.count_nonzero(np.count_nonzero(far[flat], axis=1) >= need))
+        # the default 'marginals' method draws sample after sample, so the
+        # block size leaves the stream alone ('count' would not)
+        x = gen.multivariate_hypergeometric(counts, k, size=min(per_block, trials - start))
+        hits += int(np.count_nonzero(far_pair_counts(far, x) >= need))
     return RestrictionMCResult(eps=eps_f, k=k, trials=trials, frequency=hits / trials,
                                bound=1.0 - 15.0 / (eps_f * eps_f * k),
                                hypothesis_met=hypothesis, ave=ave)
@@ -379,7 +381,7 @@ def typical_vertex_sets(draw: ModelDraw, m: int, seed_set, order_rank, j_pairs):
     V'': the U-seed fiber of the vertex has size at most (d-1)^m / m.
     """
     d = draw.g.regular_degree()
-    u_minus = draw.u_minus()
+    u_minus = draw.u_minus
     table_minus = seed_map_h(u_minus, m, seed_set, order_rank)
     table_full = seed_map_h(draw.u, m, seed_set, order_rank)
     j = {tuple(sorted(p)) for p in j_pairs}

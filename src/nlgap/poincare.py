@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import Graph, GraphError, distance_matrix, is_connected, lambda2
-from .metrics import FiniteMetric, MetricError, cost_matrix
+from .metrics import FiniteMetric, MetricError, capped_power, cost_matrix
 from .rng import derive_rng
 
 
@@ -165,20 +165,6 @@ _EXACT_CAP = 10 ** 8
 _STATISTICS_CAP = 10 ** 7
 
 
-def _universe_size(n: int, n_points: int, cap: int, refusal: str) -> int:
-    """N^n, the number of maps, or CapExceeded with 'N^n maps ' + refusal
-    when it passes the cap.  A running product stops at the cap: N^n itself
-    can have millions of digits, so the count is shown only when it is exact
-    and short."""
-    total = 1
-    for factors in range(1, n + 1):
-        total *= n_points
-        if total > cap:
-            exact = f" = {total}" if factors == n and total <= cap ** 2 else ""
-            raise CapExceeded(f"{n_points}^{n}{exact} maps {refusal}")
-    return total
-
-
 @lru_cache(maxsize=32)
 def _low_block(b: int, n_points: int):
     """The point counts of the N^b maps of the low block of b vertices, in
@@ -278,9 +264,9 @@ def gamma_exact(g: Graph, metric: FiniteMetric, q: float) -> GammaExactResult:
     if not is_connected(g):
         raise ValueError("gamma_exact requires a connected graph")
     n, n_points = g.n, metric.size
-    total = _universe_size(n, n_points, _EXACT_CAP,
-                           f"exceeds the exhaustive cap {_EXACT_CAP}; "
-                           "use gamma_lower_search instead")
+    total = capped_power(n_points, n, _EXACT_CAP, lambda shown: CapExceeded(
+        f"{n_points}^{n}{shown} maps exceeds the exhaustive cap {_EXACT_CAP}; "
+        "use gamma_lower_search instead"))
     costs = cost_matrix(metric, q)
     best = -math.inf
     best_index: int | None = None
@@ -388,13 +374,15 @@ def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
 
 
 def gamma_euclidean_sq(g: Graph) -> float:
-    """d / (2 (d - lambda2)): the optimal constant for squared-Euclidean costs."""
+    """d / (d - lambda2): the optimal constant for squared-Euclidean costs.
+    A mean-zero f has ave = 2 |f|^2 / n (ordered pairs over n^2) and
+    Dirichlet form f^T L f / m with m = d n / 2."""
     d = g.regular_degree()
     if d is None:
         raise ValueError("gamma_euclidean_sq requires a regular graph")
     if not is_connected(g):
         raise ValueError("gamma_euclidean_sq requires a connected graph")
-    return d / (2.0 * (d - lambda2(g)))
+    return d / (d - lambda2(g))
 
 
 @dataclass(frozen=True)
@@ -452,8 +440,8 @@ def enumerate_map_statistics(g: Graph, metric: FiniteMetric, qs,
     its exhaustive inequality checks on top of these arrays.
     """
     n, n_points = g.n, metric.size
-    total = _universe_size(n, n_points, _STATISTICS_CAP,
-                           f"exceed bulk-statistics cap {_STATISTICS_CAP}")
+    total = capped_power(n_points, n, _STATISTICS_CAP, lambda shown: CapExceeded(
+        f"{n_points}^{n}{shown} maps exceed bulk-statistics cap {_STATISTICS_CAP}"))
     qs, taus = tuple(qs), tuple(taus)
     if any(not 0 < tau < 1 for tau in taus):
         raise ValueError("quantile level must lie in (0,1)")

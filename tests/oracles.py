@@ -2,6 +2,8 @@
 package they check.  A plain module rather than conftest.py, so that test
 modules can import it by name even when another conftest.py is collected
 in the same run."""
+from fractions import Fraction
+
 from nlgap.graphs import GraphError, graph_from_edges
 
 
@@ -39,3 +41,32 @@ def all_perfect_matchings(k):
                 yield ((a, b),) + tail
 
     return [tuple(sorted(mu)) for mu in rec(tuple(range(k)))]
+
+
+def matching_avoidance_law(ell, y_pairs, c):
+    """The exact probability that random_perfect_matching on {0..ell-1} meets
+    the pair set Y at most c*ell/2 times, as a Fraction.
+
+    A dynamic program over the matched-vertex masks that follows the
+    sampler's rule: the least unmatched element takes a uniform partner among
+    the others left.  Each state holds the number of partial matchings per
+    count of pairs in Y; the totals over all counts sum to (ell-1)!!."""
+    if ell % 2 != 0 or ell < 2:
+        raise GraphError("matching needs a nonempty even-size set")
+    y = {tuple(sorted(p)) for p in y_pairs}
+    full = (1 << ell) - 1
+    states = {0: [1] + [0] * (ell // 2)}
+    for _ in range(ell // 2):
+        nxt = {}
+        for mask, counts in states.items():
+            a = (~mask & (mask + 1)).bit_length() - 1  # the least unmatched element
+            for b in range(a + 1, ell):
+                if mask >> b & 1:
+                    continue
+                hit = (a, b) in y
+                row = nxt.setdefault(mask | 1 << a | 1 << b, [0] * (ell // 2 + 1))
+                for h, count in enumerate(counts[:len(counts) - hit]):
+                    row[h + hit] += count
+        states = nxt
+    counts = states[full]
+    return Fraction(sum(x for h, x in enumerate(counts) if h <= c * ell / 2.0), sum(counts))

@@ -3,6 +3,7 @@ import math
 import signal
 import time
 from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from scipy import special, stats
 from nlgap import models
 from nlgap.graphs import (GraphError, bfs_distances, canonical_form, cycle_graph,
                           diameter, graph_from_edges, path_graph, random_regular, relabel)
-from nlgap.metrics import uniform_metric
+from nlgap.metrics import random_euclidean_metric, uniform_metric
 from nlgap.models import (check_matching_ell, distribution_equality_mc, draw_model,
                           equitable_decomposition, matching_avoidance_bound,
                           matching_avoidance_mc, random_perfect_matching,
@@ -20,7 +21,7 @@ from nlgap.models import (check_matching_ell, distribution_equality_mc, draw_mod
                           typical_sets_experiment, typical_vertex_sets)
 from nlgap.poincare import VertexMap, empirical_average
 from nlgap.rng import derive_rng
-from oracles import all_perfect_matchings, disjoint_union
+from oracles import all_perfect_matchings, disjoint_union, matching_avoidance_law
 
 
 # ----------------------------------------------------------------------
@@ -50,19 +51,20 @@ def matching_reference(ell, y_pairs, c, trials, seed):
     return hits / trials
 
 
-def restriction_reference(f, eps, k, trials, seed):
-    """Frequency of restriction_concentration_mc, one sample at a time."""
-    gen = derive_rng(seed, "restriction-mc", k)
-    assign = np.asarray(f.assignment)
-    cutoff = empirical_average(f, 1.0) / 5.0
-    need = (1.0 - 2.0 * float(eps)) * (k * (k - 1) // 2)
-    iu = np.triu_indices(k, 1)
-    hits = 0
-    for _ in range(trials):
-        pts = assign[gen.choice(f.n, size=k, replace=False)]
-        block = f.target.dist[pts[:, None], pts[None, :]]
-        hits += int((block[iu] >= cutoff).sum()) >= need
-    return hits / trials
+def restriction_reference(f, subset):
+    """The far pairs of a sample of the domain, scored pair by pair: those
+    whose image distance is at least ave/5."""
+    pts = np.asarray(f.assignment)[list(subset)]
+    block = f.target.dist[pts[:, None], pts[None, :]]
+    return int((block[np.triu_indices(len(pts), 1)] >= empirical_average(f, 1.0) / 5.0).sum())
+
+
+def restriction_law(f, eps, k):
+    """The exact frequency of restriction_concentration_mc over all C(n, k)
+    subsets, and how many subsets sit exactly on the threshold."""
+    need = (1 - 2 * Fraction(eps)) * math.comb(k, 2)
+    far = [restriction_reference(f, s) for s in itertools.combinations(range(f.n), k)]
+    return Fraction(sum(x >= need for x in far), len(far)), far.count(need)
 
 
 def assign_reference(g, m, seeds_by_priority):
@@ -205,6 +207,8 @@ class TestDrawModel:
             assert len(d.deleted) == 2
             assert d.h.m - d.h_minus.m == 2
             assert d.h.regular_degree() == 3
+            assert set(d.u_minus.edges) == set(d.u.edges) - set(d.deleted)
+            assert relabel(d.u_minus, d.pi).edges == d.h_minus.edges
 
     def test_deterministic(self):
         a, b = draw_model(6, 3, 2, seed=7), draw_model(6, 3, 2, seed=7)
@@ -380,6 +384,29 @@ class TestMatchings:
                 r.analytic_bound * (1 - r.analytic_bound) / r.trials)
         assert 0.0 <= r.empirical <= 1.0
 
+    @pytest.mark.parametrize("ell", [4, 6, 8])
+    def test_exact_law_against_enumeration(self, ell):
+        pairs = list(itertools.combinations(range(ell), 2))
+        gen = derive_rng(ell, "law-enumeration")
+        for _ in range(6):
+            y = {pairs[i] for i in gen.choice(len(pairs), size=len(pairs) // 2, replace=False)}
+            c = float(gen.uniform(0, 1))
+            matchings = all_perfect_matchings(ell)
+            meet = sum(sum(p in y for p in mu) <= c * ell / 2 for mu in matchings)
+            assert matching_avoidance_law(ell, y, c) == Fraction(meet, len(matchings))
+
+    @pytest.mark.parametrize("ell", [12, 16, 20])
+    def test_frequency_near_exact_law(self, ell):
+        pairs = list(itertools.combinations(range(ell), 2))
+        gen = derive_rng(ell, "half-pairs")
+        y = [pairs[i] for i in gen.choice(len(pairs), size=math.ceil(len(pairs) / 2),
+                                          replace=False)]
+        p = matching_avoidance_law(ell, y, 0.5)
+        assert 0.6 < p < 0.7
+        trials = 10 ** 5
+        r = matching_avoidance_mc(ell, y, c=0.5, trials=trials, seed=ell, eps=0.5)
+        assert abs(r.empirical - p) <= 4 * math.sqrt(p * (1 - p) / trials)
+
     def test_parity_rejected(self):
         with pytest.raises(GraphError):
             matching_avoidance_mc(5, [], c=0.1, trials=10, seed=0, eps=0.2)
@@ -423,6 +450,54 @@ class TestRestrictionMC:
         assert not r.hypothesis_met
 
 
+class TestRestrictionScorer:
+    """The count-vector scorer against pair-by-pair scoring and the exact law."""
+
+    def test_far_pairs_match_pair_scoring(self):
+        maps = [restriction_case(seed)[0] for seed in range(6)]
+        maps += [VertexMap(uniform_metric(3), (1,) * 40),
+                 VertexMap(random_euclidean_metric(5, seed=2), tuple(v % 5 for v in range(30)))]
+        gen = derive_rng(4, "restriction-scorer")
+        constant = 0
+        for f in maps:
+            ave = empirical_average(f, 1.0)
+            constant += ave == 0
+            far = (f.target.dist >= ave / 5.0).astype(np.float64)
+            assign = np.asarray(f.assignment)
+            # one block of 20 samples, each of its own size
+            subsets = [gen.choice(f.n, size=int(gen.integers(2, f.n + 1)), replace=False)
+                       for _ in range(20)]
+            counts = np.stack([np.bincount(assign[s], minlength=f.target.size) for s in subsets])
+            assert (models.far_pair_counts(far, counts).tolist()
+                    == [restriction_reference(f, s) for s in subsets])
+        assert constant == 1
+
+    @pytest.mark.parametrize("metric,k,eps,on_threshold", [
+        (random_euclidean_metric(4, seed=3), 6, 1 / 8, False),
+        # need = (1 - 1/4) C(8, 2) = 21 far pairs, met exactly by counts (3, 3, 2)
+        (uniform_metric(3), 8, 1 / 8, True),
+    ], ids=["euclidean", "threshold"])
+    def test_exact_law(self, metric, k, eps, on_threshold):
+        f = VertexMap(metric, tuple(v % metric.size for v in range(12)))
+        p, equal = restriction_law(f, eps, k)
+        assert 0 < p < 1 and (equal > 0) == on_threshold
+        trials = 200_000
+        r = restriction_concentration_mc(f, eps=eps, k=k, trials=trials, seed=k)
+        sigma = math.sqrt(p * (1 - p) / trials)
+        assert abs(r.frequency - p) <= 4 * sigma
+
+    def test_small_blocks_keep_the_frequencies(self, monkeypatch):
+        cases = [restriction_case(seed) for seed in range(6)]
+        default = [restriction_concentration_mc(f, eps=eps, k=k, trials=trials, seed=s).frequency
+                   for s, (f, eps, k, trials) in enumerate(cases)]
+        assert sum(0 < x < 1 for x in default) >= 4
+        # 40 counts per block: 2 samples at 14-20 points
+        monkeypatch.setattr(models, "_RESTRICTION_COUNTS", 40)
+        for s, (f, eps, k, trials) in enumerate(cases):
+            r = restriction_concentration_mc(f, eps=eps, k=k, trials=trials, seed=s)
+            assert r.frequency == default[s]
+
+
 class TestTypicalVertexSets:
     def test_zero_deletion_makes_v_empty(self):
         d = draw_model(6, 3, 0, seed=2)
@@ -440,7 +515,7 @@ class TestTypicalVertexSets:
 
     def test_membership_conditions(self):
         d = draw_model(8, 3, 3, seed=6)
-        u_minus = d.u_minus()
+        u_minus = d.u_minus
         v, vp, vpp = typical_vertex_sets(d, m=2, seed_set=range(4),
                                          order_rank=range(4), j_pairs=())
         table = seed_map_h(u_minus, 2, range(4), range(4))
@@ -655,23 +730,6 @@ class TestBlockDrawnAgainstReference:
                 r = matching_avoidance_mc(ell, y, c=c, trials=trials, seed=seed, eps=0.5)
                 assert r.empirical == matching_reference(ell, y, c, trials, seed)
 
-    def test_restriction_frequencies(self):
-        interior = 0
-        for seed in range(24):
-            f, eps, k, trials = restriction_case(seed)
-            r = restriction_concentration_mc(f, eps=eps, k=k, trials=trials, seed=seed)
-            assert r.frequency == restriction_reference(f, eps, k, trials, seed)
-            interior += 0 < r.frequency < 1
-        assert interior >= 20
-
-    def test_restriction_with_small_blocks(self, monkeypatch):
-        # 200 pairs per block: from 1 sample (k = 16) to 13 samples (k = 6)
-        monkeypatch.setattr(models, "_RESTRICTION_PAIRS", 200)
-        for seed in range(6):
-            f, eps, k, trials = restriction_case(seed)
-            r = restriction_concentration_mc(f, eps=eps, k=k, trials=trials, seed=seed)
-            assert r.frequency == restriction_reference(f, eps, k, trials, seed)
-
     def test_integer_thresholds(self):
         """Thresholds a count can equal exactly, where <= and < part ways."""
         for ell, c in ((4, 0.5), (8, 0.25), (20, 0.4), (32, 0.375)):
@@ -683,12 +741,6 @@ class TestBlockDrawnAgainstReference:
             r = matching_avoidance_mc(ell, y, c=c, trials=trials, seed=0, eps=0.5)
             assert 0 < r.empirical < 1
             assert r.empirical == matching_reference(ell, y, c, trials, 0)
-        for points in (14, 16):
-            f = VertexMap(uniform_metric(points), tuple(v % points for v in range(6 * points)))
-            # at least (1 - 1/16) * C(32, 2) = 465 pairs must stay far
-            r = restriction_concentration_mc(f, eps=1 / 32, k=32, trials=301, seed=points)
-            assert 0 < r.frequency < 1
-            assert r.frequency == restriction_reference(f, 1 / 32, 32, 301, points)
 
     def test_seed_assignment(self):
         graphs = [random_regular(14, 3, seed=s) for s in range(3)]

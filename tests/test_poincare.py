@@ -457,15 +457,20 @@ def test_nonpositive_exponent_rejected(run, q):
 
 
 class TestGammaEuclidean:
-    def test_complete(self):
-        for n in (4, 5, 8):
-            assert gamma_euclidean_sq(complete_graph(n)) == pytest.approx((n - 1) / (2 * n))
+    """Two points on a line are a squared-Euclidean target at q = 2, so the
+    exact gamma into uniform:2 is a ratio the constant must reach or bound."""
 
-    def test_c4(self):
-        assert gamma_euclidean_sq(cycle_graph(4)) == pytest.approx(0.5)
+    @pytest.mark.parametrize("name,value", [("C4", 1.0), ("K4", 0.75), ("K33", 1.0),
+                                            ("prism", 1.5), ("petersen", 1.5)])
+    def test_attained_by_a_two_point_map(self, regular_corpus, name, value):
+        g = regular_corpus[name]
+        assert gamma_euclidean_sq(g) == pytest.approx(value, rel=1e-9)
+        assert gamma_exact(g, uniform_metric(2), 2.0).gamma == pytest.approx(value, rel=1e-9)
 
-    def test_c6(self):
-        assert gamma_euclidean_sq(cycle_graph(6)) == pytest.approx(1.0)
+    def test_bounds_every_two_point_map(self, regular_corpus):
+        for name, g in regular_corpus.items():
+            exact = gamma_exact(g, uniform_metric(2), 2.0).gamma
+            assert exact <= gamma_euclidean_sq(g) * (1 + 1e-9), name
 
 
 class TestHolderAndQuantileBounds:
