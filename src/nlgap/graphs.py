@@ -186,7 +186,13 @@ def _bfs(g: Graph, sources, radius: int | None) -> tuple[list[int], list[int], i
 
 @lru_cache(maxsize=128)
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs shortest-path distances, cross-component entries equal n."""
+    """All-pairs shortest-path distances, cross-component entries equal n.
+
+    Refuses, before allocating it, a matrix beyond metrics._METRIC_BYTES."""
+    from . import metrics  # imported here: metrics imports this module
+    if 8 * g.n * g.n > metrics._METRIC_BYTES:
+        raise GraphError(f"the distance matrix of n = {g.n} vertices exceeds the "
+                         f"{metrics._METRIC_BYTES}-byte budget")
     out = np.empty((g.n, g.n), dtype=np.int64)
     for v in range(g.n):
         out[v] = bfs_distances(g, v)
@@ -389,8 +395,10 @@ def _top_two(matvec, x: np.ndarray, max_cycles: int) -> np.ndarray | None:
 # a batch draws up to this many stub keys: it fixes how many keys each batch
 # takes from the generator, and so the stream every later draw sees
 _PAIRING_STUBS = 1 << 19
-# a batch is sorted and checked this many keys at a time; sets memory only
-_PAIRING_CHUNK = 1 << 15
+# the array entries one block holds: pairing keys sorted at once here, and in
+# models the matchings x ell and restriction count rows x N drawn at once.
+# Every blocked draw is block-invariant, so this sets memory only
+_BLOCK_ENTRIES = 1 << 15
 _PAIRING_PATIENCE = 10_000  # give up after this many times the expected draws
 
 
@@ -408,7 +416,7 @@ def _simple_pairings(n: int, d: int, want: int, gen):
 
     The batch rows fix how many keys each batch draws, and so the stream:
     the whole batch is drawn even once want rows are found.  The keys are
-    drawn, sorted and checked _PAIRING_CHUNK at a time, which sets the memory
+    drawn, sorted and checked _BLOCK_ENTRIES at a time, which sets the memory
     only; the rows past the last one needed are drawn and not sorted.
     """
     if not 1 <= d <= n - 1:
@@ -420,7 +428,7 @@ def _simple_pairings(n: int, d: int, want: int, gen):
         raise GraphError(f"d={d} needs about exp((d^2-1)/4) > 1e6 pairing draws; use d <= 7")
     stubs = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)), d)
     code = np.min_scalar_type(n * n - 1)
-    chunk = max(1, _PAIRING_CHUNK // stubs.size)
+    chunk = max(1, _BLOCK_ENTRIES // stubs.size)
     limit = _PAIRING_PATIENCE * want / accept
     drawn = got = 0
     while got < want:

@@ -11,9 +11,11 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from typing import NamedTuple
 
 import numpy as np
 
+from . import graphs
 from .graphs import (Graph, GraphError, _edges_key, _pair_action, _pair_weights, _pairs,
                      _simple_pairings, bfs_distances, canonical_form,
                      enumerate_regular_graphs, graph_from_edges, random_regular, relabel,
@@ -240,7 +242,6 @@ def matching_avoidance_bound(ell: int, eps: float, c: float) -> float:
         return math.inf
 
 
-_MC_BLOCK = 1 << 13  # matchings decoded at once; sets memory only, not the stream
 _MATCHING_TABLE_BYTES = 1 << 22  # largest ell x ell pair table: ell <= 2048
 
 
@@ -287,9 +288,10 @@ def matching_avoidance_mc(ell: int, y_pairs, c: float, trials: int, seed: int,
     # one draw per block yields each trial's partner ranks with the values of
     # random_perfect_matching's scalar draws; the last bound, 1, draws nothing
     highs = np.arange(ell - 1, 0, -2)
+    per_block = max(1, graphs._BLOCK_ENTRIES // ell)
     hits = 0
-    for start in range(0, trials, _MC_BLOCK):
-        t = min(_MC_BLOCK, trials - start)
+    for start in range(0, trials, per_block):
+        t = min(per_block, trials - start)
         ranks = gen.integers(0, np.tile(highs, t)).reshape(t, -1)
         # pool[r] holds trial r's unmatched elements in increasing order
         pool = np.broadcast_to(np.arange(ell), (t, ell))
@@ -308,9 +310,6 @@ def matching_avoidance_mc(ell: int, y_pairs, c: float, trials: int, seed: int,
 # ----------------------------------------------------------------------
 # restriction of concentrated maps to random small sets
 # ----------------------------------------------------------------------
-
-_RESTRICTION_COUNTS = 1 << 16  # point counts (trials x N) drawn at once; sets memory only
-
 
 @dataclass(frozen=True)
 class RestrictionMCResult:
@@ -357,7 +356,7 @@ def restriction_concentration_mc(f: VertexMap, eps, k: int, trials: int,
     far = (f.target.dist >= ave / 5.0).astype(np.float64)
     need = (1.0 - 2.0 * eps_f) * (k * (k - 1) // 2)
     counts = f.point_counts()
-    per_block = max(1, _RESTRICTION_COUNTS // f.target.size)
+    per_block = max(1, graphs._BLOCK_ENTRIES // f.target.size)
     hits = 0
     for start in range(0, trials, per_block):
         # the default 'marginals' method draws sample after sample, so the
@@ -462,18 +461,37 @@ def typical_sets_experiment(n: int, d: int, big_k: float, m: int, trials: int,
 # distributional equality of (H, deleted) with the direct construction
 # ----------------------------------------------------------------------
 
-def _dist_eq_law(n: int, d: int, ell: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+class _DistEqLaw(NamedTuple):
     """The direct construction's outcomes, from the enumerator's class
     representatives under all n! relabellings.
 
     An outcome is keyed (graph key << P) | deleted-edges key over the P pairs
-    of [n].  Returns the orbits, whose entry [p, c] is the key of the p-th
-    relabelling (in itertools order) of representative c, the
-    representatives in ascending key order; the table whose entry [p, c, s]
-    is that graph with its s-th ell-subset of sorted edges deleted (in
-    itertools order); and every outcome once, in descending order, which is
-    the combinations order of the graphs' sorted pair indices, then of the
-    deletions."""
+    of [n].  labelled holds every labelled graph key of the law, ascending,
+    and column[i] the class of labelled[i]: the column of its representative
+    among the representatives in ascending key order.  cells holds every
+    outcome once, in descending order, which is the combinations order of the
+    graphs' sorted pair indices, then of the deletions; cell[p, c, s] is the
+    id (index in cells) of the p-th relabelling (in itertools order) of
+    representative c with its s-th ell-subset of sorted edges deleted (in
+    itertools order)."""
+
+    labelled: np.ndarray
+    column: np.ndarray
+    cells: list[int]
+    cell: np.ndarray
+
+    def cell_ids(self, keys: np.ndarray, perm: np.ndarray, combo: np.ndarray) -> np.ndarray:
+        """The staged outcomes of sampled graph keys: each key's canonical
+        representative U, then U's deletion combo and relabelling perm.
+        Refuses a key outside the law."""
+        at = np.searchsorted(self.labelled, keys).clip(max=len(self.labelled) - 1)
+        stray = np.count_nonzero(self.labelled[at] != keys)
+        if stray:
+            raise AssertionError(f"sampler produced {stray} graphs outside the law")
+        return self.cell[perm, self.column[at], combo]
+
+
+def _dist_eq_law(n: int, d: int, ell: int) -> _DistEqLaw:
     img = _pair_action(n)
     weights = _pair_weights(n)
     reps = np.sort([_edges_key(n, u.edges)
@@ -483,7 +501,12 @@ def _dist_eq_law(n: int, d: int, ell: int) -> tuple[np.ndarray, np.ndarray, list
     bits = weights[img[:, ids]]
     orbits = bits.sum(axis=-1)
     table = (orbits[..., None] << len(weights)) | bits[..., combos].sum(axis=-1)
-    return orbits, table, np.unique(table)[::-1].tolist()
+    keys, inverse = np.unique(table, return_inverse=True)
+    # the orbits hold every labelled graph of the law, each under its class
+    labelled, first = np.unique(orbits, return_index=True)
+    return _DistEqLaw(labelled=labelled, column=first % orbits.shape[1],
+                      cells=keys[::-1].tolist(),
+                      cell=(len(keys) - 1 - inverse).reshape(table.shape))
 
 
 _CHI2_DIGITS = 60  # working precision; the float result is correctly rounded
@@ -557,37 +580,33 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
     graph, ell-subset of its edges).
 
     The staged route goes through the canonical representative, so this is
-    the distributional-equality check at desk scale.
+    the distributional-equality check at desk scale.  Each batch of sampled
+    graphs draws its relabellings and deletions from their own stage
+    streams and is tallied by cell at once, so no array grows with trials.
+    Bounded integer draws are block-invariant, so the tally does not depend
+    on the batch boundaries.
     """
     if n > 6:
         raise GraphError("the enumerated outcome space is tiny-n only")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    m_edges = n * d // 2
-    if not 0 <= ell <= m_edges:
+    if not 0 <= ell <= n * d // 2:
         raise GraphError(f"need 0 <= ell <= dn/2, got ell={ell}")
     pid = _pairs(n)[1]
     weights = _pair_weights(n)
+    law = _dist_eq_law(n, d, ell)
+    perms, _, combos = law.cell.shape
     gen = derive_rng(seed, "dist-eq", n, d, ell)
-    sampled = np.concatenate([weights[pid[lo, hi]].sum(axis=1)
-                              for lo, hi in _simple_pairings(n, d, trials, gen)])
-    perm_idx = gen.integers(0, math.factorial(n), size=trials)
-    combo_idx = gen.integers(0, math.comb(m_edges, ell), size=trials)
+    gen_pi = derive_rng(seed, "dist-eq-pi", n, d, ell)
+    gen_del = derive_rng(seed, "dist-eq-del", n, d, ell)
+    tally = np.zeros(len(law.cells), dtype=np.int64)
+    for lo, hi in _simple_pairings(n, d, trials, gen):
+        cell = law.cell_ids(weights[pid[lo, hi]].sum(axis=1),
+                            gen_pi.integers(0, perms, size=len(lo)),
+                            gen_del.integers(0, combos, size=len(lo)))
+        tally += np.bincount(cell, minlength=len(tally))
 
-    # the staged outcome: canonical representative U of the sampled graph,
-    # then the drawn deletion and relabelling of U
-    orbits, table, cells = _dist_eq_law(n, d, ell)
-    # the orbits hold every labelled graph of the law, each under its class
-    labelled, first = np.unique(orbits, return_index=True)
-    at = np.searchsorted(labelled, sampled).clip(max=len(labelled) - 1)
-    stray = np.count_nonzero(labelled[at] != sampled)
-    if stray:
-        raise AssertionError(f"sampler produced {stray} graphs outside the law")
-    rep = first[at] % orbits.shape[1]
-    keys, freq = np.unique(table[perm_idx, rep, combo_idx], return_counts=True)
-    counts = dict(zip(keys.tolist(), freq.tolist()))
-
-    expected = trials / len(cells)
-    chi2 = sum((counts.get(c, 0) - expected) ** 2 / expected for c in cells)
-    return DistEqResult(n=n, d=d, ell=ell, trials=trials, cells=len(cells),
-                        chi2=chi2, p_value=_chi2_sf(len(cells) - 1, chi2))
+    expected = trials / len(tally)
+    chi2 = sum((x - expected) ** 2 / expected for x in tally.tolist())
+    return DistEqResult(n=n, d=d, ell=ell, trials=trials, cells=len(tally),
+                        chi2=chi2, p_value=_chi2_sf(len(tally) - 1, chi2))

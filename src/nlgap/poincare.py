@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import metrics
 from .graphs import Graph, GraphError, distance_matrix, is_connected, lambda2
 from .metrics import FiniteMetric, MetricError, capped_power, cost_matrix
 from .rng import derive_rng
@@ -47,7 +48,11 @@ class VertexMap:
         return np.bincount(np.asarray(self.assignment), minlength=self.target.size)
 
     def image_distances(self) -> np.ndarray:
-        """The n x n matrix of distances between the images of vertex pairs."""
+        """The n x n matrix of distances between the images of vertex pairs;
+        refused, before it is allocated, beyond metrics._METRIC_BYTES."""
+        if 8 * self.n * self.n > metrics._METRIC_BYTES:
+            raise MetricError("cap", (self.n,), f"the image distances of n = {self.n} vertices "
+                                                f"exceed the {metrics._METRIC_BYTES}-byte budget")
         a = np.asarray(self.assignment, dtype=np.intp)
         return self.target.dist[a[:, None], a[None, :]]
 

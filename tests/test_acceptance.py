@@ -184,6 +184,16 @@ def test_criterion_4_two_point_cheeger_oracle(corpus):
     report(4, "two-point subset oracle", True, f"{len(graphs)} graphs, exact equality")
 
 
+def test_universe_at_q1_is_the_two_point_value(cubic_universe):
+    """Every universe metric has 2 or 3 points, and such metrics embed
+    isometrically in L1, so each gamma at q = 1 equals the graph's two-point
+    value.  Criteria 1-3 only bound these gammas; a kernel fault shows here."""
+    two_point = {}
+    for e in cubic_universe:
+        want = two_point.setdefault(e["gid"], float(two_point_oracle(e["g"])))
+        assert e["gammas"][1.0] == pytest.approx(want, rel=1e-12, abs=0), (e["gid"], e["mid"])
+
+
 # ---------------------------------------------------------------- criterion 5
 
 def connected_graphs_up_to(n_max: int):

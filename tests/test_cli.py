@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nlgap import cli
+from nlgap import cli, graphs, metrics
 from nlgap.io import graph_from_text, metric_from_text
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -245,6 +245,26 @@ class TestCleanErrorExits:
                          "--map", str(fpath), "--q", "30", "--cr", "1e300"]) == 0
         row = body_of(capsys.readouterr().out).splitlines()[-1]
         assert row.startswith("1,38358925935607971840,")
+
+    def test_distort_refuses_image_distances_beyond_the_budget(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # 8 * 40^2 = 12800 bytes: refused before the n x n array is allocated
+        monkeypatch.setattr(metrics, "_METRIC_BYTES", 10_000)
+        fpath = tmp_path / "f.txt"
+        fpath.write_text("40\n" + "".join(f"{v} {v % 2}\n" for v in range(40)))
+        assert cli.main(["distort", "--gen", "cycle:40", "--metric", "uniform:2",
+                         "--map", str(fpath)]) == 1
+        assert capsys.readouterr().err == ("error: the image distances of n = 40 vertices "
+                                           "exceed the 10000-byte budget\n")
+
+    def test_jls_refuses_distance_matrix_beyond_the_budget(self, capsys, monkeypatch):
+        # at a large distortion the coordinates fit; the 12800-byte distance
+        # matrix does not, and is refused before it is allocated
+        monkeypatch.setattr(metrics, "_METRIC_BYTES", 10_000)
+        graphs.distance_matrix.cache_clear()
+        assert cli.main(["jls-embed", "--gen", "cycle:40", "--distortion", "1000"]) == 1
+        assert capsys.readouterr().err == ("error: the distance matrix of n = 40 vertices "
+                                           "exceeds the 10000-byte budget\n")
 
     @pytest.mark.parametrize("order", [3, 5])
     def test_distort_rejects_map_of_another_order(self, order, tmp_path, capsys):
@@ -754,7 +774,7 @@ class TestImportBudget:
         if "dist-eq" in argv:
             # the p-value pinned in test_models
             assert (body_of(out).splitlines()[-1]
-                    == "6,3,1,40000,630,651.0334999999998,0.26341542340173324")
+                    == "6,3,1,40000,630,606.3034999999994,0.7352985347190648")
 
 
 class TestWitnessSvg:

@@ -675,7 +675,7 @@ class TestPairingSampler:
     def test_same_rows_and_stream_as_the_batch_sampler(self, n, d, want, chunk_rows,
                                                        philox_state, monkeypatch):
         if chunk_rows is not None:
-            monkeypatch.setattr(graphs, "_PAIRING_CHUNK", chunk_rows * n * d)
+            monkeypatch.setattr(graphs, "_BLOCK_ENTRIES", chunk_rows * n * d)
         gen, ref = derive_rng(want, "pairing-chunks", n, d), derive_rng(want, "pairing-chunks", n, d)
         got = list(graphs._simple_pairings(n, d, want, gen))
         expected = list(batch_pairings_reference(n, d, want, ref))

@@ -2,6 +2,7 @@ import itertools
 import math
 import signal
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from nlgap import models
+from nlgap import graphs, models
 from nlgap.graphs import (GraphError, bfs_distances, canonical_form, cycle_graph,
                           diameter, graph_from_edges, path_graph, random_regular, relabel)
 from nlgap.metrics import random_euclidean_metric, uniform_metric
@@ -65,6 +66,38 @@ def restriction_law(f, eps, k):
     need = (1 - 2 * Fraction(eps)) * math.comb(k, 2)
     far = [restriction_reference(f, s) for s in itertools.combinations(range(f.n), k)]
     return Fraction(sum(x >= need for x in far), len(far)), far.count(need)
+
+
+def dist_eq_reference(n, d, ell, trials, seed):
+    """distribution_equality_mc's chi2 with every trial kept: all sampled
+    graph keys, then each stage's draws in one call, counted by np.unique."""
+    law = models._dist_eq_law(n, d, ell)
+    pid, weights = graphs._pairs(n)[1], graphs._pair_weights(n)
+    gen = derive_rng(seed, "dist-eq", n, d, ell)
+    keys = np.concatenate([weights[pid[lo, hi]].sum(axis=1)
+                           for lo, hi in graphs._simple_pairings(n, d, trials, gen)])
+    perm = derive_rng(seed, "dist-eq-pi", n, d, ell).integers(0, math.factorial(n), size=trials)
+    combo = derive_rng(seed, "dist-eq-del", n, d, ell).integers(
+        0, math.comb(n * d // 2, ell), size=trials)
+    ids, freq = np.unique(law.cell_ids(keys, perm, combo), return_counts=True)
+    counts = dict(zip(ids.tolist(), freq.tolist()))
+    expected = trials / len(law.cells)
+    return sum((counts.get(i, 0) - expected) ** 2 / expected for i in range(len(law.cells)))
+
+
+def odd_factorial(m):
+    """(2m - 1)!!, the number of perfect matchings of 2m points."""
+    return math.factorial(2 * m) // (2 ** m * math.factorial(m))
+
+
+def matchings_sharing(ell, j):
+    """The perfect matchings of [ell] sharing exactly j pairs with a fixed
+    one, M0: C(ell/2, j) D(ell/2 - j), where D(m), the matchings of 2m
+    points avoiding a fixed one, is sum_i (-1)^i C(m, i) (2m - 2i - 1)!! by
+    inclusion and exclusion."""
+    m = ell // 2 - j
+    avoiding = sum((-1) ** i * math.comb(m, i) * odd_factorial(m - i) for i in range(m + 1))
+    return math.comb(ell // 2, j) * avoiding
 
 
 def assign_reference(g, m, seeds_by_priority):
@@ -135,8 +168,8 @@ def decomposition_reference(g, w, m):
 
 def matching_case(ell, seed):
     """Y with at least half of the pairs (so eps = 1/2 is valid), c in
-    [0.25, 0.49) and a trial count that is a multiple of neither block size
-    in use (7 and 2^13)."""
+    [0.25, 0.49) and a trial count that is no multiple of 7 matchings, the
+    tiny block size in use."""
     pairs = list(itertools.combinations(range(ell), 2))
     gen = derive_rng(seed, "matching-case", ell)
     size = math.ceil(len(pairs) / 2) + int(gen.integers(0, len(pairs) // 8 + 1))
@@ -407,6 +440,30 @@ class TestMatchings:
         r = matching_avoidance_mc(ell, y, c=0.5, trials=trials, seed=ell, eps=0.5)
         assert abs(r.empirical - p) <= 4 * math.sqrt(p * (1 - p) / trials)
 
+    @pytest.mark.parametrize("ell", [8, 10, 12])
+    def test_sharing_counts_against_exact_law(self, ell):
+        # Y^c is the perfect matching M0 = {(i, i + ell/2)}; a matching sharing
+        # j pairs with M0 meets Y ell/2 - j times
+        half = ell // 2
+        m0 = {(i, i + half) for i in range(half)}
+        y = [p for p in itertools.combinations(range(ell), 2) if p not in m0]
+        for meets in range(half + 1):
+            c = (2 * meets + 1) / ell  # threshold meets + 1/2
+            want = Fraction(sum(matchings_sharing(ell, j) for j in range(half + 1)
+                                if half - j <= c * ell / 2), odd_factorial(half))
+            assert matching_avoidance_law(ell, y, c) == want
+
+    @pytest.mark.parametrize("ell, bound", [(100, 0.094), (200, 8.8e-3), (400, 7.8e-5)])
+    def test_exact_below_an_informative_bound(self, ell, bound):
+        eps = c = 0.02
+        half = ell // 2
+        # Y = all pairs but one perfect matching keeps 1 - eps of them
+        assert math.comb(ell, 2) - half >= (1 - eps) * math.comb(ell, 2)
+        analytic = matching_avoidance_bound(ell, eps, c)
+        assert analytic == pytest.approx(bound, rel=0.03)
+        hits = sum(matchings_sharing(ell, j) for j in range(half + 1) if half - j <= c * ell / 2)
+        assert math.log(hits) - math.log(odd_factorial(half)) <= math.log(analytic)
+
     def test_parity_rejected(self):
         with pytest.raises(GraphError):
             matching_avoidance_mc(5, [], c=0.1, trials=10, seed=0, eps=0.2)
@@ -492,7 +549,7 @@ class TestRestrictionScorer:
                    for s, (f, eps, k, trials) in enumerate(cases)]
         assert sum(0 < x < 1 for x in default) >= 4
         # 40 counts per block: 2 samples at 14-20 points
-        monkeypatch.setattr(models, "_RESTRICTION_COUNTS", 40)
+        monkeypatch.setattr(graphs, "_BLOCK_ENTRIES", 40)
         for s, (f, eps, k, trials) in enumerate(cases):
             r = restriction_concentration_mc(f, eps=eps, k=k, trials=trials, seed=s)
             assert r.frequency == default[s]
@@ -584,13 +641,70 @@ class TestDistributionEquality:
         assert r.cells == 630
         assert r.p_value > 0.001
         # bit for bit: the draws, the cell order and the chi2 summation order fix these
-        assert r.chi2 == 651.0334999999998
-        assert r.p_value == 0.26341542340173324
+        assert r.chi2 == 606.3034999999994
+        assert r.p_value == 0.7352985347190648
 
     def test_two_deletions_pinned(self):
         r = distribution_equality_mc(6, 3, 2, trials=20000, seed=5)
         assert r.cells == 2520
-        assert r.chi2 == 2671.1800000000276
+        assert r.chi2 == 2538.6280000000365
+
+    @pytest.mark.parametrize("ell", range(10))
+    def test_every_cell_once_per_relabelling(self, ell, labelled_regular):
+        """The exact law through the verifier's own key-to-cell mapping: each
+        of the 70 labelled cubic graphs on 6 vertices once, under every one of
+        the 6! relabellings and every deletion, hits each of the 70 C(9, ell)
+        (labelled graph, deletion) cells exactly 6! times.
+
+        A wrong class column for a key, deleted edges left in the
+        representative's labels, or fewer than n! relabellings fail it.
+        Skipping the canonical map would not: (pi(G), pi(s)) is uniform too,
+        so that mutation leaves the law uniform and no test of it can fail."""
+        law = models._dist_eq_law(6, 3, ell)
+        combos, perms = math.comb(9, ell), math.factorial(6)
+        perm = np.repeat(np.arange(perms), combos)
+        combo = np.tile(np.arange(combos), perms)
+        tally = np.zeros(len(law.cells), dtype=np.int64)
+        keys = labelled_regular(6, 3)
+        assert len(keys) == 70
+        for key in keys:
+            tally += np.bincount(law.cell_ids(np.full(len(perm), key), perm, combo),
+                                 minlength=len(tally))
+        assert len(tally) == 70 * combos
+        assert (tally == perms).all()
+        # so many distinct cells, each a labelled graph with ell of its own
+        # edges deleted, are every cell of the direct construction
+        top = math.comb(6, 2)
+        for cell in law.cells:
+            graph, gone = cell >> top, cell & ((1 << top) - 1)
+            assert graph in keys and gone & ~graph == 0 and gone.bit_count() == ell
+
+    @pytest.mark.parametrize("n, d, ell, trials, seed", [
+        (6, 3, 1, 40000, 12), (6, 3, 2, 20000, 5), (4, 3, 1, 3000, 1), (6, 3, 9, 5000, 2)])
+    def test_batches_match_one_shot_draws(self, n, d, ell, trials, seed):
+        # bounded integer draws are block-invariant, so drawing each
+        # pairing batch's stages as it comes equals drawing them all at once
+        r = distribution_equality_mc(n, d, ell, trials=trials, seed=seed)
+        assert r.chi2 == dist_eq_reference(n, d, ell, trials, seed)
+
+    def test_small_blocks_keep_the_result(self, monkeypatch):
+        default = distribution_equality_mc(6, 3, 2, trials=5000, seed=7)
+        monkeypatch.setattr(graphs, "_BLOCK_ENTRIES", 7 * 18)  # 7 pairings per block
+        assert distribution_equality_mc(6, 3, 2, trials=5000, seed=7) == default
+
+    def test_memory_does_not_grow_with_trials(self):
+        # keeping every trial's outcome peaked at 1.8 MB at 2*10^4 trials and
+        # 11.6 MB at 2*10^5
+        distribution_equality_mc(6, 3, 1, trials=1, seed=0)  # fill the caches
+        peaks = []
+        for trials in (2 * 10 ** 4, 2 * 10 ** 5):
+            tracemalloc.start()
+            try:
+                distribution_equality_mc(6, 3, 1, trials=trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     @pytest.mark.parametrize("ell", [-1, 10])
     def test_deletions_out_of_range(self, ell):
@@ -716,15 +830,15 @@ class TestBlockDrawnAgainstReference:
         assert interior >= 20
 
     def test_matching_across_default_blocks(self):
-        trials = 2 * models._MC_BLOCK + 101
+        trials = 2 * (graphs._BLOCK_ENTRIES // 8) + 101
         y, c, _ = matching_case(8, 1)
         r = matching_avoidance_mc(8, y, c=c, trials=trials, seed=3, eps=0.5)
         assert 0 < r.empirical < 1
         assert r.empirical == matching_reference(8, y, c, trials, 3)
 
     def test_matching_with_tiny_blocks(self, monkeypatch):
-        monkeypatch.setattr(models, "_MC_BLOCK", 7)
         for ell in (4, 8, 20):
+            monkeypatch.setattr(graphs, "_BLOCK_ENTRIES", 7 * ell)
             for seed in range(2):
                 y, c, trials = matching_case(ell, seed)
                 r = matching_avoidance_mc(ell, y, c=c, trials=trials, seed=seed, eps=0.5)
