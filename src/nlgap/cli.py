@@ -225,7 +225,7 @@ def cmd_nonconc(args) -> None:
 def cmd_witness(args) -> None:
     log_n_points = parse_log_cardinality(args.big_n)
     rows = []
-    series = []
+    pts = []
 
     def certify(g: Graph) -> float:
         r = witness_certificate(g, log_n_points, q=args.q)
@@ -237,17 +237,15 @@ def cmd_witness(args) -> None:
     if args.sizes:
         if args.trials < 1:
             raise CliError(f"--trials must be >= 1, got {args.trials}")
-        pts = []
         for n in _fields("--sizes n1,n2,...", args.sizes, int, sep=","):
             ratios = [certify(random_connected_regular(n, args.d, seed=args.seed + 1000 * n + t))
                       for t in range(args.trials)]
             pts.append((math.log(n), sorted(ratios)[len(ratios) // 2]))
-        series.append(("median ratio", pts))
     else:
         certify(parse_graph_arg(args.gen, args.graph, args.seed))
     _emit(args, "n,d,k,s,s0,r0,q,ave,dirichlet,ratio,max_edge_cost", rows)
-    if args.svg and series:
-        Path(args.svg).write_text(emit_svg(series, title="witness ratio vs log n",
+    if args.svg and pts:
+        Path(args.svg).write_text(emit_svg("median ratio", pts, title="witness ratio vs log n",
                                            config_echo=_echo(args)))
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import metrics
 from .graphs import Graph, GraphError, distance_matrix, is_connected
 from .metrics import _SUP_BLOCK, _check_exponent, _costs, sup_distance_blocks
 from .poincare import cost_ratio, edge_lipschitz
@@ -67,10 +68,6 @@ class GridMap:
     """
 
     coords: np.ndarray  # (n, width) integers; the dtype holds any difference
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
 
     def image_distance_matrix(self) -> np.ndarray:
         return np.concatenate(list(sup_distance_blocks(self.coords))).astype(np.int64)
@@ -205,9 +202,6 @@ def default_delta(n: int) -> int:
     return math.floor(500.0 * math.log(n))
 
 
-_JLS_COORD_BYTES = 1 << 30   # largest coordinate array jls_embedding will allocate
-
-
 @dataclass(frozen=True)
 class JlsResult:
     grid: GridMap
@@ -234,9 +228,9 @@ def jls_embedding(g: Graph, distortion_target: float, c1: float, seed: int,
         delta = default_delta(n)
     m, width, r = grid_embedding_width(n, distortion_target, c1)
     dtype = np.min_scalar_type(-min(delta, n - 1) - 1)   # holds ±diam(g), so any difference
-    if n * width * dtype.itemsize > _JLS_COORD_BYTES:
+    if n * width * dtype.itemsize > metrics._METRIC_BYTES:
         raise ValueError(f"coordinates of width {Decimal(width):.3g} at n = {n} exceed "
-                         f"the {_JLS_COORD_BYTES}-byte budget")
+                         f"the {metrics._METRIC_BYTES}-byte budget")
     dist = distance_matrix(g)
     if dist.max() > delta:
         raise GraphError(f"diam(g) = {dist.max()} exceeds delta = {delta}")

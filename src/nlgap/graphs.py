@@ -258,13 +258,12 @@ def cheeger_exact(g: Graph) -> Fraction:
     return min(Fraction(int(cut[size == s].min()), s) for s in range(1, n // 2 + 1))
 
 
-def cheeger_bounds(g: Graph, eigenvalues: np.ndarray) -> tuple[float, float]:
-    """Spectral bracket (d - l2)/2 <= h(G) <= sqrt(2 d (d - l2))."""
+def cheeger_bounds(g: Graph) -> tuple[float, float]:
+    """Spectral bracket (d - l2)/2 <= h(G) <= sqrt(2 d (d - l2)), l2 = lambda2(g)."""
     d = g.regular_degree()
     if d is None:
         raise GraphError("cheeger_bounds requires a regular graph")
-    lam2 = float(np.sort(eigenvalues)[-2]) if g.n >= 2 else float(eigenvalues[0])
-    gap = d - lam2
+    gap = d - lambda2(g)
     return gap / 2.0, math.sqrt(max(2.0 * d * gap, 0.0))
 
 
@@ -272,7 +271,7 @@ def cheeger_lower_bound(g: Graph) -> float:
     """h(G) exactly when feasible, else the conservative spectral lower bound."""
     if g.n <= _CHEEGER_LIMIT:
         return float(cheeger_exact(g))
-    return cheeger_bounds(g, spectrum(g))[0]
+    return cheeger_bounds(g)[0]
 
 
 # ----------------------------------------------------------------------
@@ -392,9 +391,6 @@ def _top_two(matvec, x: np.ndarray, max_cycles: int) -> np.ndarray | None:
 # random regular graphs (pairing model, rejection sampled)
 # ----------------------------------------------------------------------
 
-# a batch draws up to this many stub keys: it fixes how many keys each batch
-# takes from the generator, and so the stream every later draw sees
-_PAIRING_STUBS = 1 << 19
 # the array entries one block holds: pairing keys sorted at once here, and in
 # models the matchings x ell and restriction count rows x N drawn at once.
 # Every blocked draw is block-invariant, so this sets memory only
@@ -403,21 +399,21 @@ _PAIRING_PATIENCE = 10_000  # give up after this many times the expected draws
 
 
 def _simple_pairings(n: int, d: int, want: int, gen):
-    """Yield batches (lo, hi) of uniformly random simple pairings of d stubs
+    """Yield blocks (lo, hi) of uniformly random simple pairings of d stubs
     per vertex of [n], want rows in all; row r pairs lo[r, i] < hi[r, i].
 
     Each pairing sorts the stubs by uniform keys, so all pairings are equally
     likely, and a row is kept iff it has no loop and no repeated pair: the
     kept rows are uniform on simple pairings, and each simple d-regular graph
     comes from (d!)^n of them.  A pairing is simple with probability about
-    exp(-(d^2-1)/4) (Bollobas 1980), and that sets the batch rows.  At the
-    smallest n the true rate is lower, by up to 128 times (n = 8, d = 7), so a
-    working sampler reaches the give-up rule with probability below exp(-78).
+    exp(-(d^2-1)/4) (Bollobas 1980), and that sets the rows drawn for the
+    ones still wanted.  At the smallest n the true rate is lower, by up to
+    128 times (n = 8, d = 7), so a working sampler reaches the give-up rule
+    with probability below exp(-78).
 
-    The batch rows fix how many keys each batch draws, and so the stream:
-    the whole batch is drawn even once want rows are found.  The keys are
-    drawn, sorted and checked _BLOCK_ENTRIES at a time, which sets the memory
-    only; the rows past the last one needed are drawn and not sorted.
+    The keys are drawn, sorted and checked _BLOCK_ENTRIES at a time, which
+    sets the memory only: the rows are the first want simple ones of the
+    key stream, and drawing stops in the block that holds the last of them.
     """
     if not 1 <= d <= n - 1:
         raise GraphError(f"degree d={d} must satisfy 1 <= d <= n-1 (n={n})")
@@ -435,24 +431,17 @@ def _simple_pairings(n: int, d: int, want: int, gen):
         if drawn >= limit:
             raise GraphError(f"pairing model gave up for n={n}, d={d}: {got} of {want} "
                              f"simple pairings in {drawn} draws")
-        rows = min(max(1, _PAIRING_STUBS // stubs.size), math.ceil((want - got) / accept))
-        kept = []
-        for start in range(0, rows, chunk):
-            keys = gen.random((min(chunk, rows - start), stubs.size))
-            if got == want:
-                continue
-            paired = stubs[np.argsort(keys, axis=1)]
-            paired = paired[(paired[:, 0::2] != paired[:, 1::2]).all(axis=1)]
-            lo = np.minimum(paired[:, 0::2], paired[:, 1::2])
-            hi = np.maximum(paired[:, 0::2], paired[:, 1::2])
-            codes = np.sort(lo.astype(code) * n + hi, axis=1)
-            ok = (np.diff(codes, axis=1) != 0).all(axis=1)
-            lo, hi = lo[ok][:want - got], hi[ok][:want - got]
-            got += len(lo)
-            kept.append((lo, hi))
+        rows = min(chunk, math.ceil((want - got) / accept))
+        paired = stubs[np.argsort(gen.random((rows, stubs.size)), axis=1)]
+        paired = paired[(paired[:, 0::2] != paired[:, 1::2]).all(axis=1)]
+        lo = np.minimum(paired[:, 0::2], paired[:, 1::2])
+        hi = np.maximum(paired[:, 0::2], paired[:, 1::2])
+        codes = np.sort(lo.astype(code) * n + hi, axis=1)
+        ok = (np.diff(codes, axis=1) != 0).all(axis=1)
+        lo, hi = lo[ok][:want - got], hi[ok][:want - got]
         drawn += rows
-        lo, hi = (np.concatenate(a) for a in zip(*kept))
         if len(lo):
+            got += len(lo)
             yield lo, hi
 
 

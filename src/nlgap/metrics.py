@@ -27,7 +27,6 @@ class FiniteMetric:
     """N-point metric space given by its full distance matrix."""
 
     dist: np.ndarray
-    labels: tuple | None = None
 
     @property
     def size(self) -> int:
@@ -107,7 +106,7 @@ def sup_distance_blocks(coords: np.ndarray):
         yield block
 
 
-def validate(dist, labels=None) -> FiniteMetric:
+def validate(dist) -> FiniteMetric:
     """Check the metric axioms and wrap the matrix.
 
     Raises MetricError naming the first violated axiom (non-finite entry,
@@ -150,16 +149,23 @@ def validate(dist, labels=None) -> FiniteMetric:
                 "triangle", (i, k, j),
                 f"dist[{i},{k}] = {a[i, k]} > dist[{i},{j}] + dist[{j},{k}] = {a[i, j] + a[j, k]}",
             )
-    a = a.copy()
+    return _wrap(a)
+
+
+def _wrap(dist: np.ndarray) -> FiniteMetric:
+    """A read-only float64 copy of the matrix as a metric, unchecked: for the
+    constructions that are metrics by construction, whose O(N^3) triangle
+    pass took 5.7 s at N = 1000.  Tests keep validate as their oracle."""
+    a = np.array(dist, dtype=np.float64)
     a.flags.writeable = False
-    return FiniteMetric(a, tuple(labels) if labels is not None else None)
+    return FiniteMetric(a)
 
 
 def snowflake(metric: FiniteMetric, eps: float) -> FiniteMetric:
     """The metric with every distance raised to the power 1 - eps."""
     if not 0.0 < eps < 1.0:
         raise MetricError("exponent", (eps,), "snowflake exponent must lie in (0,1)")
-    return validate(np.power(metric.dist, 1.0 - eps), metric.labels)
+    return validate(np.power(metric.dist, 1.0 - eps))
 
 
 def aspect_ratio(metric: FiniteMetric) -> float:
@@ -193,7 +199,7 @@ def uniform_metric(n_points: int) -> FiniteMetric:
     if n_points < 2:
         raise MetricError("size", (n_points,), "uniform metric needs N >= 2")
     _check_size(n_points, 8 * n_points * n_points)
-    return validate(np.ones((n_points, n_points)) - np.eye(n_points))
+    return _wrap(np.ones((n_points, n_points)) - np.eye(n_points))
 
 
 def path_metric(g: Graph) -> FiniteMetric:
@@ -216,15 +222,15 @@ def capped_power(base: int, exponent: int, cap: int, refuse) -> int:
 
 
 def linf_grid(k: int, s: int) -> FiniteMetric:
-    """Sup-norm metric on the integer grid {-k,..,k}^s, with coordinate labels."""
+    """Sup-norm metric on the integer grid {-k,..,k}^s; point i is the i-th
+    tuple of itertools.product(range(-k, k + 1), repeat=s)."""
     # k = 0 is the one-point grid, which no command can use
     if k < 1 or s < 1:
         raise MetricError("parameters", (k, s), "need k >= 1 and s >= 1")
     capped_power(2 * k + 1, s, _POINT_CAP, lambda shown: MetricError(
         "cap", (k, s), f"(2k+1)^s{shown} exceeds cap {_POINT_CAP} at k = {k}, s = {s}"))
     pts = np.array(list(itertools.product(range(-k, k + 1), repeat=s)), dtype=np.int64)
-    dist = np.concatenate(list(sup_distance_blocks(pts))).astype(np.float64)
-    return validate(dist, labels=[tuple(p) for p in pts])
+    return _wrap(np.concatenate(list(sup_distance_blocks(pts))))
 
 
 def random_euclidean_metric(n_points: int, seed: int, dim: int = 2) -> FiniteMetric:
@@ -295,14 +301,14 @@ def well_conditioned_reduction(metric: FiniteMetric, n: int) -> ReducedMetric:
     small = 1.0 / (n * n)
     nn = metric.size
     total = nn * len(taus)
+    _check_size(total, 8 * total * total)
     out = np.full((total, total), big, dtype=np.float64)
     for t, tau in enumerate(taus):
         block = np.minimum(big, metric.dist / tau + small)
         np.fill_diagonal(block, 0.0)
         sl = slice(t * nn, (t + 1) * nn)
         out[sl, sl] = block
-    labels = [(tau, x) for tau in taus for x in range(nn)]
-    return ReducedMetric(validate(out, labels=labels), tuple(taus), nn, n)
+    return ReducedMetric(validate(out), tuple(taus), nn, n)
 
 
 def lift_assignment(assignment, metric: FiniteMetric, reduced: ReducedMetric) -> list[int]:

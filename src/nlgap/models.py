@@ -222,7 +222,7 @@ def random_perfect_matching(items, gen) -> list[tuple[int, int]]:
     while len(pool) > 2:
         a = pool.pop(0)
         b = pool.pop(int(gen.integers(0, len(pool))))
-        out.append((a, b) if a < b else (b, a))
+        out.append((a, b))
     # the last partner is forced; gen.integers(0, 1) would consume no randomness
     out.append((pool[0], pool[1]))
     return out

@@ -5,23 +5,20 @@ from __future__ import annotations
 
 WIDTH, HEIGHT = 640, 420
 MARGIN = 56
-PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+COLOR = "#1f77b4"
 
 
 def _f(x: float) -> str:
     return f"{x:.3f}".rstrip("0").rstrip(".")
 
 
-def emit_svg(series: list[tuple[str, list[tuple[float, float]]]],
+def emit_svg(name: str, pts: list[tuple[float, float]],
              title: str = "", config_echo: str = "") -> str:
-    """Render named (x, y) series as a chart; rejects empty input."""
-    if not series:
-        raise ValueError("need at least one series")
-    for name, pts in series:
-        if not pts:
-            raise ValueError(f"series {name!r} has no points")
-    xs = [x for _, pts in series for x, _ in pts]
-    ys = [y for _, pts in series for _, y in pts]
+    """Render one named (x, y) series as a chart; rejects an empty series."""
+    if not pts:
+        raise ValueError(f"series {name!r} has no points")
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 == x0:
@@ -58,15 +55,13 @@ def emit_svg(series: list[tuple[str, list[tuple[float, float]]]],
     if title:
         out.append(f'<text x="{WIDTH // 2}" y="24" font-size="14" '
                    f'text-anchor="middle">{title}</text>')
-    for i, (name, pts) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
-        if len(pts) > 1:
-            path = " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in pts)
-            out.append(f'<polyline points="{path}" fill="none" stroke="{color}" '
-                       f'stroke-width="1.5"/>')
-        for x, y in pts:
-            out.append(f'<circle cx="{_f(sx(x))}" cy="{_f(sy(y))}" r="3" fill="{color}"/>')
-        out.append(f'<text x="{WIDTH - MARGIN + 4}" y="{MARGIN + 14 * i + 4}" '
-                   f'font-size="11" fill="{color}">{name}</text>')
+    if len(pts) > 1:
+        path = " ".join(f"{_f(sx(x))},{_f(sy(y))}" for x, y in pts)
+        out.append(f'<polyline points="{path}" fill="none" stroke="{COLOR}" '
+                   f'stroke-width="1.5"/>')
+    for x, y in pts:
+        out.append(f'<circle cx="{_f(sx(x))}" cy="{_f(sy(y))}" r="3" fill="{COLOR}"/>')
+    out.append(f'<text x="{WIDTH - MARGIN + 4}" y="{MARGIN + 4}" '
+               f'font-size="11" fill="{COLOR}">{name}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

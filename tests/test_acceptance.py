@@ -367,7 +367,7 @@ def test_criterion_12_numerics(regular_corpus):
         if np.abs(eig - expect).max() >= 1e-8:
             report(12, "numerics", False, f"complete spectrum off at n={n}")
     for name, g in regular_corpus.items():
-        lo, hi = cheeger_bounds(g, spectrum(g))
+        lo, hi = cheeger_bounds(g)
         h = float(cheeger_exact(g))
         if not lo - 1e-9 <= h <= hi + 1e-9:
             report(12, "numerics", False, f"{name}: h={h} outside [{lo}, {hi}]")

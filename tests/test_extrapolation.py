@@ -10,7 +10,7 @@ from nlgap.extrapolation import (check_extrapolation,
                                  nonconc_params, one_sided_gamma,
                                  verdict_from_gammas)
 from nlgap.graphs import (cheeger_exact, cheeger_lower_bound, complete_graph, prism_graph,
-                          random_connected_regular)
+                          random_connected_regular, spectrum)
 from nlgap.metrics import random_euclidean_metric, snowflake, uniform_metric
 from nlgap.poincare import (VertexMap, dirichlet, empirical_average, gamma_exact,
                             gamma_of_map)
@@ -107,6 +107,14 @@ class TestCheckNonConcentrated:
         v = check_nonconcentrated(g, f, 1, 5.0, Fraction(1, 2))
         assert v.hypothesis_met  # median is 0, average is positive
         assert v.holds and v.slack_log > 0
+
+    def test_spectral_cheeger_bound_beyond_the_exact_limit(self):
+        # n = 30 > 22: h is the spectral lower bound (3 - lambda2) / 2
+        g = random_connected_regular(30, 3, seed=30)
+        f = VertexMap(uniform_metric(2), tuple(v % 2 for v in range(30)))
+        v = check_nonconcentrated(g, f, 1, 5.0, Fraction(1, 2))
+        assert v.params == nonconc_params(3, (3 - spectrum(g)[-2]) / 2, 1, 0.5, 5.0)
+        assert v.hypothesis_met and v.holds
 
     def test_tau_domain(self):
         g = complete_graph(4)

@@ -198,20 +198,18 @@ class TestCsvRow:
 
 class TestSvg:
     def test_deterministic_bytes(self):
-        series = [("a", [(0.0, 1.0), (1.0, 2.0), (2.0, 1.5)])]
-        assert emit_svg(series, title="t", config_echo="seed=1") == \
-            emit_svg(series, title="t", config_echo="seed=1")
+        pts = [(0.0, 1.0), (1.0, 2.0), (2.0, 1.5)]
+        assert emit_svg("a", pts, title="t", config_echo="seed=1") == \
+            emit_svg("a", pts, title="t", config_echo="seed=1")
 
     def test_single_point_degenerate_chart(self):
-        out = emit_svg([("only", [(1.0, 1.0)])])
+        out = emit_svg("only", [(1.0, 1.0)])
         assert "<circle" in out and "<svg" in out
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            emit_svg([])
-        with pytest.raises(ValueError):
-            emit_svg([("empty", [])])
+            emit_svg("empty", [])
 
     def test_config_comment_embedded(self):
-        out = emit_svg([("s", [(0, 0), (1, 1)])], config_echo="n=4 seed=2")
+        out = emit_svg("s", [(0, 0), (1, 1)], config_echo="n=4 seed=2")
         assert "<!-- config: n=4 seed=2 -->" in out

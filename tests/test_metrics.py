@@ -117,14 +117,14 @@ class TestGridAndUniform:
     def test_grid_line(self):
         m = linf_grid(1, 1)
         assert m.size == 3
-        i = m.labels.index((-1,))
-        j = m.labels.index((1,))
+        points = list(itertools.product(range(-1, 2), repeat=1))
+        i, j = points.index((-1,)), points.index((1,))
         assert m.dist[i, j] == 2
 
     def test_grid_sup_norm(self):
         m = linf_grid(2, 2)
-        i = m.labels.index((0, 0))
-        j = m.labels.index((1, 2))
+        points = list(itertools.product(range(-2, 3), repeat=2))
+        i, j = points.index((0, 0)), points.index((1, 2))
         assert m.dist[i, j] == 2
 
     def test_grid_nine_points(self):
@@ -140,7 +140,7 @@ class TestGridAndUniform:
             linf_grid(10, 10)
 
     def test_grid_default_cap(self):
-        # 3^7 points would take minutes in validate's O(N^3) triangle scan
+        # 3^7 = 2187 points: the smallest k = 1 grid above the cap
         with pytest.raises(MetricError, match="2187 exceeds cap 1000"):
             linf_grid(1, 7)
 
@@ -167,6 +167,20 @@ class TestGridAndUniform:
     def test_uniform(self):
         m = uniform_metric(3)
         assert (m.dist[~np.eye(3, dtype=bool)] == 1).all()
+
+    # uniform_metric and linf_grid skip validate's triangle pass; it stays their oracle
+    @pytest.mark.parametrize("n_points", [2, 3, 4, 7, 16, 65, 200])
+    def test_uniform_validates(self, n_points):
+        m = uniform_metric(n_points)
+        assert m.dist.dtype == np.float64 and not m.dist.flags.writeable
+        assert np.array_equal(validate(m.dist).dist, m.dist)
+
+    @pytest.mark.parametrize("k, s", [(1, 1), (5, 1), (1, 2), (2, 2), (7, 2), (1, 3),
+                                      (2, 3), (3, 3), (1, 4), (1, 5)])
+    def test_grid_validates(self, k, s):
+        m = linf_grid(k, s)
+        assert m.dist.dtype == np.float64 and not m.dist.flags.writeable
+        assert np.array_equal(validate(m.dist).dist, m.dist)
 
     def test_path_metric_c4(self):
         assert path_metric(cycle_graph(4)).diam() == 2
@@ -286,6 +300,13 @@ class TestReduction:
             assert red.metric.diam() <= n * n + 1e-12
             assert red.metric.min_distance() >= 1 / (n * n) - 1e-12
             assert aspect_ratio(red.metric) <= n ** 4 + 1e-9
+
+    def test_refused_before_allocation(self):
+        # 50 points with 1225 distinct distances: 61250^2 float64 entries, 28 GiB
+        m = random_euclidean_metric(50, seed=1)
+        with pytest.raises(MetricError, match="N = 61250 points needing 30012500000 bytes") as info:
+            well_conditioned_reduction(m, 10)
+        assert info.value.kind == "cap"
 
     def test_lift_constant_rejected(self):
         m = uniform_metric(2)
