@@ -223,6 +223,8 @@ def cmd_nonconc(args) -> None:
 
 
 def cmd_witness(args) -> None:
+    if args.svg and not args.sizes:
+        raise CliError("--svg needs --sizes: the chart plots the median ratio over the sizes")
     log_n_points = parse_log_cardinality(args.big_n)
     rows = []
     pts = []
@@ -244,7 +246,7 @@ def cmd_witness(args) -> None:
     else:
         certify(parse_graph_arg(args.gen, args.graph, args.seed))
     _emit(args, "n,d,k,s,s0,r0,q,ave,dirichlet,ratio,max_edge_cost", rows)
-    if args.svg and pts:
+    if args.svg:
         Path(args.svg).write_text(emit_svg("median ratio", pts, title="witness ratio vs log n",
                                            config_echo=_echo(args)))
 

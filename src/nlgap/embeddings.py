@@ -20,20 +20,12 @@ from .poincare import cost_ratio, edge_lipschitz
 from .rng import derive_rng
 
 
-def trunc(level: int, x: float) -> float:
-    """sign(x) * min(level, |x|)."""
-    if level < 0:
-        raise ValueError("truncation level must be nonnegative")
-    return math.copysign(min(level, abs(x)), x) if x != 0 else 0.0
-
-
 @dataclass(frozen=True)
 class WitnessParams:
     """Derived sizes for the witness construction at target cardinality N."""
 
     n: int
     d: int
-    log_n_points: float   # log N, kept separately since N may be astronomical
     k: int                # truncation level, floor(log log N)
     s: int                # grid dimension, floor(log N / log(2k+1))
     s0: int               # seed count, min(n, s)
@@ -52,7 +44,7 @@ def witness_params(g: Graph, log_n_points: float) -> WitnessParams:
     s = math.floor(log_n_points / math.log(2 * k + 1))
     s0 = min(g.n, s)
     r0 = math.floor(math.log(g.n / s0) / math.log(d - 1))
-    return WitnessParams(n=g.n, d=d, log_n_points=log_n_points, k=k, s=s, s0=s0, r0=r0)
+    return WitnessParams(n=g.n, d=d, k=k, s=s, s0=s0, r0=r0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,7 +56,6 @@ class NonConcParams:
     h: float
     q: float
     tau: float
-    c_r: float
     ell: int
     log_bound: float  # log of 30 * 16^q * d^(ell+1) * ell^(q+1)
 
@@ -80,7 +79,7 @@ def nonconc_params(d: int, h: float, q: float, tau: float, c_r: float) -> NonCon
     ell = nonconc_ell(d, h, q, tau)
     log_bound = math.log(30.0) + q * math.log(16.0) + (ell + 1) * math.log(d) \
         + (q + 1) * math.log(ell)
-    return NonConcParams(d, h, q, tau, c_r, ell, log_bound)
+    return NonConcParams(d, h, q, tau, ell, log_bound)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import metrics
 from .rng import derive_rng
 
 
@@ -112,13 +113,6 @@ def complete_graph(n: int) -> Graph:
     return graph_from_edges(n, itertools.combinations(range(n), 2))
 
 
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    if a < 0 or b < 0:
-        raise GraphError(f"complete bipartite graph needs parts a, b >= 0, got a={a}, b={b}")
-    _check_graph(a + b, a * b)
-    return graph_from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
 def prism_graph() -> Graph:
     """Triangular prism: two triangles joined by a perfect matching."""
     return graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
@@ -189,7 +183,6 @@ def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs shortest-path distances, cross-component entries equal n.
 
     Refuses, before allocating it, a matrix beyond metrics._METRIC_BYTES."""
-    from . import metrics  # imported here: metrics imports this module
     if 8 * g.n * g.n > metrics._METRIC_BYTES:
         raise GraphError(f"the distance matrix of n = {g.n} vertices exceeds the "
                          f"{metrics._METRIC_BYTES}-byte budget")
@@ -200,20 +193,10 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return out
 
 
-def diameter(g: Graph) -> int:
-    return int(distance_matrix(g).max(initial=0))
-
-
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
     return max(bfs_distances(g, 0)) < g.n
-
-
-def ball(g: Graph, S, radius: int) -> set[int]:
-    """All vertices at distance <= radius from the set S."""
-    dist = multi_source_distances(g, S, radius)
-    return {v for v in range(g.n) if dist[v] <= radius}
 
 
 def sphere(g: Graph, S, radius: int) -> set[int]:
@@ -465,90 +448,6 @@ def random_connected_regular(n: int, d: int, seed: int) -> Graph:
         if is_connected(g):
             return g
     raise GraphError(f"no connected {d}-regular sample found in {_CONNECTED_TRIES} tries")
-
-
-# ----------------------------------------------------------------------
-# tree-like vertices and long-range expansion
-# ----------------------------------------------------------------------
-
-def tree_like_set(g: Graph, m: int) -> set[int]:
-    """Vertices whose radius-3m ball induces a tree (connected and acyclic).
-
-    For 3m >= n the cross-component distance convention pulls other
-    components into the ball, so connectivity of the induced subgraph must
-    be checked explicitly, not inferred from the edge count: the ball is
-    connected iff none of its vertices is at the cross-component distance n,
-    since a shortest path to the centre stays inside the ball.
-    """
-    if m < 0:
-        raise GraphError("radius must be nonnegative")
-    n, r = g.n, 3 * m
-    out = set()
-    for v in range(n):
-        dist, order, _ = _bfs(g, [v], r)
-        # below radius n the ball is what the search reached; from n on it
-        # also holds the other components, at distance n
-        b = order if r < n else range(n)
-        # the ends of the edges inside the ball: each edge is seen from both
-        ends = sum(1 for u in b for w in g.adjacency[u] if dist[w] <= r)
-        if ends == 2 * (len(b) - 1) and all(dist[u] < n for u in b):
-            out.add(v)
-    return out
-
-
-@dataclass(frozen=True)
-class ExpansionResult:
-    holds: bool
-    violation: tuple[frozenset[int], int] | None  # (S, radius) of first failure
-    mode: str                                     # "exact" or "sampled"
-
-
-_EXPANSION_EXACT_LIMIT = 18  # the exact table holds 2^n rows of n bytes, 4.5 MiB at n = 18
-_EXPANSION_SAMPLES = 200
-
-
-def expansion_holds(g: Graph, alpha: float, seed: int = 0) -> ExpansionResult:
-    """Check |B(S, r)| >= min(3n/4, alpha (d-1)^r |S|) for vertex sets S.
-
-    Row S of one table holds each vertex's distance to S, the minimum of the
-    distance-matrix rows of its vertices, so S is where the row is 0.  Exact
-    mode (n <= _EXPANSION_EXACT_LIMIT) has a row for every nonempty vertex
-    bitmask, in mask order, built one top vertex at a time; sampled mode has
-    the singletons, then _EXPANSION_SAMPLES random subsets, and is one-sided:
-    a "holds" verdict only means no violation was found.  The first violating
-    row is reported with its smallest violating radius.
-    """
-    d = g.regular_degree()
-    if d is None:
-        raise GraphError("expansion check requires a regular graph")
-    if not 0 < alpha < math.inf:
-        raise GraphError(f"need finite alpha > 0, got alpha={alpha}")
-    n, dist = g.n, distance_matrix(g)
-    if n <= _EXPANSION_EXACT_LIMIT:
-        mode, rows = "exact", np.full((1 << n, n), n, dtype=np.uint8)
-        for k, row in enumerate(dist.astype(np.uint8)):
-            rows[1 << k:2 << k] = np.minimum(rows[:1 << k], row)
-        rows = rows[1:]  # drop the empty set's row
-    else:
-        mode, gen = "sampled", derive_rng(seed, "expansion", n)
-        samples = [gen.choice(n, size=int(gen.integers(1, n // 2 + 1)), replace=False)
-                   for _ in range(_EXPANSION_SAMPLES)]
-        rows = np.concatenate([dist, [dist[S].min(axis=0) for S in samples]])
-    top, size = 0.75 * n, np.count_nonzero(rows == 0, axis=1)
-    first = np.full(len(rows), n)  # smallest violating radius; B(S, n) is all of [n]
-    for r in range(n):
-        growth = float(Fraction(alpha) * (d - 1) ** r)  # one rounding, never an overflow
-        reached = np.count_nonzero(rows <= r, axis=1)
-        first[(first == n) & (reached < np.minimum(top, growth * size))] = r
-        # the balls only grow, while the threshold stops growing here (d <= 2
-        # or alpha (d-1)^r >= 3n/4) and never passes 3n/4
-        if growth >= top or d <= 2 or (reached >= top).all():
-            break
-    bad = np.flatnonzero(first < n)
-    if not bad.size:
-        return ExpansionResult(True, None, mode)
-    S = frozenset(np.flatnonzero(rows[bad[0]] == 0).tolist())
-    return ExpansionResult(False, (S, int(first[bad[0]])), mode)
 
 
 # ----------------------------------------------------------------------

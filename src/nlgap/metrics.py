@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, distance_matrix, is_connected
 from .rng import derive_rng
 
 
@@ -173,11 +172,6 @@ def aspect_ratio(metric: FiniteMetric) -> float:
     return metric.diam() / metric.min_distance()
 
 
-def is_well_conditioned(metric: FiniteMetric) -> bool:
-    """Aspect ratio at most e^N."""
-    return aspect_ratio(metric) <= math.exp(metric.size)
-
-
 # validate scans the dense matrix in O(N^3), so no constructor builds more
 # points than this, and none allocates more bytes than the budget
 _POINT_CAP = 10 ** 3
@@ -200,13 +194,6 @@ def uniform_metric(n_points: int) -> FiniteMetric:
         raise MetricError("size", (n_points,), "uniform metric needs N >= 2")
     _check_size(n_points, 8 * n_points * n_points)
     return _wrap(np.ones((n_points, n_points)) - np.eye(n_points))
-
-
-def path_metric(g: Graph) -> FiniteMetric:
-    """Shortest-path metric of a connected graph."""
-    if not is_connected(g):
-        raise MetricError("connectivity", (), "path metric needs a connected graph")
-    return validate(distance_matrix(g).astype(np.float64))
 
 
 def capped_power(base: int, exponent: int, cap: int, refuse) -> int:
@@ -266,15 +253,6 @@ class ReducedMetric:
     base_size: int
     n: int
 
-    def flat_index(self, cluster: int, point: int) -> int:
-        return cluster * self.base_size + point
-
-    def cluster_of_scale(self, tau: float) -> int:
-        for t, val in enumerate(self.taus):
-            if math.isclose(val, tau, rel_tol=1e-12, abs_tol=0.0):
-                return t
-        raise MetricError("scale", (tau,), f"{tau} is not a realized distance scale")
-
 
 def _distinct_scales(metric: FiniteMetric) -> list[float]:
     n = metric.size
@@ -310,18 +288,3 @@ def well_conditioned_reduction(metric: FiniteMetric, n: int) -> ReducedMetric:
         out[sl, sl] = block
     return ReducedMetric(validate(out), tuple(taus), nn, n)
 
-
-def lift_assignment(assignment, metric: FiniteMetric, reduced: ReducedMetric) -> list[int]:
-    """Send a vertex->point assignment into the cluster of its maximum spread.
-
-    The relevant scale tau(f) is the largest pairwise distance between image
-    points; constant assignments have no positive scale and are rejected.
-    """
-    points = sorted(set(assignment))
-    tau = 0.0
-    for x, y in itertools.combinations(points, 2):
-        tau = max(tau, float(metric.dist[x, y]))
-    if tau == 0.0:
-        raise MetricError("constant", (), "constant assignments have no scale to lift")
-    cluster = reduced.cluster_of_scale(tau)
-    return [reduced.flat_index(cluster, x) for x in assignment]

@@ -1,7 +1,7 @@
 """The multistage generation of random regular graphs (canonical
 representative, uniform edge deletion, uniform relabeling), seed maps under
-natural and supplied linear orders, the equitable distance decomposition,
-uniform perfect matchings with the avoidance bound, and the Monte Carlo
+natural and supplied linear orders, uniform perfect matchings with the
+avoidance bound, and the Monte Carlo
 verifiers for the corresponding distributional statements."""
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import graphs
 from .graphs import (Graph, GraphError, _edges_key, _pair_action, _pair_weights, _pairs,
-                     _simple_pairings, bfs_distances, canonical_form,
+                     _simple_pairings, canonical_form,
                      enumerate_regular_graphs, graph_from_edges, random_regular, relabel,
                      sphere)
 from .poincare import VertexMap, empirical_average, is_concentrated
@@ -82,15 +82,11 @@ def draw_model(n: int, d: int, ell: int, seed: int, canonical: bool = True) -> M
 
 @dataclass(frozen=True)
 class SeedTable:
-    """Per-vertex assignment to a seed at graph distance exactly m, or None.
-
-    seeds are stored sorted; order_rank[i] is the rank of the i-th smallest
-    seed in the governing linear order (None means the natural order).
-    """
+    """Per-vertex assignment to a seed at graph distance exactly m, or None;
+    seeds are stored sorted."""
 
     m: int
     seeds: tuple[int, ...]
-    order_rank: tuple[int, ...] | None
     assignment: tuple[int | None, ...]
 
 
@@ -103,19 +99,10 @@ def _assign_by_priority(g: Graph, m: int, seeds_by_priority) -> list[int | None]
     return out
 
 
-def seed_map_g(g: Graph, m: int, k: int) -> SeedTable:
-    """Assign each vertex the natural-order smallest seed in [k] at distance m."""
-    if not (1 <= m <= g.n and 1 <= k <= g.n):
-        raise GraphError(f"need 1 <= m,k <= n, got m={m}, k={k}")
-    assignment = _assign_by_priority(g, m, range(k))
-    return SeedTable(m=m, seeds=tuple(range(k)), order_rank=None,
-                     assignment=tuple(assignment))
-
-
 def seed_map_h(g: Graph, m: int, seed_set, order_rank) -> SeedTable:
     """Assign each vertex the order-minimal element of its distance-m sphere
     inside the seed set; order_rank ranks the seeds written in increasing
-    vertex order (identity ranks reproduce seed_map_g on [k])."""
+    vertex order (identity ranks give the natural order)."""
     if not 1 <= m <= g.n:
         raise GraphError(f"need 1 <= m <= n, got m={m}")
     seeds = tuple(sorted(set(int(s) for s in seed_set)))
@@ -126,86 +113,7 @@ def seed_map_h(g: Graph, m: int, seed_set, order_rank) -> SeedTable:
         raise GraphError("order_rank must be a permutation of 0..k-1")
     by_priority = [seeds[i] for i in np.argsort(rank, kind="stable")]
     assignment = _assign_by_priority(g, m, by_priority)
-    return SeedTable(m=m, seeds=seeds, order_rank=rank, assignment=tuple(assignment))
-
-
-# ----------------------------------------------------------------------
-# equitable decomposition
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Decomposition:
-    parts: tuple[tuple[int, ...], ...]
-    m: int
-    conflict_radius: int       # 2m
-    max_part_degree: int       # the bound M
-    equitable: bool            # all sizes within floor/ceil of |W|/(M+1)
-    spread: int                # max size - min size achieved
-    swaps_used: int
-
-
-def part_degree_bound(d: int, m: int) -> int:
-    return sum(d * (d - 1) ** (j - 1) for j in range(1, 2 * m + 1))
-
-
-def equitable_decomposition(g: Graph, w, m: int, d: int | None = None) -> Decomposition:
-    """Partition W into M+1 parts of pairwise graph distance >= 2m+1.
-
-    Greedy coloring of the distance-<=2m conflict graph guarantees the
-    separation exactly (the conflict degree is at most M); balancing swaps
-    then push sizes into the floor/ceil band, giving up after 10 |W| (M+1)
-    swaps with the separation intact and the spread reported.
-    """
-    w = sorted(set(int(v) for v in w))
-    if d is None:
-        d = max((g.degree(v) for v in range(g.n)), default=0)
-    if max((g.degree(v) for v in range(g.n)), default=0) > d:
-        raise GraphError("graph exceeds the stated degree bound")
-    if m < 1:
-        raise GraphError("radius m must be >= 1")
-    big_m = part_degree_bound(d, m)
-    n_parts = big_m + 1
-    swap_cap = 10 * max(1, len(w)) * n_parts
-    conflicts: dict[int, set[int]] = {v: set() for v in w}
-    wset = set(w)
-    for v in w:
-        row = bfs_distances(g, v, 2 * m)
-        for u in wset:
-            if u != v and row[u] <= 2 * m:
-                conflicts[v].add(u)
-    color: dict[int, int] = {}
-    parts: list[set[int]] = [set() for _ in range(n_parts)]
-    for v in w:
-        used = {color[u] for u in conflicts[v] if u in color}
-        c = min(i for i in range(n_parts) if i not in used)
-        color[v] = c
-        parts[c].add(v)
-    lo = len(w) // n_parts
-    hi = -(-len(w) // n_parts)
-    swaps = 0
-    while swaps < swap_cap:
-        sizes = [len(p) for p in parts]
-        over = [i for i, s in enumerate(sizes) if s > hi]
-        under = [i for i, s in enumerate(sizes) if s < lo]
-        if not over and not under:
-            break
-        # the first conflict-free move, taking donors above lo largest first
-        donors = sorted((i for i in range(n_parts) if sizes[i] > lo), key=lambda i: -sizes[i])
-        targets = under if under else [i for i, s in enumerate(sizes) if s < hi]
-        move = next(((src, v, dst) for src in donors for v in sorted(parts[src])
-                     for dst in targets if dst != src and not conflicts[v] & parts[dst]), None)
-        if move is None:
-            break
-        src, v, dst = move
-        parts[src].remove(v)
-        parts[dst].add(v)
-        swaps += 1
-    sizes = [len(p) for p in parts]
-    equitable = all(lo <= s <= hi for s in sizes)
-    return Decomposition(parts=tuple(tuple(sorted(p)) for p in parts), m=m,
-                         conflict_radius=2 * m, max_part_degree=big_m,
-                         equitable=equitable, spread=max(sizes) - min(sizes),
-                         swaps_used=swaps)
+    return SeedTable(m=m, seeds=seeds, assignment=tuple(assignment))
 
 
 # ----------------------------------------------------------------------

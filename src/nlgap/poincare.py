@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import metrics
-from .graphs import Graph, GraphError, distance_matrix, is_connected, lambda2
+from .graphs import Graph, is_connected
 from .metrics import FiniteMetric, MetricError, capped_power, cost_matrix
 from .rng import derive_rng
 
@@ -40,9 +40,6 @@ class VertexMap:
     @property
     def n(self) -> int:
         return len(self.assignment)
-
-    def is_constant(self) -> bool:
-        return len(set(self.assignment)) <= 1
 
     def point_counts(self) -> np.ndarray:
         return np.bincount(np.asarray(self.assignment), minlength=self.target.size)
@@ -379,45 +376,6 @@ def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
     return GammaExactResult(best, VertexMap(metric, tuple(int(x) for x in best_map)), steps)
 
 
-def gamma_euclidean_sq(g: Graph) -> float:
-    """d / (d - lambda2): the optimal constant for squared-Euclidean costs.
-    A mean-zero f has ave = 2 |f|^2 / n (ordered pairs over n^2) and
-    Dirichlet form f^T L f / m with m = d n / 2."""
-    d = g.regular_degree()
-    if d is None:
-        raise ValueError("gamma_euclidean_sq requires a regular graph")
-    if not is_connected(g):
-        raise ValueError("gamma_euclidean_sq requires a connected graph")
-    return d / (d - lambda2(g))
-
-
-@dataclass(frozen=True)
-class AverageDistortionReport:
-    ratio: float            # sum of image distances over sum of graph distances
-    edge_lipschitz: float   # max image distance across an edge
-    distortion_lower: float  # edge_lipschitz / ratio, scale-invariant
-
-
-def average_distortion(g: Graph, f: VertexMap) -> AverageDistortionReport:
-    """Average scaling of a map plus the distortion lower bound it certifies.
-
-    ratio lies between the optimal scale s and s*D, and the edge Lipschitz
-    estimate is at most s*D, so their quotient never exceeds the
-    bi-Lipschitz distortion of f.
-    """
-    if f.n != g.n:
-        raise GraphError(f"map length {f.n} != graph order {g.n}")
-    if not is_connected(g):
-        raise ValueError("average distortion requires a connected graph")
-    if f.is_constant():
-        raise ValueError("constant maps have no average distortion")
-    img = f.image_distances()
-    ratio = float(img.sum()) / float(distance_matrix(g).sum())
-    lip = edge_lipschitz(g, img)
-    return AverageDistortionReport(ratio=ratio, edge_lipschitz=lip,
-                                   distortion_lower=lip / ratio)
-
-
 # ----------------------------------------------------------------------
 # vectorized per-map statistics (acceptance machinery)
 # ----------------------------------------------------------------------
@@ -426,7 +384,6 @@ def average_distortion(g: Graph, f: VertexMap) -> AverageDistortionReport:
 class MapStatistics:
     """Arrays indexed by map (base-N counter order over all N^n maps)."""
 
-    qs: tuple[float, ...]
     ave: dict[float, np.ndarray]
     dirichlet: dict[float, np.ndarray]
     quantile: dict[object, np.ndarray]   # keyed by tau
@@ -467,5 +424,5 @@ def enumerate_map_statistics(g: Graph, metric: FiniteMetric, qs,
         for tau in taus:
             # the top level holds every pair, so each map meets some level
             quant[tau][block] = levels[np.argmax([_meets(c, tau, nsq) for c in within], axis=0)]
-    return MapStatistics(qs=qs, ave=ave, dirichlet=diri, quantile=quant,
+    return MapStatistics(ave=ave, dirichlet=diri, quantile=quant,
                          nondegenerate=diri[qs[0]] > 0)

@@ -4,26 +4,12 @@ import itertools
 import pytest
 from hypothesis import settings
 
-from nlgap.graphs import (complete_bipartite_graph, complete_graph, cycle_graph, path_graph,
-                          petersen_graph, prism_graph, random_regular)
-from oracles import hypercube_graph
+from nlgap.graphs import random_regular
+from oracles import corpus_graphs
 
 # derandomized: every property test runs the same examples on every run
 settings.register_profile("reproducible", derandomize=True)
 settings.load_profile("reproducible")
-
-
-def corpus_graphs():
-    """Named connected graphs used across oracle tests."""
-    return {
-        "P2": path_graph(2), "P3": path_graph(3), "P5": path_graph(5),
-        "C3": cycle_graph(3), "C4": cycle_graph(4), "C5": cycle_graph(5),
-        "C6": cycle_graph(6), "C8": cycle_graph(8), "C10": cycle_graph(10),
-        "K4": complete_graph(4), "K5": complete_graph(5), "K6": complete_graph(6),
-        "K33": complete_bipartite_graph(3, 3), "prism": prism_graph(),
-        "cube": hypercube_graph(3), "petersen": petersen_graph(),
-        "star6": complete_bipartite_graph(1, 5),
-    }
 
 
 def regular_corpus_graphs():

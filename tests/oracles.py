@@ -2,9 +2,19 @@
 package they check.  A plain module rather than conftest.py, so that test
 modules can import it by name even when another conftest.py is collected
 in the same run."""
+import math
 from fractions import Fraction
 
-from nlgap.graphs import GraphError, graph_from_edges
+import numpy as np
+
+from nlgap.graphs import (GraphError, complete_graph, cycle_graph, distance_matrix,
+                          graph_from_edges, lambda2, multi_source_distances, path_graph,
+                          petersen_graph, prism_graph)
+from nlgap.metrics import validate
+
+
+def complete_bipartite_graph(a, b):
+    return graph_from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def hypercube_graph(k):
@@ -12,9 +22,32 @@ def hypercube_graph(k):
                                      for b in range(k) if not i >> b & 1])
 
 
+def corpus_graphs():
+    """Named connected graphs used across oracle tests."""
+    return {
+        "P2": path_graph(2), "P3": path_graph(3), "P5": path_graph(5),
+        "C3": cycle_graph(3), "C4": cycle_graph(4), "C5": cycle_graph(5),
+        "C6": cycle_graph(6), "C8": cycle_graph(8), "C10": cycle_graph(10),
+        "K4": complete_graph(4), "K5": complete_graph(5), "K6": complete_graph(6),
+        "K33": complete_bipartite_graph(3, 3), "prism": prism_graph(),
+        "cube": hypercube_graph(3), "petersen": petersen_graph(),
+        "star6": complete_bipartite_graph(1, 5),
+    }
+
+
 def disjoint_union(g1, g2):
     shifted = [(u + g1.n, v + g1.n) for u, v in g2.edges]
     return graph_from_edges(g1.n + g2.n, list(g1.edges) + shifted)
+
+
+def diameter(g):
+    return int(distance_matrix(g).max(initial=0))
+
+
+def ball(g, S, radius):
+    """All vertices at distance <= radius from the set S."""
+    dist = multi_source_distances(g, S, radius)
+    return {v for v in range(g.n) if dist[v] <= radius}
 
 
 def cut_size(g, S):
@@ -70,3 +103,31 @@ def matching_avoidance_law(ell, y_pairs, c):
         states = nxt
     counts = states[full]
     return Fraction(sum(x for h, x in enumerate(counts) if h <= c * ell / 2.0), sum(counts))
+
+
+def trunc(level, x):
+    """sign(x) * min(level, |x|), the witness map's truncation."""
+    return math.copysign(min(level, abs(x)), x) if x != 0 else 0.0
+
+
+def path_metric(g):
+    """Shortest-path metric of a connected graph."""
+    return validate(distance_matrix(g).astype(np.float64))
+
+
+def gamma_euclidean_sq(g):
+    """d / (d - lambda2), the optimal constant of a connected d-regular graph
+    for squared-Euclidean costs.  A mean-zero f has ave = 2 |f|^2 / n
+    (ordered pairs over n^2) and Dirichlet form f^T L f / m with m = d n / 2."""
+    d = g.regular_degree()
+    return d / (d - lambda2(g))
+
+
+def lift_assignment(assignment, metric, reduced):
+    """Send a non-constant vertex->point assignment into the cluster of the
+    well-conditioned reduction whose scale is its largest image distance;
+    point x of cluster t has flat index t * base_size + x."""
+    tau = max(float(metric.dist[x, y]) for x in assignment for y in assignment)
+    cluster = next(t for t, val in enumerate(reduced.taus)
+                   if math.isclose(val, tau, rel_tol=1e-12, abs_tol=0.0))
+    return [cluster * reduced.base_size + x for x in assignment]

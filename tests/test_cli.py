@@ -789,6 +789,15 @@ class TestWitnessSvg:
         assert svg.read_text() == first
         assert first.startswith("<svg")
 
+    def test_svg_without_sizes_refused(self, tmp_path, capsys):
+        # the chart plots the growth over --sizes; one graph has no chart
+        svg = tmp_path / "x.svg"
+        assert cli.main(["witness", "--gen", "regular:64,3", "--svg", str(svg)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: --svg needs --sizes: the chart plots the median "
+                                  "ratio over the sizes\n")
+        assert not svg.exists()
+
 
 class TestReportHeaders:
     """The CSV header line of every report layout."""

@@ -10,16 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlgap import graphs
-from nlgap.graphs import (ExpansionResult, Graph, GraphError, adjacency_matrix, ball,
-                          bfs_distances, canonical_form, cheeger_bounds, cheeger_exact,
-                          cheeger_lower_bound, complete_bipartite_graph, complete_graph,
-                          cycle_graph, diameter, distance_matrix, enumerate_regular_graphs,
-                          expansion_holds, graph_from_edges, is_connected, lambda2,
-                          multi_source_distances, path_graph, random_connected_regular,
-                          random_regular, relabel, spectrum, sphere, tree_like_set)
+from nlgap.graphs import (GraphError, adjacency_matrix, bfs_distances, canonical_form,
+                          cheeger_bounds, cheeger_exact, cheeger_lower_bound, complete_graph,
+                          cycle_graph, distance_matrix, enumerate_regular_graphs,
+                          graph_from_edges, is_connected, lambda2, multi_source_distances,
+                          path_graph, random_connected_regular, random_regular, relabel,
+                          spectrum, sphere)
 from nlgap.models import distribution_equality_mc
 from nlgap.rng import derive_rng
-from oracles import cut_size, disjoint_union, hypercube_graph
+from oracles import (ball, complete_bipartite_graph, corpus_graphs, cut_size, disjoint_union,
+                     hypercube_graph)
 
 
 def brute_force_distances(g, sources):
@@ -105,51 +105,6 @@ def reference_regular_graphs(n, d):
     top = len(pairs) - 1
     return tuple(sorted(tuple(p for i, p in enumerate(pairs) if key >> (top - i) & 1)
                         for key in keys) for keys in (connected, every))
-
-
-def reference_tree_like_set(g, m):
-    """The loop before the adjacency count: each ball tests every edge of g."""
-    out = set()
-    for v in range(g.n):
-        dist = multi_source_distances(g, [v], 3 * m)
-        b = {u for u in range(g.n) if dist[u] <= 3 * m}
-        inner = sum(1 for x, y in g.edges if x in b and y in b)
-        if inner == len(b) - 1 and all(dist[u] < g.n for u in b):
-            out.add(v)
-    return out
-
-
-def reference_expansion(g, alpha, seed=0):
-    """The check before the distance-to-set table: one BFS per vertex set,
-    in mask order (or singletons, then samples), each followed by a loop
-    over its radii, stopping at the first violation."""
-    d, n = g.regular_degree(), g.n
-
-    def first_radius(S):
-        dist = multi_source_distances(g, S)
-        sizes = np.bincount(np.minimum(dist, n), minlength=n + 1).cumsum()
-        for r in range(n + 1):
-            if sizes[min(r, n)] < min(0.75 * n, alpha * (d - 1) ** r * len(S)):
-                return r
-        return None
-
-    def sampled():
-        yield from ([v] for v in range(n))
-        gen = derive_rng(seed, "expansion", n)
-        for _ in range(graphs._EXPANSION_SAMPLES):
-            size = int(gen.integers(1, n // 2 + 1))
-            yield sorted(gen.choice(n, size=size, replace=False).tolist())
-
-    if n <= graphs._EXPANSION_EXACT_LIMIT:
-        mode, sets = "exact", ([v for v in range(n) if mask >> v & 1]
-                               for mask in range(1, 1 << n))
-    else:
-        mode, sets = "sampled", sampled()
-    for S in sets:
-        r = first_radius(S)
-        if r is not None:
-            return ExpansionResult(False, (frozenset(S), r), mode)
-    return ExpansionResult(True, None, mode)
 
 
 def brute_force_cheeger(g):
@@ -239,15 +194,11 @@ class TestConstruction:
     @pytest.mark.parametrize("build,message", [
         (lambda: graph_from_edges(graphs._VERTEX_CAP + 1, []),
          "n = 1000002 is outside the vertex range 0..1000001"),
-        (lambda: complete_bipartite_graph(1001, 1000),
-         "n = 2001 gives 1001000 edges, which exceeds the edge cap 1000000"),
-        (lambda: complete_bipartite_graph(10 ** 12, 0),
+        (lambda: complete_graph(1415),
+         "n = 1415 gives 1000405 edges, which exceeds the edge cap 1000000"),
+        # refused before a list of 10^12 adjacency rows is allocated
+        (lambda: graph_from_edges(10 ** 12, []),
          "n = 1000000000000 is outside the vertex range 0..1000001"),
-        # a negative part once gave an edgeless graph on a + b vertices
-        (lambda: complete_bipartite_graph(-1, 2),
-         "complete bipartite graph needs parts a, b >= 0, got a=-1, b=2"),
-        (lambda: complete_bipartite_graph(3, -10 ** 12),
-         "complete bipartite graph needs parts a, b >= 0, got a=3, b=-1000000000000"),
     ])
     def test_size_caps_refused_before_building(self, build, message):
         with pytest.raises(GraphError) as info:
@@ -288,6 +239,52 @@ class TestDistances:
             m = distance_matrix(g)
             assert (m == m.T).all()
             assert (np.diag(m) == 0).all()
+
+
+def networkx_oracle_graphs():
+    """The corpus, with disconnected and edgeless graphs and random regular
+    graphs added, keyed by name for the networkx cross-checks."""
+    out = corpus_graphs()
+    out.update({
+        "P1": path_graph(1), "empty3": graph_from_edges(3, []),
+        "2P2": disjoint_union(path_graph(2), path_graph(2)),
+        "C3+C4": disjoint_union(cycle_graph(3), cycle_graph(4)),
+        "rr12-3": random_regular(12, 3, seed=1), "rr16-4": random_regular(16, 4, seed=2),
+    })
+    return out
+
+
+NETWORKX_ORACLE_GRAPHS = networkx_oracle_graphs()
+
+
+def networkx_graph(g):
+    import networkx as nx
+    h = nx.Graph(g.edges)
+    h.add_nodes_from(range(g.n))
+    return h
+
+
+class TestNetworkxOracle:
+    """Distances and connectivity against networkx, an implementation that
+    shares no code with the package's BFS."""
+
+    @pytest.mark.parametrize("name", sorted(NETWORKX_ORACLE_GRAPHS))
+    def test_distance_matrix_matches(self, name):
+        import networkx as nx
+        g = NETWORKX_ORACLE_GRAPHS[name]
+        want = np.full((g.n, g.n), g.n, dtype=np.int64)
+        for u, row in nx.all_pairs_shortest_path_length(networkx_graph(g)):
+            for v, d in row.items():
+                want[u, v] = d
+        assert np.array_equal(distance_matrix(g), want)
+
+    @pytest.mark.parametrize("name", sorted(NETWORKX_ORACLE_GRAPHS))
+    def test_is_connected_matches(self, name):
+        import networkx as nx
+        g = NETWORKX_ORACLE_GRAPHS[name]
+        # networkx leaves the null graph's connectivity undefined
+        assert g.n > 0
+        assert is_connected(g) == nx.is_connected(networkx_graph(g))
 
 
 class TestBallSphere:
@@ -701,128 +698,6 @@ class TestPairingSampler:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
-
-
-class TestTreeLike:
-    def test_tree_all_vertices(self):
-        g = path_graph(7)
-        assert tree_like_set(g, 1) == set(range(7))
-
-    def test_disconnected_ball_is_not_a_tree(self):
-        # radius 3m >= n sweeps the other component into the ball; the
-        # induced subgraph (path + triangle) has |E| = |V| - 1 yet is no tree
-        g = disjoint_union(path_graph(2), cycle_graph(3))
-        assert tree_like_set(g, 2) == set()
-
-    def test_c12_radius_one(self):
-        assert tree_like_set(cycle_graph(12), 1) == set(range(12))
-
-    def test_c6_radius_one_empty(self):
-        assert tree_like_set(cycle_graph(6), 1) == set()
-
-    def test_against_networkx_induced_trees(self):
-        import networkx as nx
-        gen = derive_rng(4, "tree-like-oracle")
-        for _ in range(2000):
-            n = int(gen.integers(1, 12))
-            p = float(gen.uniform(0.05, 0.6))
-            edges = [e for e in itertools.combinations(range(n), 2) if gen.random() < p]
-            m = int(gen.integers(0, 5))
-            h = nx.Graph(edges)
-            h.add_nodes_from(range(n))
-            want = set()
-            for v in range(n):
-                near = set(nx.single_source_shortest_path_length(h, v, cutoff=3 * m))
-                # other components are at the conventional distance n
-                ball_v = set(range(n)) if 3 * m >= n else near
-                if nx.is_tree(h.subgraph(ball_v)):
-                    want.add(v)
-            assert tree_like_set(graph_from_edges(n, edges), m) == want
-
-    def test_against_reference_loop(self):
-        gen = derive_rng(6, "tree-like-reference")
-        disconnected = 0
-        for _ in range(600):
-            n = int(gen.integers(1, 13))
-            p = float(gen.uniform(0.05, 0.5))
-            g = graph_from_edges(n, [e for e in itertools.combinations(range(n), 2)
-                                     if gen.random() < p])
-            disconnected += not is_connected(g)
-            for m in range(5):
-                assert tree_like_set(g, m) == reference_tree_like_set(g, m)
-        assert disconnected > 100
-
-
-class TestExpansion:
-    def test_k4_holds(self):
-        assert expansion_holds(complete_graph(4), 1 / 3).holds
-
-    def test_disconnected_violated(self):
-        g = disjoint_union(complete_graph(4), complete_graph(4))
-        res = expansion_holds(g, 0.5)
-        assert not res.holds
-        assert res.violation is not None
-
-    def test_c8_singleton_pair(self):
-        # at radius 2 the ball around one vertex of C8 has 5 >= min(6, 1)
-        g = cycle_graph(8)
-        assert len(ball(g, [0], 2)) == 5
-        res = expansion_holds(g, 1.0)
-        assert res.mode == "exact"
-
-    def test_sampled_mode_is_one_sided(self):
-        # n = 20 > the exact limit; alpha=1 with d-1 = 1 keeps the threshold
-        # at |S|, which every ball satisfies, so no violation is found
-        res = expansion_holds(cycle_graph(20), 1.0, seed=2)
-        assert res.mode == "sampled"
-        assert res.holds and res.violation is None
-
-    ALPHAS = (0.05, 1 / 3, 0.5, 0.9, 1.0, 1.5, 3.0)
-
-    @staticmethod
-    def corpus(sampled):
-        if sampled:
-            yield from (random_regular(n, d, n + d) for n, d in ((20, 3), (26, 3), (21, 4),
-                                                                 (30, 4), (40, 3)))
-            yield from (cycle_graph(24), disjoint_union(random_regular(10, 3, 1),
-                                                        random_regular(12, 3, 2)),
-                        disjoint_union(random_regular(20, 3, 3), random_regular(20, 3, 4)))
-            return
-        yield from (random_regular(n, d, s) for d in (3, 4) for n in range(d + 1, 12)
-                    for s in range(2) if n * d % 2 == 0)
-        yield from (random_regular(12, 3, 1), cycle_graph(5), cycle_graph(10))
-        yield from (disjoint_union(complete_graph(4), complete_graph(4)),
-                    disjoint_union(random_regular(6, 3, 1), random_regular(6, 3, 2)),
-                    disjoint_union(cycle_graph(4), cycle_graph(5)))
-
-    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
-    def test_matches_reference(self, sampled):
-        verdicts = set()
-        for g in self.corpus(sampled):
-            for alpha in self.ALPHAS:
-                for seed in range(1 + sampled):
-                    want = reference_expansion(g, alpha, seed)
-                    assert expansion_holds(g, alpha, seed) == want, (g, alpha, seed)
-                    verdicts.add((want.mode, want.holds))
-        mode = "sampled" if sampled else "exact"
-        assert verdicts == {(mode, True), (mode, False)}
-
-    @pytest.mark.parametrize("alpha", [0.01, 5e-324])
-    def test_large_cubic_does_not_overflow(self, alpha):
-        # 2^r passes the largest float from r = 1024 on, and a radius of the
-        # 1100-vertex graph can reach it
-        g = random_connected_regular(1100, 3, 1)
-        res = expansion_holds(g, alpha)
-        assert res.mode == "sampled"
-        if not res.holds:
-            S, r = res.violation
-            assert len(ball(g, S, r)) < min(Fraction(3 * g.n, 4),
-                                            Fraction(alpha) * 2 ** r * len(S))
-
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
-    def test_alpha_domain(self, alpha):
-        with pytest.raises(GraphError, match="alpha"):
-            expansion_holds(cycle_graph(6), alpha)
 
 
 class TestCanonical:

@@ -13,16 +13,15 @@ from scipy import special, stats
 
 from nlgap import graphs, models
 from nlgap.graphs import (GraphError, bfs_distances, canonical_form, cycle_graph,
-                          diameter, graph_from_edges, path_graph, random_regular, relabel)
+                          graph_from_edges, path_graph, random_regular, relabel)
 from nlgap.metrics import random_euclidean_metric, uniform_metric
 from nlgap.models import (check_matching_ell, distribution_equality_mc, draw_model,
-                          equitable_decomposition, matching_avoidance_bound,
-                          matching_avoidance_mc, random_perfect_matching,
-                          restriction_concentration_mc, seed_map_g, seed_map_h,
+                          matching_avoidance_bound, matching_avoidance_mc,
+                          random_perfect_matching, restriction_concentration_mc, seed_map_h,
                           typical_sets_experiment, typical_vertex_sets)
 from nlgap.poincare import VertexMap, empirical_average
 from nlgap.rng import derive_rng
-from oracles import all_perfect_matchings, disjoint_union, matching_avoidance_law
+from oracles import all_perfect_matchings, diameter, disjoint_union, matching_avoidance_law
 
 
 # ----------------------------------------------------------------------
@@ -109,61 +108,6 @@ def assign_reference(g, m, seeds_by_priority):
             if out[v] is None and row[v] == m:
                 out[v] = s
     return out
-
-
-def decomposition_reference(g, w, m):
-    """equitable_decomposition as it was, with its balancing loop of three
-    nested loops and moved flags."""
-    w = sorted(set(int(v) for v in w))
-    d = max((g.degree(v) for v in range(g.n)), default=0)
-    big_m = models.part_degree_bound(d, m)
-    n_parts = big_m + 1
-    swap_cap = 10 * max(1, len(w)) * n_parts
-    conflicts = {v: set() for v in w}
-    for v in w:
-        row = bfs_distances(g, v, 2 * m)
-        for u in w:
-            if u != v and row[u] <= 2 * m:
-                conflicts[v].add(u)
-    color = {}
-    parts = [set() for _ in range(n_parts)]
-    for v in w:
-        used = {color[u] for u in conflicts[v] if u in color}
-        c = min(i for i in range(n_parts) if i not in used)
-        color[v] = c
-        parts[c].add(v)
-    lo = len(w) // n_parts
-    hi = -(-len(w) // n_parts)
-    swaps = 0
-    while swaps < swap_cap:
-        sizes = [len(p) for p in parts]
-        over = [i for i, s in enumerate(sizes) if s > hi]
-        under = [i for i, s in enumerate(sizes) if s < lo]
-        if not over and not under:
-            break
-        donors = sorted(range(n_parts), key=lambda i: -sizes[i])
-        moved = False
-        targets = under if under else [i for i, s in enumerate(sizes) if s < hi]
-        for src in donors:
-            if sizes[src] <= lo:
-                break
-            for v in sorted(parts[src]):
-                for dst in targets:
-                    if dst != src and not (conflicts[v] & parts[dst]):
-                        parts[src].remove(v)
-                        parts[dst].add(v)
-                        swaps += 1
-                        moved = True
-                        break
-                if moved:
-                    break
-            if moved:
-                break
-        if not moved:
-            break
-    sizes = [len(p) for p in parts]
-    return (tuple(tuple(sorted(p)) for p in parts), all(lo <= s <= hi for s in sizes),
-            max(sizes) - min(sizes), swaps)
 
 
 def matching_case(ell, seed):
@@ -260,37 +204,38 @@ class TestDrawModel:
 
 
 class TestSeedMapG:
+    """The natural order: seed_map_h on the seeds [k] with identity ranks."""
+
     def test_p5_example(self):
-        t = seed_map_g(path_graph(5), m=2, k=1)
+        t = seed_map_h(path_graph(5), 2, range(1), range(1))
         assert t.assignment == (None, None, 0, None, None)
 
     def test_radius_beyond_diameter(self):
         g = cycle_graph(6)
-        t = seed_map_g(g, m=diameter(g) + 1, k=3)
+        t = seed_map_h(g, diameter(g) + 1, range(3), range(3))
         assert all(s is None for s in t.assignment)
 
     def test_all_seeds_radius_one(self):
         g = cycle_graph(5)
-        t = seed_map_g(g, m=1, k=5)
+        t = seed_map_h(g, 1, range(5), range(5))
         for v in range(5):
             assert t.assignment[v] == min(g.adjacency[v])
 
     def test_distance_invariant(self):
         for seed in range(5):
             g = random_regular(12, 3, seed=seed)
-            t = seed_map_g(g, m=2, k=4)
+            t = seed_map_h(g, 2, range(4), range(4))
             for v, s in enumerate(t.assignment):
                 if s is not None:
                     assert bfs_distances(g, v)[s] == 2
 
 
 class TestSeedMapH:
-    def test_natural_order_matches_g_version(self):
+    def test_natural_order_matches_reference(self):
         g = random_regular(10, 3, seed=4)
         k = 4
-        tg = seed_map_g(g, m=2, k=k)
         th = seed_map_h(g, m=2, seed_set=range(k), order_rank=range(k))
-        assert tg.assignment == th.assignment
+        assert th.assignment == tuple(assign_reference(g, 2, range(k)))
 
     def test_reversed_order_picks_other_candidate(self):
         g = path_graph(5)
@@ -330,61 +275,13 @@ class TestSeedMapH:
             inv = sorted(range(n), key=lambda v: pi[v])
             r_set = sorted(inv[:k])
             rank = order_rank_from_permutation(pi, k)
-            th = seed_map_g(h, m, k)
+            th = seed_map_h(h, m, range(k), range(k))
             tu = seed_map_h(u, m, r_set, rank)
             for v in range(n):
                 lhs = th.assignment[v]
                 pre = tu.assignment[inv[v]]
                 rhs = None if pre is None else pi[pre]
                 assert lhs == rhs
-
-
-class TestEquitableDecomposition:
-    def test_spread_out_set_rebalanced(self):
-        g = cycle_graph(12)
-        w = [0, 6]  # distance 6 >= 2*1+1: no conflicts
-        dec = equitable_decomposition(g, w, m=1)
-        assert dec.equitable
-        sizes = sorted(len(p) for p in dec.parts)
-        assert sum(sizes) == 2
-
-    def test_c12_all_vertices(self):
-        g = cycle_graph(12)
-        dec = equitable_decomposition(g, range(12), m=1)
-        for part in dec.parts:
-            for a, b in itertools.combinations(part, 2):
-                assert bfs_distances(g, a)[b] >= 3
-        assert dec.equitable
-
-    def test_separation_exact_on_random_instances(self):
-        gen = derive_rng(11, "dec")
-        for trial in range(200):
-            g = random_regular(14, 3, seed=trial)
-            size = int(gen.integers(2, 12))
-            w = sorted(int(x) for x in gen.choice(14, size=size, replace=False))
-            m = 1 + trial % 2
-            dec = equitable_decomposition(g, w, m=m)
-            for part in dec.parts:
-                for a, b in itertools.combinations(part, 2):
-                    assert bfs_distances(g, a)[b] >= 2 * m + 1
-
-    def test_balancing_matches_reference(self):
-        gen = derive_rng(4, "dec-reference")
-        swaps = 0
-        for trial in range(120):
-            n = 2 * int(gen.integers(4, 20))
-            g = random_regular(n, 3, seed=trial) if trial % 2 else path_graph(n)
-            w = gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False)
-            m = 1 + trial % 3
-            dec = equitable_decomposition(g, w, m=m)
-            got = (dec.parts, dec.equitable, dec.spread, dec.swaps_used)
-            assert got == decomposition_reference(g, w, m), (trial, n, m)
-            swaps += dec.swaps_used
-        assert swaps > 100
-
-    def test_degree_bound_enforced(self):
-        with pytest.raises(GraphError):
-            equitable_decomposition(cycle_graph(6), range(6), m=1, d=1)
 
 
 class TestMatchings:

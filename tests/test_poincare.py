@@ -8,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlgap.graphs import (GraphError, complete_bipartite_graph, complete_graph, cycle_graph,
-                          graph_from_edges, path_graph, random_connected_regular, relabel)
-from nlgap.metrics import (MetricError, cost_matrix, linf_grid, path_metric,
-                           random_euclidean_metric, uniform_metric, validate)
-from nlgap.poincare import (CapExceeded, VertexMap, average_distortion, dirichlet,
-                            edge_lipschitz, empirical_average, empirical_quantile,
-                            enumerate_map_statistics, gamma_euclidean_sq,
-                            gamma_exact, gamma_lower_search, gamma_of_map,
-                            is_concentrated, _low_block, _map_blocks)
+from nlgap.graphs import (complete_graph, cycle_graph, graph_from_edges, path_graph,
+                          random_connected_regular, relabel)
+from nlgap.metrics import (MetricError, cost_matrix, linf_grid, random_euclidean_metric,
+                           uniform_metric, validate)
+from nlgap.poincare import (CapExceeded, VertexMap, dirichlet, edge_lipschitz,
+                            empirical_average, empirical_quantile, enumerate_map_statistics,
+                            gamma_exact, gamma_lower_search, gamma_of_map, is_concentrated,
+                            _low_block, _map_blocks)
 from nlgap import poincare
 from nlgap.rng import derive_rng
-from oracles import cut_size, disjoint_union
+from oracles import (complete_bipartite_graph, cut_size, disjoint_union, gamma_euclidean_sq,
+                     path_metric)
 
 
 def two_point_gamma_oracle(g):
@@ -280,7 +280,6 @@ class TestGammaExact:
 
 class TestGammaLowerSearch:
     def test_never_exceeds_exact_and_usually_matches(self):
-        from nlgap.graphs import complete_bipartite_graph, random_connected_regular
         hits = 0
         cases = 0
         for seed in range(50):
@@ -495,42 +494,6 @@ class TestHolderAndQuantileBounds:
                 assert lhs <= rhs + 1e-10
 
 
-class TestAverageDistortion:
-    def test_identity_is_one(self):
-        g = cycle_graph(5)
-        f = VertexMap(path_metric(g), tuple(range(5)))
-        r = average_distortion(g, f)
-        assert r.ratio == pytest.approx(1.0)
-        assert r.distortion_lower == pytest.approx(1.0)
-
-    def test_collapse_small_ratio(self):
-        g = cycle_graph(4)
-        f = VertexMap(uniform_metric(2), (1, 0, 0, 0))
-        r = average_distortion(g, f)
-        # 6 ordered pairs at image distance 1 vs total graph distance 16
-        assert r.ratio == pytest.approx(6 / 16)
-
-    def test_scale_invariant_bound(self):
-        g = cycle_graph(4)
-        m = random_euclidean_metric(3, seed=5)
-        doubled = validate(2 * m.dist)
-        f1 = VertexMap(m, (0, 1, 2, 0))
-        f2 = VertexMap(doubled, (0, 1, 2, 0))
-        r1, r2 = average_distortion(g, f1), average_distortion(g, f2)
-        assert r2.ratio == pytest.approx(2 * r1.ratio)
-        assert r2.distortion_lower == pytest.approx(r1.distortion_lower)
-
-    def test_constant_rejected(self):
-        g = cycle_graph(4)
-        with pytest.raises(ValueError):
-            average_distortion(g, VertexMap(uniform_metric(2), (0, 0, 0, 0)))
-
-    @pytest.mark.parametrize("a", [(0, 1, 0), (0, 1, 0, 1, 0)])
-    def test_map_of_another_order_rejected(self, a):
-        with pytest.raises(GraphError, match=f"map length {len(a)} != graph order 4"):
-            average_distortion(cycle_graph(4), VertexMap(uniform_metric(2), a))
-
-
 class TestEdgeLipschitz:
     def test_matches_the_edge_loop(self):
         gen = derive_rng(5, "edge-lipschitz")
@@ -540,13 +503,10 @@ class TestEdgeLipschitz:
             metric = random_euclidean_metric(int(gen.integers(2, 6)), seed=int(gen.integers(0, 99)))
             f = VertexMap(metric, tuple(int(x) for x in gen.integers(0, metric.size, size=n)))
             img = f.image_distances()
-            # the loops that average_distortion and embedding_distortion ran
             lip = max(float(img[u, v]) for u, v in g.edges)
             assert edge_lipschitz(g, img) == lip
             assert edge_lipschitz(g, img.astype(np.int64) * 3) == max(
                 float(3 * int(img[u, v])) for u, v in g.edges)
-            if not f.is_constant():
-                assert average_distortion(g, f).edge_lipschitz == lip
 
     def test_image_distances(self):
         m = path_metric(path_graph(4))

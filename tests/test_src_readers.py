@@ -1,0 +1,67 @@
+"""Every top-level name that src/nlgap defines has a reader outside its own
+definition: in the package itself, in the benchmark (perfbench/*.py,
+including the function names the tracer reads as strings), or in the
+acceptance gate.  A function, class or constant that only unit tests reach
+belongs with them, in tests/oracles.py, so it cannot grow back in src/.
+Comments and docstrings are not readers; the scan reads the syntax tree."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "nlgap").glob("*.py"))
+READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+
+def defined_names(tree):
+    """(statement, name) for each top-level function, class and assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield node, leaf.id
+
+
+def traced_names(tree):
+    """The dotted parts of the strings in perfbench/tracing.py's TRACED table."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            for leaf in ast.walk(node.value):
+                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
+                    yield from leaf.value.split(".")
+
+
+def read_names(tree, skip=None):
+    """The names a tree reads: loaded names, attributes and imported names,
+    leaving out the subtree skip."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_src_name_has_a_reader():
+    trees = {path: ast.parse(path.read_text()) for path in READERS}
+    reads = {path: read_names(tree) for path, tree in trees.items()}
+    traced = set(traced_names(trees[ROOT / "perfbench" / "tracing.py"]))
+    unread = []
+    for path in SOURCES:
+        elsewhere = traced.union(*(names for other, names in reads.items() if other != path))
+        for node, name in defined_names(trees[path]):
+            if name not in elsewhere and name not in read_names(trees[path], skip=node):
+                unread.append(f"{path.name}:{name}")
+    assert SOURCES
+    assert unread == []
