@@ -223,8 +223,6 @@ def cmd_nonconc(args) -> None:
 
 
 def cmd_witness(args) -> None:
-    if args.svg and not args.sizes:
-        raise CliError("--svg needs --sizes: the chart plots the median ratio over the sizes")
     log_n_points = parse_log_cardinality(args.big_n)
     rows = []
     pts = []
@@ -236,7 +234,7 @@ def cmd_witness(args) -> None:
                             r.dirichlet, r.ratio, r.max_edge_cost))
         return r.ratio
 
-    if args.sizes:
+    if args.sizes is not None:
         if args.trials < 1:
             raise CliError(f"--trials must be >= 1, got {args.trials}")
         for n in _fields("--sizes n1,n2,...", args.sizes, int, sep=","):
@@ -275,22 +273,7 @@ def cmd_distort(args) -> None:
     _emit(args, "lip,colip,distortion,scale", [csv_row(r.lip, r.colip, r.distortion, r.scale)])
 
 
-# each lemma's flag defaults; the flags of the other lemmas stay None, and
-# so out of the # config: echo
-MODEL_DEFAULTS = {
-    "matchings": {"l": 20, "eps": 0.2, "c": 0.1, "trials": 10 ** 5},
-    # criterion 8's instance
-    "restriction": {"n": 10 ** 4, "k": 62, "eps": 1 / 31, "points": 100, "trials": 10 ** 4},
-    "dist-eq": {"n": 6, "d": 3, "l": 2, "trials": 10 ** 5, "p_threshold": 0.001},
-    # the README experiment
-    "typical": {"n": 2000, "d": 3, "bigk": 20.0, "m": 4, "trials": 20},
-}
-
-
 def cmd_model(args) -> None:
-    for flag, value in MODEL_DEFAULTS[args.lemma].items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, value)
     if args.lemma == "matchings":
         import itertools
         for flag, value in (("--eps", args.eps), ("--c", args.c)):
@@ -376,6 +359,55 @@ def cmd_gen_metric(args) -> None:
     Path(args.out).write_text(metric_to_text(metric))
 
 
+# ---------------------------------------------------------------- modes
+
+# command: (the mode a parsed command line picks, {mode: each flag that mode
+# reads, with its default or None}).  A flag of another mode is refused by
+# name, and the # config: echo lists only what the run reads.
+MODES = {
+    "gamma": (lambda a: "with --heuristic" if a.heuristic else "without --heuristic",
+              {"with --heuristic": {"--iters": 2000}, "without --heuristic": {}}),
+    "extrapolate": (lambda a: "with --suite desk" if a.suite else "without --suite desk",
+                    {"with --suite desk": {},
+                     "without --suite desk": {"--graph": None, "--gen": None, "--metric": None,
+                                              "--p": 1.0, "--q": 2.0}}),
+    "witness": (lambda a: "without --sizes" if a.sizes is None else "with --sizes",
+                {"with --sizes": {"--d": 3, "--trials": 10, "--svg": None},
+                 "without --sizes": {"--graph": None, "--gen": None}}),
+    "gen-metric": (lambda a: ("with" if a.type.partition(":")[0] == "snowflake" else "without")
+                   + " --type snowflake:eps",
+                   {"with --type snowflake:eps": {"--base": None},
+                    "without --type snowflake:eps": {}}),
+    "model": (lambda a: f"with --lemma {a.lemma}", {
+        "with --lemma matchings": {"--l": 20, "--eps": 0.2, "--c": 0.1, "--trials": 10 ** 5},
+        # criterion 8's instance
+        "with --lemma restriction": {"--n": 10 ** 4, "--k": 62, "--eps": 1 / 31,
+                                     "--points": 100, "--trials": 10 ** 4},
+        "with --lemma dist-eq": {"--n": 6, "--d": 3, "--l": 2, "--trials": 10 ** 5,
+                                 "--p-threshold": 0.001},
+        # the README experiment
+        "with --lemma typical": {"--n": 2000, "--d": 3, "--bigk": 20.0, "--m": 4,
+                                 "--trials": 20},
+    }),
+}
+
+
+def _enter_mode(args: argparse.Namespace) -> None:
+    """Refuse each flag that the run's mode does not read, and give each one
+    it reads that the command line leaves out its default."""
+    if args.command not in MODES:
+        return
+    pick, reads = MODES[args.command]
+    mode = pick(args)
+    for flag in sorted({f for row in reads.values() for f in row}):
+        dest = flag[2:].replace("-", "_")
+        if flag not in reads[mode]:
+            if getattr(args, dest) is not None:
+                raise CliError(f"{flag} does nothing {mode}")
+        elif getattr(args, dest) is None:
+            setattr(args, dest, reads[mode][flag])
+
+
 # ---------------------------------------------------------------- wiring
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_int64, default=0)
         p.add_argument("--out", help="output CSV path (default stdout)")
         if graph:
-            p.add_argument("--graph", help="graph file")
-            p.add_argument("--gen", help=f"graph spec: {_kinds(GRAPH_SPECS)}")
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--graph", help="graph file")
+            source.add_argument("--gen", help=f"graph spec: {_kinds(GRAPH_SPECS)}")
         if metric:
             p.add_argument("--metric", required=True, help=metric_help)
         if mapfile:
@@ -400,15 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, metric=True, graph=True)
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--heuristic", action="store_true")
-    p.add_argument("--iters", type=_int64, default=2000)
+    p.add_argument("--iters", type=_int64)
     p.add_argument("--map-out", dest="map_out")
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("extrapolate", help="exponent comparison inequalities")
     common(p, metric=False, graph=True)
     p.add_argument("--metric", help=metric_help)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=2.0)
+    p.add_argument("--p", type=float)
+    p.add_argument("--q", type=float)
     p.add_argument("--suite", choices=["desk"], help="run the desk-scale suite")
     p.set_defaults(func=cmd_extrapolate)
 
@@ -425,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target cardinality, e.g. 10^100")
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--sizes", help="comma list of n for the growth experiment")
-    p.add_argument("--d", type=_int64, default=3)
-    p.add_argument("--trials", type=_int64, default=10)
+    p.add_argument("--d", type=_int64)
+    p.add_argument("--trials", type=_int64)
     p.add_argument("--svg", help="write a growth chart here")
     p.set_defaults(func=cmd_witness)
 
@@ -447,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lemma", required=True,
                    choices=["matchings", "restriction", "dist-eq", "typical"])
-    # each lemma's defaults are its row of MODEL_DEFAULTS
+    # each lemma's defaults are its row of MODES["model"]
     for flag, kind in (("--l", _int64), ("--eps", float), ("--c", float), ("--trials", _int64),
                        ("--n", _int64), ("--d", _int64), ("--k", _int64), ("--m", _int64),
                        ("--bigk", float), ("--points", _int64), ("--p-threshold", float)):
@@ -481,6 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _enter_mode(args)
         args.func(args)
     except PropertyFailure as exc:
         print(f"property check failed: {exc}", file=sys.stderr)

@@ -21,8 +21,6 @@ from .poincare import VertexMap, dirichlet, empirical_average, gamma_exact, is_c
 class ExtrapolationConstants:
     """Log-space values of the four comparison constants for (d, h, p, q)."""
 
-    d: int
-    h: float
     p: float
     q: float
     log_c1: float
@@ -47,15 +45,11 @@ def constants(d: int, h: float, p: float, q: float) -> ExtrapolationConstants:
         + (2.0 * q - p) * math.log(88.0 * p * ratio * ratio)
     log_c3 = 64.0 * 4.0 ** q * ratio * math.log(d)
     log_c4 = q * math.log(5.0) + (q / p) * math.log(2.0)
-    return ExtrapolationConstants(d, h, p, q, log_c1, log_c2, log_c3, log_c4)
+    return ExtrapolationConstants(p, q, log_c1, log_c2, log_c3, log_c4)
 
 
 @dataclass(frozen=True)
 class NonConcParams:
-    d: int
-    h: float
-    q: float
-    tau: float
     ell: int
     log_bound: float  # log of 30 * 16^q * d^(ell+1) * ell^(q+1)
 
@@ -79,7 +73,7 @@ def nonconc_params(d: int, h: float, q: float, tau: float, c_r: float) -> NonCon
     ell = nonconc_ell(d, h, q, tau)
     log_bound = math.log(30.0) + q * math.log(16.0) + (ell + 1) * math.log(d) \
         + (q + 1) * math.log(ell)
-    return NonConcParams(d, h, q, tau, ell, log_bound)
+    return NonConcParams(ell, log_bound)
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,6 @@ class ExtrapolationVerdict:
     rhs2_log: float
     pass1: bool
     pass2: bool
-    reduction_derived: bool  # constants obtained through the snowflake route
 
     @property
     def passed(self) -> bool:
@@ -156,8 +149,8 @@ def _safe_log(x: float) -> float:
     return math.log(x) if x > 0 else -math.inf
 
 
-def verdict_from_gammas(gamma_p: float, gamma_q: float, consts: ExtrapolationConstants,
-                        reduction_derived: bool = False) -> ExtrapolationVerdict:
+def verdict_from_gammas(gamma_p: float, gamma_q: float,
+                        consts: ExtrapolationConstants) -> ExtrapolationVerdict:
     p, q = consts.p, consts.q
     lhs1 = _safe_log(gamma_p)
     rhs1 = max(consts.log_c1, consts.log_c2 + max(0.0, _safe_log(gamma_q)))
@@ -165,8 +158,7 @@ def verdict_from_gammas(gamma_p: float, gamma_q: float, consts: ExtrapolationCon
     rhs2 = max(consts.log_c3, consts.log_c4 + (q / p) * _safe_log(gamma_p))
     return ExtrapolationVerdict(p=p, q=q, gamma_p=gamma_p, gamma_q=gamma_q, consts=consts,
                                 lhs1_log=lhs1, rhs1_log=rhs1, lhs2_log=lhs2, rhs2_log=rhs2,
-                                pass1=lhs1 <= rhs1, pass2=lhs2 <= rhs2,
-                                reduction_derived=reduction_derived)
+                                pass1=lhs1 <= rhs1, pass2=lhs2 <= rhs2)
 
 
 def check_extrapolation(g: Graph, metric: FiniteMetric, p: float,
@@ -176,8 +168,7 @@ def check_extrapolation(g: Graph, metric: FiniteMetric, p: float,
     Exponents 1 <= p <= q run directly.  p < 1 is handled only through the
     snowflake route: with eps = 1 - p the pair (p, q) on the base space
     becomes (1, q/p) on the eps-snowflake, whose optimal ratios coincide
-    with the originals; the reported constants are flagged as
-    reduction-derived.
+    with the originals, and the reported constants are those of (1, q/p).
     """
     if not 0 < p <= q:
         raise ValueError(f"need 0 < p <= q, got ({p}, {q})")
@@ -192,6 +183,6 @@ def check_extrapolation(g: Graph, metric: FiniteMetric, p: float,
     target, p_run, q_run = (snowflake(metric, 1.0 - p), 1.0, q / p) if p < 1 else (metric, p, q)
     v = verdict_from_gammas(gamma_exact(g, target, p_run).gamma,
                             gamma_exact(g, target, q_run).gamma,
-                            constants(d, h, p_run, q_run), reduction_derived=p < 1)
+                            constants(d, h, p_run, q_run))
     # the caller's exponents, for reporting
     return replace(v, p=p, q=q)

@@ -126,20 +126,13 @@ def petersen_graph() -> Graph:
     return graph_from_edges(10, outer + inner + spokes)
 
 
-def relabel(g: Graph, perm) -> Graph:
-    """Apply a permutation of [n] to the vertices (perm[v] is the new label)."""
-    perm = tuple(int(p) for p in perm)
-    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
 # ----------------------------------------------------------------------
 # distances
 # ----------------------------------------------------------------------
 
-def bfs_distances(g: Graph, source: int, radius: int | None = None) -> list[int]:
-    """BFS distances from one vertex; unreachable vertices, and with a radius
-    the vertices beyond it, get the value n."""
-    return multi_source_distances(g, [source], radius)
+def bfs_distances(g: Graph, source: int) -> list[int]:
+    """BFS distances from one vertex; unreachable vertices get the value n."""
+    return multi_source_distances(g, [source])
 
 
 def multi_source_distances(g: Graph, sources, radius: int | None = None) -> list[int]:

@@ -243,15 +243,13 @@ def random_euclidean_metric(n_points: int, seed: int, dim: int = 2) -> FiniteMet
 class ReducedMetric:
     """Disjoint union of truncated copies of a base metric, one per scale.
 
-    Cluster t holds the copy truncated at scale taus[t]; point x of the base
-    space sits at flat index t * base_size + x.  Cross-cluster distance is
-    n^2 and within-cluster distances are min(n^2, d/tau + 1/n^2).
+    Cluster t holds the copy truncated at the t-th distinct base distance
+    tau, in ascending order; point x of the base space sits at flat index
+    t * N + x.  Cross-cluster distance is n^2 and within-cluster distances
+    are min(n^2, d/tau + 1/n^2).
     """
 
     metric: FiniteMetric
-    taus: tuple[float, ...]   # distinct base distances, ascending
-    base_size: int
-    n: int
 
 
 def _distinct_scales(metric: FiniteMetric) -> list[float]:
@@ -286,5 +284,5 @@ def well_conditioned_reduction(metric: FiniteMetric, n: int) -> ReducedMetric:
         np.fill_diagonal(block, 0.0)
         sl = slice(t * nn, (t + 1) * nn)
         out[sl, sl] = block
-    return ReducedMetric(validate(out), tuple(taus), nn, n)
+    return ReducedMetric(validate(out))
 

@@ -16,10 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import graphs
+# canonical_form is not called here; the benchmark's tracer test reads models.canonical_form
 from .graphs import (Graph, GraphError, _edges_key, _pair_action, _pair_weights, _pairs,
-                     _simple_pairings, canonical_form,
-                     enumerate_regular_graphs, graph_from_edges, random_regular, relabel,
-                     sphere)
+                     _simple_pairings, canonical_form, enumerate_regular_graphs,
+                     graph_from_edges, random_regular, sphere)
 from .poincare import VertexMap, empirical_average, is_concentrated
 from .rng import derive_rng
 
@@ -34,61 +34,28 @@ def _subseed(seed: int, *path) -> int:
 
 @dataclass(frozen=True)
 class ModelDraw:
-    """One joint realization of the staged construction.
-
-    g is uniform on the d-regular graphs, u its canonical representative,
-    deleted a uniform ell-subset of u's edges, pi a uniform permutation;
-    u_minus is u with the deleted edges removed, h = pi(u) and
-    h_minus = pi(u_minus).
-    """
+    """g is uniform on the d-regular graphs and g_minus is g with a uniform
+    ell-subset of its edges deleted."""
 
     g: Graph
-    u: Graph
-    pi: tuple[int, ...]
-    ell: int
-    deleted: tuple[tuple[int, int], ...]
-    u_minus: Graph
-    h: Graph
-    h_minus: Graph
+    g_minus: Graph
 
 
-def draw_model(n: int, d: int, ell: int, seed: int, canonical: bool = True) -> ModelDraw:
-    """Draw (G, U, deleted, pi, H, H_minus) with independent stages.
-
-    canonical=False skips the representative (U := G); the law of H is
-    unaffected, which is what large-n experiments need since the canonical
-    map is brute force over permutations.
-    """
+def draw_model(n: int, d: int, ell: int, seed: int) -> ModelDraw:
+    """Draw (G, G less ell edges), each stage from its own stream."""
     if (n * d) % 2 != 0:
         raise GraphError("n*d must be even")
     if not 0 <= ell <= n * d // 2:
         raise GraphError(f"need 0 <= ell <= dn/2, got ell={ell}")
     g = random_regular(n, d, _subseed(seed, "model-g"))
-    u = canonical_form(g) if canonical else g
     gen_del = derive_rng(seed, "model-del")
-    idx = sorted(int(i) for i in gen_del.choice(u.m, size=ell, replace=False))
-    deleted = tuple(u.edges[i] for i in idx)
-    gen_pi = derive_rng(seed, "model-pi")
-    pi = tuple(int(p) for p in gen_pi.permutation(n))
-    gone = set(deleted)
-    u_minus = graph_from_edges(n, [e for e in u.edges if e not in gone])
-    return ModelDraw(g=g, u=u, pi=pi, ell=ell, deleted=deleted, u_minus=u_minus,
-                     h=relabel(u, pi), h_minus=relabel(u_minus, pi))
+    gone = {g.edges[int(i)] for i in gen_del.choice(g.m, size=ell, replace=False)}
+    return ModelDraw(g, graph_from_edges(n, [e for e in g.edges if e not in gone]))
 
 
 # ----------------------------------------------------------------------
 # seed maps
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SeedTable:
-    """Per-vertex assignment to a seed at graph distance exactly m, or None;
-    seeds are stored sorted."""
-
-    m: int
-    seeds: tuple[int, ...]
-    assignment: tuple[int | None, ...]
-
 
 def _assign_by_priority(g: Graph, m: int, seeds_by_priority) -> list[int | None]:
     out: list[int | None] = [None] * g.n
@@ -99,10 +66,10 @@ def _assign_by_priority(g: Graph, m: int, seeds_by_priority) -> list[int | None]
     return out
 
 
-def seed_map_h(g: Graph, m: int, seed_set, order_rank) -> SeedTable:
-    """Assign each vertex the order-minimal element of its distance-m sphere
-    inside the seed set; order_rank ranks the seeds written in increasing
-    vertex order (identity ranks give the natural order)."""
+def seed_map_h(g: Graph, m: int, seed_set, order_rank) -> tuple[int | None, ...]:
+    """Each vertex's order-minimal seed on its distance-m sphere, or None;
+    order_rank ranks the seeds written in increasing vertex order (identity
+    ranks give the natural order)."""
     if not 1 <= m <= g.n:
         raise GraphError(f"need 1 <= m <= n, got m={m}")
     seeds = tuple(sorted(set(int(s) for s in seed_set)))
@@ -112,8 +79,7 @@ def seed_map_h(g: Graph, m: int, seed_set, order_rank) -> SeedTable:
     if sorted(rank) != list(range(len(seeds))):
         raise GraphError("order_rank must be a permutation of 0..k-1")
     by_priority = [seeds[i] for i in np.argsort(rank, kind="stable")]
-    assignment = _assign_by_priority(g, m, by_priority)
-    return SeedTable(m=m, seeds=seeds, assignment=tuple(assignment))
+    return tuple(_assign_by_priority(g, m, by_priority))
 
 
 # ----------------------------------------------------------------------
@@ -281,31 +247,29 @@ def restriction_concentration_mc(f: VertexMap, eps, k: int, trials: int,
 # ----------------------------------------------------------------------
 
 def typical_vertex_sets(draw: ModelDraw, m: int, seed_set, order_rank, j_pairs):
-    """(V, V', V'') of the seed/degree statistics on (U, U_minus).
+    """(V, V', V'') of the seed/degree statistics on (G, G_minus).
 
-    V: degree d-1 in U_minus and a seed exists there; V': the seed is
-    unchanged between U_minus and U and the (vertex, seed) pair avoids J;
-    V'': the U-seed fiber of the vertex has size at most (d-1)^m / m.
+    V: degree d-1 in G_minus and a seed exists there; V': the seed is
+    unchanged between G_minus and G and the (vertex, seed) pair avoids J;
+    V'': the G-seed fiber of the vertex has size at most (d-1)^m / m.
     """
-    d = draw.g.regular_degree()
-    u_minus = draw.u_minus
-    table_minus = seed_map_h(u_minus, m, seed_set, order_rank)
-    table_full = seed_map_h(draw.u, m, seed_set, order_rank)
+    g, g_minus = draw.g, draw.g_minus
+    d = g.regular_degree()
+    seed_minus = seed_map_h(g_minus, m, seed_set, order_rank)
+    seed_full = seed_map_h(g, m, seed_set, order_rank)
     j = {tuple(sorted(p)) for p in j_pairs}
-    v_set = {v for v in range(draw.u.n)
-             if u_minus.degree(v) == d - 1 and table_minus.assignment[v] is not None}
+    v_set = {v for v in range(g.n)
+             if g_minus.degree(v) == d - 1 and seed_minus[v] is not None}
     v_prime = set()
     for v in v_set:
-        s_full = table_full.assignment[v]
-        if s_full is not None and s_full == table_minus.assignment[v] \
+        s_full = seed_full[v]
+        if s_full is not None and s_full == seed_minus[v] \
                 and tuple(sorted((v, s_full))) not in j:
             v_prime.add(v)
-    fiber = Counter(table_full.assignment[v] for v in v_set
-                    if table_full.assignment[v] is not None)
+    fiber = Counter(seed_full[v] for v in v_set if seed_full[v] is not None)
     cap = (d - 1) ** m / m
     v_dprime = {v for v in v_set
-                if table_full.assignment[v] is not None
-                and fiber[table_full.assignment[v]] <= cap}
+                if seed_full[v] is not None and fiber[seed_full[v]] <= cap}
     return v_set, v_prime, v_dprime
 
 
@@ -351,7 +315,7 @@ def typical_sets_experiment(n: int, d: int, big_k: float, m: int, trials: int,
     k0 = min(k0, n)
     rows = []
     for t in range(trials):
-        draw = draw_model(n, d, ell0, _subseed(seed, "typical", t), canonical=False)
+        draw = draw_model(n, d, ell0, _subseed(seed, "typical", t))
         gen = derive_rng(seed, "typical-ra", t)
         seed_set = sorted(int(x) for x in gen.choice(n, size=k0, replace=False))
         rank = tuple(int(r) for r in gen.permutation(k0))
@@ -496,6 +460,8 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
     """
     if n > 6:
         raise GraphError("the enumerated outcome space is tiny-n only")
+    if not 1 <= d < n or n * d % 2:
+        raise GraphError(f"no simple {d}-regular graph on n = {n} vertices")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= ell <= n * d // 2:

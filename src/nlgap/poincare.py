@@ -62,8 +62,7 @@ class GammaReport:
     q: float
     ave: float
     dirichlet: float
-    ratio: float          # ave/dirichlet; inf if dirichlet = 0 < ave; nan if degenerate
-    degenerate: bool      # both sums vanish (constant on every component)
+    ratio: float          # ave/dirichlet; inf if dirichlet = 0 < ave; nan if both vanish
     quantile_tau: float
     concentrated: bool
 
@@ -138,15 +137,13 @@ def cost_ratio(ave: float, dirichlet: float) -> float:
 
 
 def gamma_of_map(g: Graph, f: VertexMap, q: float) -> GammaReport:
-    """Full statistics report for one map; the ratio follows cost_ratio,
-    and the map is degenerate when both sums vanish."""
+    """Full statistics report for one map; the ratio follows cost_ratio."""
     costs = cost_matrix(f.target, q)
     ave = _average(f, costs)
     dir_ = _dirichlet(g, f, costs)
     quant = empirical_quantile(f, Fraction(1, 2))
     return GammaReport(q=q, ave=ave, dirichlet=dir_, ratio=cost_ratio(ave, dir_),
-                       degenerate=ave == 0 and dir_ == 0, quantile_tau=quant,
-                       concentrated=ave <= 5.0 ** q * quant ** q)
+                       quantile_tau=quant, concentrated=ave <= 5.0 ** q * quant ** q)
 
 
 def edge_lipschitz(g: Graph, img: np.ndarray) -> float:

@@ -10,11 +10,17 @@ import numpy as np
 from nlgap.graphs import (GraphError, complete_graph, cycle_graph, distance_matrix,
                           graph_from_edges, lambda2, multi_source_distances, path_graph,
                           petersen_graph, prism_graph)
-from nlgap.metrics import validate
+from nlgap.metrics import _distinct_scales, validate
 
 
 def complete_bipartite_graph(a, b):
     return graph_from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def relabel(g, perm):
+    """Apply a permutation of [n] to the vertices (perm[v] is the new label)."""
+    perm = tuple(int(p) for p in perm)
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def hypercube_graph(k):
@@ -123,11 +129,11 @@ def gamma_euclidean_sq(g):
     return d / (d - lambda2(g))
 
 
-def lift_assignment(assignment, metric, reduced):
+def lift_assignment(assignment, metric):
     """Send a non-constant vertex->point assignment into the cluster of the
-    well-conditioned reduction whose scale is its largest image distance;
-    point x of cluster t has flat index t * base_size + x."""
+    well-conditioned reduction of metric whose scale is its largest image
+    distance; point x of cluster t has flat index t * N + x."""
     tau = max(float(metric.dist[x, y]) for x in assignment for y in assignment)
-    cluster = next(t for t, val in enumerate(reduced.taus)
+    cluster = next(t for t, val in enumerate(_distinct_scales(metric))
                    if math.isclose(val, tau, rel_tol=1e-12, abs_tol=0.0))
-    return [cluster * reduced.base_size + x for x in assignment]
+    return [cluster * metric.size + x for x in assignment]

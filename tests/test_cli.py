@@ -1,3 +1,5 @@
+import argparse
+import re
 import signal
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from nlgap import cli, graphs, metrics
-from nlgap.io import graph_from_text, metric_from_text
+from nlgap.io import graph_from_text, graph_to_text, metric_from_text
 
 ROOT = Path(__file__).resolve().parents[1]
 RESULTS = ROOT / "results"
@@ -142,7 +144,8 @@ class TestModelAndSpectra:
         assert cli.main(["model", "--lemma", lemma, "--trials", "2"]) == 0
         config = capsys.readouterr().out.splitlines()[0].removeprefix("# config: ")
         flags = {item.partition("=")[0] for item in config.split()}
-        assert flags == {"command", "lemma", "seed", *cli.MODEL_DEFAULTS[lemma]}
+        row = cli.MODES["model"][1][f"with --lemma {lemma}"]
+        assert flags == {"command", "lemma", "seed", *(f[2:].replace("-", "_") for f in row)}
 
     def test_spectra_small(self):
         res = run_cli("spectra", "--gen-regular", "60,3", "--trials", "5", "--seed", "2")
@@ -458,6 +461,11 @@ class TestInputDomainExits:
         (("spectra", "--gen-regular", "100000000,3"),
          "n = 100000000 gives 150000000 edges, which exceeds the edge cap 1000000"),
         (("spectra", "--gen-regular", "20,0"), "degree d=0 must satisfy"),
+        # these once raised a TypeError from an empty table of graphs
+        (("model", "--lemma", "dist-eq", "--n", "4", "--d", "4"),
+         "no simple 4-regular graph on n = 4 vertices"),
+        (("model", "--lemma", "dist-eq", "--n", "5", "--d", "3"),
+         "no simple 3-regular graph on n = 5 vertices"),
     ])
     def test_exit_one(self, argv, fragment, capsys):
         assert cli.main(list(argv)) == 1
@@ -553,6 +561,9 @@ HUGE = "1" + "0" * 21
 GRAPH_TEXT = "4 4\n0 1\n0 3\n1 2\n2 3\n"
 METRIC_TEXT = "2\n0 1.0\n1.0 0\n"
 MAP_TEXT = "4\n0 0\n1 1\n2 0\n3 1\n"
+# the files each table run starts from, unless a case overrides one
+FILES = {"g.txt": GRAPH_TEXT, "m.txt": METRIC_TEXT, "f.map": MAP_TEXT,
+         "i.map": "4\n0 0\n1 1\n2 2\n3 3\n"}
 
 
 def spec_variants(kind: str, fields: tuple[str, ...]) -> list[str]:
@@ -595,14 +606,15 @@ SUBCOMMANDS = [
       "--seed", "0", "--out", "out.csv", "--map-out", "f.out"),
      {"--gen": GRAPH_SPECS, "--metric": METRIC_SPECS, "--q": FLOAT, "--seed": INT,
       "--out": OUT_PATH, "--map-out": OUT_PATH}),
-    (("gamma", "--gen", "cycle:4", "--metric", "uniform:2", "--heuristic", "--iters", "20",
+    (("gamma", "--gen", "cycle:8", "--metric", "uniform:3", "--heuristic", "--iters", "20",
       "--q", "1", "--seed", "0"),
      {"--gen": GRAPH_SPECS, "--metric": METRIC_SPECS, "--q": FLOAT, "--seed": INT,
       "--iters": COUNT}),
-    (("extrapolate", "--gen", "cycle:4", "--metric", "uniform:2", "--p", "1", "--q", "2",
+    (("extrapolate", "--gen", "complete:4", "--metric", "uniform:2", "--p", "1", "--q", "2",
       "--seed", "0"),
      {"--gen": GRAPH_SPECS, "--metric": METRIC_SPECS, "--p": FLOAT, "--q": FLOAT,
       "--seed": INT, "--suite": ("nope", "")}),
+    (("extrapolate", "--suite", "desk", "--seed", "0"), {"--seed": INT}),
     (("nonconc", "--gen", "complete:4", "--metric", "uniform:2", "--map", "f.map", "--q", "1",
       "--cr", "5", "--tau", "0.5", "--seed", "0"),
      {"--gen": GRAPH_SPECS, "--metric": METRIC_SPECS, "--q": FLOAT, "--cr": FLOAT,
@@ -614,11 +626,12 @@ SUBCOMMANDS = [
       "--svg", "w.svg"),
      {"--sizes": ("0", "-1", "nan", HUGE, "16,", ""), "--d": INT, "--trials": COUNT,
       "--svg": OUT_PATH}),
-    (("jls-embed", "--gen", "cycle:8", "--distortion", "3", "--c1", "1", "--retries", "2",
+    # at c1 = 100 the first attempts miss the target, so --retries can act
+    (("jls-embed", "--gen", "cycle:8", "--distortion", "3", "--c1", "100", "--retries", "2",
       "--delta", "10", "--seed", "0", "--map-out", "j.txt"),
      {"--gen": GRAPH_SPECS, "--distortion": FLOAT, "--c1": FLOAT, "--retries": COUNT,
       "--delta": INT, "--seed": INT, "--map-out": OUT_PATH}),
-    (("distort", "--gen", "cycle:4", "--metric", "uniform:2", "--map", "f.map"),
+    (("distort", "--gen", "cycle:4", "--metric", "uniform:4", "--map", "i.map"),
      {"--gen": GRAPH_SPECS, "--metric": METRIC_SPECS}),
     (("model", "--lemma", "matchings", "--l", "8", "--eps", "0.3", "--c", "0.2",
       "--trials", "10", "--seed", "0"),
@@ -635,8 +648,10 @@ SUBCOMMANDS = [
     (("model", "--lemma", "typical", "--n", "120", "--d", "3", "--bigk", "6", "--m", "3",
       "--trials", "1", "--seed", "0"),
      {"--n": INT, "--d": INT, "--bigk": FLOAT, "--m": INT, "--trials": COUNT, "--seed": INT}),
+    # seed 1322 draws a disconnected graph first (lambda2 = 3), so the
+    # fraction is 1/2 and --min-fraction can fail the run
     (("spectra", "--gen-regular", "20,3", "--trials", "2", "--min-fraction", "0.5",
-      "--seed", "0"),
+      "--seed", "1322"),
      {"--gen-regular": [s.partition(":")[2] for s in spec_variants("regular", ("20", "3"))],
       "--trials": COUNT, "--min-fraction": FLOAT, "--seed": INT}),
     (("gen-graph", "--type", "cycle:5", "--seed", "0", "--out", "g.out"),
@@ -710,8 +725,7 @@ class TestNoTracebackTable:
                                   for a, f in TABLE_CASES])
     def test_exits_cleanly(self, argv, files, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        for name, text in {"g.txt": GRAPH_TEXT, "m.txt": METRIC_TEXT, "f.map": MAP_TEXT,
-                           **files}.items():
+        for name, text in {**FILES, **files}.items():
             Path(name).write_text(text)
 
         def overtime(signum, frame):
@@ -735,6 +749,108 @@ class TestNoTracebackTable:
                 assert phrase not in captured.err
         if code == 2:
             assert captured.err.startswith("property check failed: ")
+
+
+# ------------------------------------------------------------------ flag gate
+
+# valid values for each flag ("command flag" where commands differ); a run
+# takes the first that differs from the base's value, and leaves the flag
+# out when none does.  --graph names a file that holds the base's own
+# --gen graph, so that a --gen beside it that changed nothing would show.
+OTHER = {
+    "--seed": ("5",), "--out": ("other.out",), "--map-out": ("out.map",),
+    "--svg": ("other.svg",), "--gen": ("complete:4", "cycle:4"), "--graph": ("same.txt",),
+    "--metric": ("random:4",), "--map": ("other.map",), "--p": ("1.5",),
+    # --cr 4 is below 5^q: the nonconc row's map has quantile 0, so C_R acts
+    # there only through this refusal, and so does --q 3 at C_R = 5
+    "--cr": ("4",), "--q": ("3",),
+    "--iters": ("1",), "--suite": ("desk",), "--tau": ("0.3",),
+    "--N": ("10^20",), "--sizes": ("32",), "--d": ("4",), "--trials": ("2", "3"),
+    "--distortion": ("4",), "--c1": ("2",), "--retries": ("5",), "--delta": ("12",),
+    "--lemma": ("restriction", "matchings"), "--l": ("6",), "--eps": ("0.25",),
+    "--c": ("0.1",), "--n": ("8",), "--k": ("6",), "--m": ("2",), "--bigk": ("8",),
+    "--points": ("2",), "--p-threshold": ("1",), "--gen-regular": ("24,3",),
+    "--min-fraction": ("1",), "--base": ("m.txt", "n.txt"),
+    "gen-graph --type": ("cycle:6",), "gen-metric --type": ("uniform:4",),
+}
+
+
+def parser_flags() -> dict:
+    """Each subcommand of cli.build_parser() and its flags, by first spelling."""
+    top = cli.build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.option_strings[0]: a for a in p._actions
+                   if a.option_strings and a.dest != "help"}
+            for name, p in sub.choices.items()}
+
+
+FLAGS = parser_flags()
+BASES = [base for base, _ in SUBCOMMANDS]
+
+
+def with_other(base: tuple, flag: str) -> list[str]:
+    """base with flag set to another valid value; a switch is toggled."""
+    argv = list(base)
+    if FLAGS[base[0]][flag].nargs == 0:
+        return [a for a in argv if a != flag] if flag in argv else argv + [flag]
+    now = argv[argv.index(flag) + 1] if flag in argv else None
+    value = next((v for v in OTHER.get(f"{base[0]} {flag}", OTHER.get(flag))
+                  if v != now), None)
+    if value is None:
+        i = argv.index(flag)
+        return argv[:i] + argv[i + 2:]
+    return with_flag(base, flag, value)
+
+
+def outcome(argv: list[str], where: Path, monkeypatch, capsys):
+    """Exit code, stdout body, the files written (config lines left out)
+    and stderr of one run in a fresh directory."""
+    where.mkdir()
+    monkeypatch.chdir(where)
+    base_graph = (cli.parse_graph_arg(argv[argv.index("--gen") + 1] if "--gen" in argv
+                                      else "cycle:4", None, 0))
+    fixtures = {**FILES, "n.txt": "2\n0 2.0\n2.0 0\n", "other.map": "4\n0 0\n1 0\n2 0\n3 1\n",
+                "same.txt": graph_to_text(base_graph)}
+    for name, text in fixtures.items():
+        Path(name).write_text(text)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    written = {p.name: [line for line in p.read_text().splitlines()
+                        if not line.startswith(("#", "<!-- config:"))]
+               for p in sorted(where.iterdir()) if p.name not in fixtures}
+    return code, body_of(out), written, err
+
+
+class TestEveryFlagActs:
+    """Each flag acts in each mode of its command, or is refused by name.
+    On every mode's base run (the SUBCOMMANDS rows above), setting one flag
+    to another valid value must change the exit code, the stdout body or a
+    written file, or exit 1 with one error: line that names the flag.  The
+    one exemption is --seed, by name: every command accepts it, and on a
+    base that draws nothing at random it changes nothing."""
+
+    CASES = [(base, flag) for base in BASES for flag in FLAGS[base[0]]]
+
+    def test_parser_shape(self):
+        assert len(FLAGS) == 10
+        assert sum(len(flags) for flags in FLAGS.values()) == 77
+        # every flag has a value to try, and every mode has a base
+        assert all(flag in OTHER or f"{cmd} {flag}" in OTHER or FLAGS[cmd][flag].nargs == 0
+                   for cmd, flags in FLAGS.items() for flag in flags)
+        assert set(FLAGS) == {base[0] for base in BASES}
+        for command, (pick, reads) in cli.MODES.items():
+            parsed = [cli.build_parser().parse_args(base) for base in BASES
+                      if base[0] == command]
+            assert {pick(args) for args in parsed} == set(reads), command
+
+    @pytest.mark.parametrize("base,flag", CASES, ids=[f"{' '.join(b)}|{f}" for b, f in CASES])
+    def test_flag_acts_or_is_refused(self, base, flag, tmp_path, monkeypatch, capsys):
+        before = outcome(list(base), tmp_path / "base", monkeypatch, capsys)
+        after = outcome(with_other(base, flag), tmp_path / "flag", monkeypatch, capsys)
+        code, _, _, err = after
+        refused = (code == 1 and err.startswith("error: ") and err.count("\n") == 1
+                   and re.search(rf"{re.escape(flag)}(?![\w-])", err))
+        assert refused or after[:3] != before[:3] or flag == "--seed", after
 
 
 class TestImportBudget:
@@ -794,8 +910,7 @@ class TestWitnessSvg:
         svg = tmp_path / "x.svg"
         assert cli.main(["witness", "--gen", "regular:64,3", "--svg", str(svg)]) == 1
         out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: --svg needs --sizes: the chart plots the median "
-                                  "ratio over the sizes\n")
+        assert (out, err) == ("", "error: --svg does nothing without --sizes\n")
         assert not svg.exists()
 
 

@@ -148,7 +148,7 @@ class TestOneSidedGamma:
         for assign in itertools.product(range(3), repeat=4):
             f = VertexMap(m, assign)
             rp = gamma_of_map(g, f, p)
-            if rp.degenerate or rp.ratio > c:
+            if math.isnan(rp.ratio) or rp.ratio > c:
                 continue
             ave_q = empirical_average(f, q)
             dir_q = dirichlet(g, f, q)
@@ -174,7 +174,8 @@ class TestCheckExtrapolation:
         g = complete_graph(4)
         m = random_euclidean_metric(3, seed=33)
         v = check_extrapolation(g, m, 0.5, 1.0)
-        assert v.reduction_derived
+        # the constants are those of (1, q/p) on the snowflake
+        assert (v.consts.p, v.consts.q) == (1.0, 2.0)
         assert v.passed
         # the reported optimal ratios live on the snowflake
         flake = snowflake(m, 0.5)
@@ -210,8 +211,7 @@ def extrapolation_reference(g, metric, p, q):
         reduced = snowflake(metric, 1.0 - p)
         gamma_p = gamma_exact(g, reduced, 1.0).gamma
         gamma_q = gamma_exact(g, reduced, q / p).gamma
-        v = verdict_from_gammas(gamma_p, gamma_q, constants(d, h, 1.0, q / p),
-                                reduction_derived=True)
+        v = verdict_from_gammas(gamma_p, gamma_q, constants(d, h, 1.0, q / p))
         return replace(v, p=p, q=q)
     gamma_p = gamma_exact(g, metric, p).gamma
     gamma_q = gamma_exact(g, metric, q).gamma
@@ -229,7 +229,7 @@ class TestExtrapolationAgainstReference:
                 for p, q in exponents:
                     v = check_extrapolation(g, metric, p, q)
                     assert v == extrapolation_reference(g, metric, p, q), (g.n, p, q)
-                    assert (v.p, v.q, v.reduction_derived) == (p, q, p < 1)
+                    assert (v.p, v.q, v.consts.p) == (p, q, max(p, 1.0))
 
 
 class TestVerdictFromGammas:

@@ -14,12 +14,12 @@ from nlgap.graphs import (GraphError, adjacency_matrix, bfs_distances, canonical
                           cheeger_bounds, cheeger_exact, cheeger_lower_bound, complete_graph,
                           cycle_graph, distance_matrix, enumerate_regular_graphs,
                           graph_from_edges, is_connected, lambda2, multi_source_distances,
-                          path_graph, random_connected_regular, random_regular, relabel,
-                          spectrum, sphere)
+                          path_graph, random_connected_regular, random_regular, spectrum,
+                          sphere)
 from nlgap.models import distribution_equality_mc
 from nlgap.rng import derive_rng
 from oracles import (ball, complete_bipartite_graph, corpus_graphs, cut_size, disjoint_union,
-                     hypercube_graph)
+                     hypercube_graph, relabel)
 
 
 def brute_force_distances(g, sources):
@@ -327,7 +327,8 @@ class TestBallSphere:
         assert ball(g, src, radius) == {v for v in range(n) if full[v] <= radius}
         assert sphere(g, src, radius) == {v for v in range(n) if full[v] == radius}
         one = brute_force_distances(g, [min(src)])
-        assert bfs_distances(g, min(src), radius) == [x if x <= radius else n for x in one]
+        assert multi_source_distances(g, [min(src)], radius) == [x if x <= radius else n
+                                                                for x in one]
 
 
 class TestCheeger:

@@ -276,8 +276,9 @@ class TestReduction:
     def test_cross_cluster_distance(self):
         m = validate([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         red = well_conditioned_reduction(m, 3)
-        assert len(red.taus) == 2
-        assert red.metric.dist[0, red.base_size] == 9.0
+        # two scales, 1 and 2, of three points each
+        assert red.metric.size == 6
+        assert red.metric.dist[0, 3] == 9.0
 
     def test_single_scale_two_points(self):
         red = well_conditioned_reduction(uniform_metric(2), 2)
@@ -304,16 +305,14 @@ class TestReduction:
 
     def test_lift_lands_in_max_scale_cluster(self):
         m = validate([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
-        red = well_conditioned_reduction(m, 4)
-        lifted = lift_assignment((0, 1, 2, 0), m, red)
-        cluster = red.taus.index(3.0)
+        lifted = lift_assignment((0, 1, 2, 0), m)
+        cluster = 2  # the scales are 1 < 2 < 3
         assert all(cluster * 3 <= x < (cluster + 1) * 3 for x in lifted)
 
     def test_lift_two_point_image(self):
         m = validate([[0, 5, 7], [5, 0, 4], [7, 4, 0]])
-        red = well_conditioned_reduction(m, 3)
-        lifted = lift_assignment((0, 1, 0), m, red)
-        cluster = red.taus.index(5.0)
+        lifted = lift_assignment((0, 1, 0), m)
+        cluster = 1  # the scales are 4 < 5 < 7
         assert lifted == [cluster * 3, cluster * 3 + 1, cluster * 3]
 
 
@@ -334,7 +333,7 @@ class TestLiftRatioComparison:
                 for assign in itertools.product(range(m.size), repeat=g.n):
                     if len(set(assign)) <= 1:
                         continue
-                    lifted = lift_assignment(assign, m, red)
+                    lifted = lift_assignment(assign, m)
                     base_edges = sum(m.dist[assign[u], assign[v]] for u, v in g.edges)
                     base_pairs = sum(m.dist[assign[u], assign[v]]
                                      for u in range(g.n) for v in range(g.n))
