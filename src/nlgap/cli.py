@@ -292,7 +292,7 @@ def cmd_model(args) -> None:
         r = matching_avoidance_mc(args.l, y, c=args.c, trials=args.trials,
                                   seed=args.seed, eps=args.eps)
         _emit(args, "ell,eps,c,trials,empirical,analytic_bound",
-              [csv_row(r.ell, r.eps, r.c, r.trials, r.empirical, r.analytic_bound)])
+              [csv_row(args.l, args.eps, args.c, r.trials, r.empirical, r.analytic_bound)])
     elif args.lemma == "restriction":
         if args.n > _VERTEX_CAP:
             raise CliError(f"--n {args.n} exceeds the vertex cap {_VERTEX_CAP}")
@@ -301,7 +301,7 @@ def cmd_model(args) -> None:
         r = restriction_concentration_mc(f, eps=args.eps, k=args.k,
                                          trials=args.trials, seed=args.seed)
         _emit(args, "eps,k,trials,frequency,bound,hypothesis_met",
-              [csv_row(r.eps, r.k, r.trials, r.frequency, r.bound, r.hypothesis_met)])
+              [csv_row(args.eps, args.k, r.trials, r.frequency, r.bound, r.hypothesis_met)])
         if r.hypothesis_met and r.frequency < max(r.bound, 0.0):
             raise PropertyFailure("restriction frequency fell below the bound")
     elif args.lemma == "dist-eq":
@@ -310,7 +310,7 @@ def cmd_model(args) -> None:
         r = distribution_equality_mc(args.n, args.d, args.l, trials=args.trials,
                                      seed=args.seed)
         _emit(args, "n,d,ell,trials,cells,chi2,p_value",
-              [csv_row(r.n, r.d, r.ell, r.trials, r.cells, r.chi2, r.p_value)])
+              [csv_row(args.n, args.d, args.l, r.trials, r.cells, r.chi2, r.p_value)])
         if r.p_value <= args.p_threshold:
             raise PropertyFailure(f"distribution mismatch: p = {r.p_value}")
     elif args.lemma == "typical":

@@ -151,6 +151,8 @@ def _bfs(g: Graph, sources, radius: int | None) -> tuple[list[int], list[int], i
         raise GraphError("source set must be nonempty")
     if min(sources) < 0 or max(sources) >= g.n:
         raise GraphError(f"source out of range for n={g.n}: {min(sources)}..{max(sources)}")
+    if radius is not None and radius < 0:
+        raise GraphError(f"radius must be >= 0, got {radius}")
     n, adjacency = g.n, g.adjacency
     dist = [n] * n
     order = []
@@ -193,11 +195,10 @@ def is_connected(g: Graph) -> bool:
 
 
 def sphere(g: Graph, S, radius: int) -> set[int]:
-    """All vertices at distance exactly radius from the set S."""
-    dist, order, start = _bfs(g, S, radius)
-    if 0 <= radius < g.n:
-        return set(order[start:])
-    return {v for v in range(g.n) if dist[v] == radius}
+    """All vertices at distance exactly radius from the set S; a vertex S
+    cannot reach is at no distance, so every radius >= n gives the empty set."""
+    _, order, start = _bfs(g, S, radius)
+    return set(order[start:])
 
 
 # ----------------------------------------------------------------------

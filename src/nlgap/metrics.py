@@ -13,12 +13,7 @@ from .rng import derive_rng
 
 
 class MetricError(ValueError):
-    """A metric axiom failed; carries the axiom name and witnessing indices."""
-
-    def __init__(self, kind: str, indices: tuple, message: str):
-        super().__init__(message)
-        self.kind = kind
-        self.indices = indices
+    """A metric axiom or a metric construction's domain check failed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +32,7 @@ class FiniteMetric:
     def min_distance(self) -> float:
         n = self.size
         if n < 2:
-            raise MetricError("size", (n,), "min distance needs N >= 2")
+            raise MetricError("min distance needs N >= 2")
         off = self.dist[~np.eye(n, dtype=bool)]
         return float(off.min())
 
@@ -49,9 +44,9 @@ _MAX_EXPONENT = 441
 
 def _check_exponent(q: float) -> None:
     if not (math.isfinite(q) and q > 0):
-        raise MetricError("exponent", (q,), f"cost exponent must be finite and positive, got {q}")
+        raise MetricError(f"cost exponent must be finite and positive, got {q}")
     if q > _MAX_EXPONENT:
-        raise MetricError("exponent", (q,), f"cost exponent must be at most {_MAX_EXPONENT}, "
+        raise MetricError(f"cost exponent must be at most {_MAX_EXPONENT}, "
                           f"beyond which 5^q overflows, got {q}")
 
 
@@ -67,7 +62,7 @@ def _costs(dist: np.ndarray, q: float) -> np.ndarray:
         costs = np.power(dist, q)
     top = costs.max(initial=0.0)
     if np.count_nonzero(costs) != np.count_nonzero(dist) or not top <= _COST_LIMIT:
-        raise MetricError("exponent", (q,), f"at cost exponent q = {q} a positive distance "
+        raise MetricError(f"at cost exponent q = {q} a positive distance "
                           "raised to q underflows to 0 or passes the cost bound 2^960")
     return costs
 
@@ -115,39 +110,37 @@ def validate(dist) -> FiniteMetric:
     """
     a = np.asarray(dist, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise MetricError("shape", a.shape, f"distance matrix must be square, got {a.shape}")
+        raise MetricError(f"distance matrix must be square, got {a.shape}")
     n = a.shape[0]
     bad = np.argwhere(~np.isfinite(a))
     if bad.size:
         i, j = map(int, bad[0])
-        raise MetricError("non-finite", (i, j), f"dist[{i},{j}] = {a[i, j]} is not finite")
+        raise MetricError(f"dist[{i},{j}] = {a[i, j]} is not finite")
     bad = np.argwhere(a != a.T)
     if bad.size:
         i, j = map(int, bad[0])
-        raise MetricError("asymmetry", (i, j), f"dist[{i},{j}] != dist[{j},{i}]")
+        raise MetricError(f"dist[{i},{j}] != dist[{j},{i}]")
     bad = np.argwhere(a < 0)
     if bad.size:
         i, j = map(int, bad[0])
-        raise MetricError("negative", (i, j), f"dist[{i},{j}] = {a[i, j]} < 0")
+        raise MetricError(f"dist[{i},{j}] = {a[i, j]} < 0")
     diag = np.argwhere(np.diag(a) != 0)
     if diag.size:
         i = int(diag[0][0])
-        raise MetricError("diagonal", (i,), f"dist[{i},{i}] = {a[i, i]} != 0")
+        raise MetricError(f"dist[{i},{i}] = {a[i, i]} != 0")
     off = ~np.eye(n, dtype=bool)
     bad = np.argwhere((a == 0) & off)
     if bad.size:
         i, j = map(int, bad[0])
-        raise MetricError("zero-off-diagonal", (i, j), f"dist[{i},{j}] = 0 for i != j")
+        raise MetricError(f"dist[{i},{j}] = 0 for i != j")
     tol = 1e-12 * (float(a.max()) if n > 1 else 0.0)
     for j in range(n):
         slack = a - (a[:, j:j + 1] + a[j:j + 1, :])
         bad = np.argwhere(slack > tol)
         if bad.size:
             i, k = map(int, bad[0])
-            raise MetricError(
-                "triangle", (i, k, j),
-                f"dist[{i},{k}] = {a[i, k]} > dist[{i},{j}] + dist[{j},{k}] = {a[i, j] + a[j, k]}",
-            )
+            raise MetricError(f"dist[{i},{k}] = {a[i, k]} > dist[{i},{j}] + dist[{j},{k}] "
+                              f"= {a[i, j] + a[j, k]}")
     return _wrap(a)
 
 
@@ -163,7 +156,7 @@ def _wrap(dist: np.ndarray) -> FiniteMetric:
 def snowflake(metric: FiniteMetric, eps: float) -> FiniteMetric:
     """The metric with every distance raised to the power 1 - eps."""
     if not 0.0 < eps < 1.0:
-        raise MetricError("exponent", (eps,), "snowflake exponent must lie in (0,1)")
+        raise MetricError("snowflake exponent must lie in (0,1)")
     return validate(np.power(metric.dist, 1.0 - eps))
 
 
@@ -182,16 +175,15 @@ def _check_size(n_points: int, nbytes: int) -> None:
     """Refuse, before any allocation, a metric on more than _POINT_CAP points
     or one whose largest array takes more than _METRIC_BYTES bytes."""
     if n_points < 0:
-        raise MetricError("size", (n_points,), f"point count N = {n_points} is negative")
+        raise MetricError(f"point count N = {n_points} is negative")
     if n_points > _POINT_CAP or nbytes > _METRIC_BYTES:
-        raise MetricError("cap", (n_points,), f"N = {n_points} points needing {nbytes} bytes "
-                                              f"exceeds cap {_POINT_CAP} points or "
-                                              f"{_METRIC_BYTES} bytes")
+        raise MetricError(f"N = {n_points} points needing {nbytes} bytes "
+                          f"exceeds cap {_POINT_CAP} points or {_METRIC_BYTES} bytes")
 
 
 def uniform_metric(n_points: int) -> FiniteMetric:
     if n_points < 2:
-        raise MetricError("size", (n_points,), "uniform metric needs N >= 2")
+        raise MetricError("uniform metric needs N >= 2")
     _check_size(n_points, 8 * n_points * n_points)
     return _wrap(np.ones((n_points, n_points)) - np.eye(n_points))
 
@@ -213,9 +205,9 @@ def linf_grid(k: int, s: int) -> FiniteMetric:
     tuple of itertools.product(range(-k, k + 1), repeat=s)."""
     # k = 0 is the one-point grid, which no command can use
     if k < 1 or s < 1:
-        raise MetricError("parameters", (k, s), "need k >= 1 and s >= 1")
+        raise MetricError("need k >= 1 and s >= 1")
     capped_power(2 * k + 1, s, _POINT_CAP, lambda shown: MetricError(
-        "cap", (k, s), f"(2k+1)^s{shown} exceeds cap {_POINT_CAP} at k = {k}, s = {s}"))
+        f"(2k+1)^s{shown} exceeds cap {_POINT_CAP} at k = {k}, s = {s}"))
     pts = np.array(list(itertools.product(range(-k, k + 1), repeat=s)), dtype=np.int64)
     return _wrap(np.concatenate(list(sup_distance_blocks(pts))))
 
@@ -223,9 +215,9 @@ def linf_grid(k: int, s: int) -> FiniteMetric:
 def random_euclidean_metric(n_points: int, seed: int, dim: int = 2) -> FiniteMetric:
     """Distances of random points in [0,1]^dim; always a valid metric."""
     if n_points < 1:
-        raise MetricError("size", (n_points,), "random metric needs N >= 1")
+        raise MetricError("random metric needs N >= 1")
     if dim < 1:
-        raise MetricError("parameters", (n_points, dim), f"random metric needs dim >= 1, got {dim}")
+        raise MetricError(f"random metric needs dim >= 1, got {dim}")
     _check_size(n_points, 8 * n_points * n_points * dim)
     gen = derive_rng(seed, "metric", n_points, dim)
     pts = gen.random((n_points, dim))
@@ -271,7 +263,7 @@ def well_conditioned_reduction(metric: FiniteMetric, n: int) -> ReducedMetric:
     Clusters are ordered by increasing scale.
     """
     if n < 2 or metric.size < 2:
-        raise MetricError("parameters", (n, metric.size), "reduction needs n >= 2, N >= 2")
+        raise MetricError("reduction needs n >= 2, N >= 2")
     taus = _distinct_scales(metric)
     big = float(n * n)
     small = 1.0 / (n * n)

@@ -1,7 +1,7 @@
 """The multistage generation of random regular graphs (canonical
 representative, uniform edge deletion, uniform relabeling), seed maps under
-natural and supplied linear orders, uniform perfect matchings with the
-avoidance bound, and the Monte Carlo
+a priority order of the seeds (spheres never contain unreachable vertices),
+uniform perfect matchings with the avoidance bound, and the Monte Carlo
 verifiers for the corresponding distributional statements."""
 from __future__ import annotations
 
@@ -32,17 +32,10 @@ def _subseed(seed: int, *path) -> int:
 # multistage model
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelDraw:
-    """g is uniform on the d-regular graphs and g_minus is g with a uniform
-    ell-subset of its edges deleted."""
-
-    g: Graph
-    g_minus: Graph
-
-
-def draw_model(n: int, d: int, ell: int, seed: int) -> ModelDraw:
-    """Draw (G, G less ell edges), each stage from its own stream."""
+def draw_model(n: int, d: int, ell: int, seed: int) -> tuple[Graph, Graph]:
+    """Draw (G, G less ell edges), each stage from its own stream: G is
+    uniform on the d-regular graphs and a uniform ell-subset of its edges
+    goes."""
     if (n * d) % 2 != 0:
         raise GraphError("n*d must be even")
     if not 0 <= ell <= n * d // 2:
@@ -50,36 +43,28 @@ def draw_model(n: int, d: int, ell: int, seed: int) -> ModelDraw:
     g = random_regular(n, d, _subseed(seed, "model-g"))
     gen_del = derive_rng(seed, "model-del")
     gone = {g.edges[int(i)] for i in gen_del.choice(g.m, size=ell, replace=False)}
-    return ModelDraw(g, graph_from_edges(n, [e for e in g.edges if e not in gone]))
+    return g, graph_from_edges(n, [e for e in g.edges if e not in gone])
 
 
 # ----------------------------------------------------------------------
 # seed maps
 # ----------------------------------------------------------------------
 
-def _assign_by_priority(g: Graph, m: int, seeds_by_priority) -> list[int | None]:
+def seed_map_h(g: Graph, m: int, seeds) -> tuple[int | None, ...]:
+    """Each vertex's first seed, in the priority order that seeds lists,
+    at distance exactly m from it, or None (seeds in increasing order give
+    the natural order)."""
+    if not 1 <= m <= g.n:
+        raise GraphError(f"need 1 <= m <= n, got m={m}")
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise GraphError("seed set must be nonempty")
     out: list[int | None] = [None] * g.n
-    for s in seeds_by_priority:
+    for s in seeds:
         for v in sphere(g, [s], m):
             if out[v] is None:
                 out[v] = s
-    return out
-
-
-def seed_map_h(g: Graph, m: int, seed_set, order_rank) -> tuple[int | None, ...]:
-    """Each vertex's order-minimal seed on its distance-m sphere, or None;
-    order_rank ranks the seeds written in increasing vertex order (identity
-    ranks give the natural order)."""
-    if not 1 <= m <= g.n:
-        raise GraphError(f"need 1 <= m <= n, got m={m}")
-    seeds = tuple(sorted(set(int(s) for s in seed_set)))
-    if not seeds:
-        raise GraphError("seed set must be nonempty")
-    rank = tuple(int(r) for r in order_rank)
-    if sorted(rank) != list(range(len(seeds))):
-        raise GraphError("order_rank must be a permutation of 0..k-1")
-    by_priority = [seeds[i] for i in np.argsort(rank, kind="stable")]
-    return tuple(_assign_by_priority(g, m, by_priority))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -132,9 +117,6 @@ def check_matching_ell(ell: int) -> None:
 
 @dataclass(frozen=True)
 class MatchingMCResult:
-    ell: int
-    eps: float
-    c: float
     trials: int
     empirical: float
     analytic_bound: float
@@ -176,8 +158,7 @@ def matching_avoidance_mc(ell: int, y_pairs, c: float, trials: int, seed: int,
             keep = np.arange(1, pool.shape[1]) != partner
             pool = pool[:, 1:][keep].reshape(t, -1)
         hits += int(np.count_nonzero(inter <= threshold))
-    return MatchingMCResult(ell=ell, eps=eps, c=c, trials=trials,
-                            empirical=hits / trials,
+    return MatchingMCResult(trials=trials, empirical=hits / trials,
                             analytic_bound=matching_avoidance_bound(ell, eps, c))
 
 
@@ -187,8 +168,6 @@ def matching_avoidance_mc(ell: int, y_pairs, c: float, trials: int, seed: int,
 
 @dataclass(frozen=True)
 class RestrictionMCResult:
-    eps: float
-    k: int
     trials: int
     frequency: float
     bound: float              # 1 - 15 / (eps^2 k)
@@ -237,7 +216,7 @@ def restriction_concentration_mc(f: VertexMap, eps, k: int, trials: int,
         # block size leaves the stream alone ('count' would not)
         x = gen.multivariate_hypergeometric(counts, k, size=min(per_block, trials - start))
         hits += int(np.count_nonzero(far_pair_counts(far, x) >= need))
-    return RestrictionMCResult(eps=eps_f, k=k, trials=trials, frequency=hits / trials,
+    return RestrictionMCResult(trials=trials, frequency=hits / trials,
                                bound=1.0 - 15.0 / (eps_f * eps_f * k),
                                hypothesis_met=hypothesis, ave=ave)
 
@@ -246,26 +225,20 @@ def restriction_concentration_mc(f: VertexMap, eps, k: int, trials: int,
 # typical vertex sets
 # ----------------------------------------------------------------------
 
-def typical_vertex_sets(draw: ModelDraw, m: int, seed_set, order_rank, j_pairs):
-    """(V, V', V'') of the seed/degree statistics on (G, G_minus).
+def typical_vertex_sets(g: Graph, g_minus: Graph, m: int, seeds):
+    """(V, V', V'') of the seed/degree statistics on (G, G_minus), with the
+    seeds in priority order.
 
     V: degree d-1 in G_minus and a seed exists there; V': the seed is
-    unchanged between G_minus and G and the (vertex, seed) pair avoids J;
-    V'': the G-seed fiber of the vertex has size at most (d-1)^m / m.
+    unchanged between G_minus and G; V'': the G-seed fiber of the vertex has
+    size at most (d-1)^m / m.
     """
-    g, g_minus = draw.g, draw.g_minus
     d = g.regular_degree()
-    seed_minus = seed_map_h(g_minus, m, seed_set, order_rank)
-    seed_full = seed_map_h(g, m, seed_set, order_rank)
-    j = {tuple(sorted(p)) for p in j_pairs}
+    seed_minus = seed_map_h(g_minus, m, seeds)
+    seed_full = seed_map_h(g, m, seeds)
     v_set = {v for v in range(g.n)
              if g_minus.degree(v) == d - 1 and seed_minus[v] is not None}
-    v_prime = set()
-    for v in v_set:
-        s_full = seed_full[v]
-        if s_full is not None and s_full == seed_minus[v] \
-                and tuple(sorted((v, s_full))) not in j:
-            v_prime.add(v)
+    v_prime = {v for v in v_set if seed_full[v] == seed_minus[v]}
     fiber = Counter(seed_full[v] for v in v_set if seed_full[v] is not None)
     cap = (d - 1) ** m / m
     v_dprime = {v for v in v_set
@@ -315,11 +288,12 @@ def typical_sets_experiment(n: int, d: int, big_k: float, m: int, trials: int,
     k0 = min(k0, n)
     rows = []
     for t in range(trials):
-        draw = draw_model(n, d, ell0, _subseed(seed, "typical", t))
+        g, g_minus = draw_model(n, d, ell0, _subseed(seed, "typical", t))
         gen = derive_rng(seed, "typical-ra", t)
-        seed_set = sorted(int(x) for x in gen.choice(n, size=k0, replace=False))
-        rank = tuple(int(r) for r in gen.permutation(k0))
-        v_set, v_prime, v_dprime = typical_vertex_sets(draw, m, seed_set, rank, ())
+        # a uniform k0-set of seeds, in the priority order of a uniform permutation
+        seed_set = np.sort(gen.choice(n, size=k0, replace=False))
+        seeds = seed_set[np.argsort(gen.permutation(k0), kind="stable")]
+        v_set, v_prime, v_dprime = typical_vertex_sets(g, g_minus, m, seeds)
         f1 = len(v_set) >= 2 * ell0 * (1 - 5 / big_k ** 0.25)
         f2 = len(v_prime) >= (d - 1) / d * (1 - 1 / big_k ** (1 / 7)) * len(v_set)
         f3 = len(v_dprime) >= (1 - 2 / big_k ** (1 / 3)) * len(v_set)
@@ -436,9 +410,6 @@ def _chi2_sf(df: int, x: float) -> float:
 
 @dataclass(frozen=True)
 class DistEqResult:
-    n: int
-    d: int
-    ell: int
     trials: int
     cells: int
     chi2: float
@@ -482,5 +453,5 @@ def distribution_equality_mc(n: int, d: int, ell: int, trials: int,
 
     expected = trials / len(tally)
     chi2 = sum((x - expected) ** 2 / expected for x in tally.tolist())
-    return DistEqResult(n=n, d=d, ell=ell, trials=trials, cells=len(tally),
+    return DistEqResult(trials=trials, cells=len(tally),
                         chi2=chi2, p_value=_chi2_sf(len(tally) - 1, chi2))

@@ -35,7 +35,7 @@ class VertexMap:
 
     def __post_init__(self):
         if any(not 0 <= a < self.target.size for a in self.assignment):
-            raise MetricError("assignment", (), "map value out of range of the target space")
+            raise MetricError("map value out of range of the target space")
 
     @property
     def n(self) -> int:
@@ -48,8 +48,8 @@ class VertexMap:
         """The n x n matrix of distances between the images of vertex pairs;
         refused, before it is allocated, beyond metrics._METRIC_BYTES."""
         if 8 * self.n * self.n > metrics._METRIC_BYTES:
-            raise MetricError("cap", (self.n,), f"the image distances of n = {self.n} vertices "
-                                                f"exceed the {metrics._METRIC_BYTES}-byte budget")
+            raise MetricError(f"the image distances of n = {self.n} vertices "
+                              f"exceed the {metrics._METRIC_BYTES}-byte budget")
         a = np.asarray(self.assignment, dtype=np.intp)
         return self.target.dist[a[:, None], a[None, :]]
 
@@ -286,9 +286,10 @@ def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
                        iters: int, seed: int) -> GammaExactResult:
     """Heuristic lower bound: random restarts plus single-vertex hill climbing.
 
-    iters counts improvement steps across restarts.  The result never
-    exceeds the exact optimum because every reported value is the ratio of
-    an actual map.  Deterministic given the seed.
+    iters counts improvement steps across restarts.  Every reported value is
+    the ratio of an actual map, so up to rounding the result never exceeds
+    the exact optimum: the two compute the ratio in different orders and can
+    part by a few ulps.  Deterministic given the seed.
 
     Each step scores every (vertex, point) move at once and takes the best
     one, breaking ties by the smallest vertex, then the smallest point.

@@ -563,7 +563,10 @@ METRIC_TEXT = "2\n0 1.0\n1.0 0\n"
 MAP_TEXT = "4\n0 0\n1 1\n2 0\n3 1\n"
 # the files each table run starts from, unless a case overrides one
 FILES = {"g.txt": GRAPH_TEXT, "m.txt": METRIC_TEXT, "f.map": MAP_TEXT,
-         "i.map": "4\n0 0\n1 1\n2 2\n3 3\n"}
+         "i.map": "4\n0 0\n1 1\n2 2\n3 3\n",
+         # two pairs of points 1 apart, 12 from each other: under i.map the
+         # 1/2-quantile is 1 and ave = 6.25
+         "pairs.txt": "4\n0 1 12 12\n1 0 12 12\n12 12 0 1\n12 12 1 0\n"}
 
 
 def spec_variants(kind: str, fields: tuple[str, ...]) -> list[str]:
@@ -615,7 +618,7 @@ SUBCOMMANDS = [
      {"--gen": GRAPH_SPECS, "--metric": METRIC_SPECS, "--p": FLOAT, "--q": FLOAT,
       "--seed": INT, "--suite": ("nope", "")}),
     (("extrapolate", "--suite", "desk", "--seed", "0"), {"--seed": INT}),
-    (("nonconc", "--gen", "complete:4", "--metric", "uniform:2", "--map", "f.map", "--q", "1",
+    (("nonconc", "--gen", "complete:4", "--metric", "pairs.txt", "--map", "i.map", "--q", "1",
       "--cr", "5", "--tau", "0.5", "--seed", "0"),
      {"--gen": GRAPH_SPECS, "--metric": METRIC_SPECS, "--q": FLOAT, "--cr": FLOAT,
       "--tau": FLOAT, "--seed": INT}),
@@ -761,9 +764,10 @@ OTHER = {
     "--seed": ("5",), "--out": ("other.out",), "--map-out": ("out.map",),
     "--svg": ("other.svg",), "--gen": ("complete:4", "cycle:4"), "--graph": ("same.txt",),
     "--metric": ("random:4",), "--map": ("other.map",), "--p": ("1.5",),
-    # --cr 4 is below 5^q: the nonconc row's map has quantile 0, so C_R acts
-    # there only through this refusal, and so does --q 3 at C_R = 5
-    "--cr": ("4",), "--q": ("3",),
+    # the nonconc row's map has ave / quantile = 6.25, between C_R = 5 and
+    # 8, so --cr 8 flips hypothesis_met; --q 3 is refused there, as C_R = 5
+    # is below 5^q for every q > 1
+    "--cr": ("8",), "--q": ("3",),
     "--iters": ("1",), "--suite": ("desk",), "--tau": ("0.3",),
     "--N": ("10^20",), "--sizes": ("32",), "--d": ("4",), "--trials": ("2", "3"),
     "--distortion": ("4",), "--c1": ("2",), "--retries": ("5",), "--delta": ("12",),
@@ -851,6 +855,14 @@ class TestEveryFlagActs:
         refused = (code == 1 and err.startswith("error: ") and err.count("\n") == 1
                    and re.search(rf"{re.escape(flag)}(?![\w-])", err))
         assert refused or after[:3] != before[:3] or flag == "--seed", after
+
+    def test_nonconc_cr_acts_through_the_verdict(self, tmp_path, monkeypatch, capsys):
+        base = next(b for b in BASES if b[0] == "nonconc")
+        runs = [outcome(argv, tmp_path / name, monkeypatch, capsys)
+                for name, argv in (("base", list(base)), ("flag", with_other(base, "--cr")))]
+        # hypothesis_met is the first column
+        assert [(code, body.splitlines()[1][:2]) for code, body, _, _ in runs] == [
+            (0, "1,"), (0, "0,")]
 
 
 class TestImportBudget:

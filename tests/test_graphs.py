@@ -302,6 +302,12 @@ class TestBallSphere:
     def test_p5_sphere_by_hand(self):
         assert sphere(path_graph(5), [2], 2) == {0, 4}
 
+    def test_negative_radius_rejected(self):
+        with pytest.raises(GraphError, match="radius must be >= 0, got -1"):
+            sphere(cycle_graph(4), [0], -1)
+        with pytest.raises(GraphError, match="radius must be >= 0, got -1"):
+            multi_source_distances(cycle_graph(4), [0], -1)
+
     def test_empty_source_rejected(self):
         with pytest.raises(GraphError):
             ball(cycle_graph(4), [], 1)
@@ -316,7 +322,9 @@ class TestBallSphere:
     @settings(max_examples=60, deadline=None)
     def test_ball_matches_step_oracle(self, n, radius, data):
         """The search stopped at the radius (radii >= n included) equals the
-        full one with every entry beyond the radius set to n."""
+        full one with every entry beyond the radius set to n.  The sphere is
+        taken in true distances: full[v] = n marks an unreachable vertex,
+        which no sphere holds."""
         edges = data.draw(st.sets(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1]),
             max_size=n * 2))
@@ -325,7 +333,7 @@ class TestBallSphere:
         full = brute_force_distances(g, src)
         assert multi_source_distances(g, src, radius) == [x if x <= radius else n for x in full]
         assert ball(g, src, radius) == {v for v in range(n) if full[v] <= radius}
-        assert sphere(g, src, radius) == {v for v in range(n) if full[v] == radius}
+        assert sphere(g, src, radius) == {v for v in range(n) if full[v] == radius < n}
         one = brute_force_distances(g, [min(src)])
         assert multi_source_distances(g, [min(src)], radius) == [x if x <= radius else n
                                                                 for x in one]

@@ -20,33 +20,27 @@ class TestValidate:
         assert m.size == 2
 
     def test_triangle_violation_named(self):
-        with pytest.raises(MetricError) as err:
+        with pytest.raises(MetricError,
+                           match=r"^dist\[0,2\] = 3\.0 > dist\[0,1\] \+ dist\[1,2\] = 2\.0$"):
             validate([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
-        assert err.value.kind == "triangle"
-        i, k, j = err.value.indices
-        assert {i, k} == {0, 2} and j == 1
 
     def test_asymmetry_named(self):
-        with pytest.raises(MetricError) as err:
+        with pytest.raises(MetricError, match=r"^dist\[0,1\] != dist\[1,0\]$"):
             validate([[0, 1], [2, 0]])
-        assert err.value.kind == "asymmetry"
 
     def test_zero_off_diagonal_named(self):
-        with pytest.raises(MetricError) as err:
+        with pytest.raises(MetricError, match=r"^dist\[0,1\] = 0 for i != j$"):
             validate([[0, 0], [0, 0]])
-        assert err.value.kind == "zero-off-diagonal"
 
     def test_negative_named(self):
-        with pytest.raises(MetricError) as err:
+        with pytest.raises(MetricError, match=r"^dist\[0,1\] = -1\.0 < 0$"):
             validate([[0, -1], [-1, 0]])
-        assert err.value.kind == "negative"
 
     @pytest.mark.parametrize("x", [math.inf, math.nan])
     def test_non_finite_named(self, x):
         # inf once reached the triangle check, whose inf - inf warned
-        with pytest.raises(MetricError) as err:
+        with pytest.raises(MetricError, match=rf"^dist\[0,1\] = {x} is not finite$"):
             validate([[0, x], [x, 0]])
-        assert err.value.kind == "non-finite" and err.value.indices == (0, 1)
 
     def test_path_metrics_are_valid(self, corpus):
         for name, g in corpus.items():
@@ -159,9 +153,8 @@ class TestGridAndUniform:
          "N = 10 points needing 80000000000 bytes"),
     ])
     def test_point_cap_refused_before_allocation(self, build, fragment):
-        with pytest.raises(MetricError, match="exceeds cap 1000 points") as info:
+        with pytest.raises(MetricError, match=f"{fragment} exceeds cap 1000 points"):
             build()
-        assert info.value.kind == "cap" and fragment in str(info.value)
 
     def test_uniform(self):
         m = uniform_metric(3)
@@ -299,9 +292,9 @@ class TestReduction:
     def test_refused_before_allocation(self):
         # 50 points with 1225 distinct distances: 61250^2 float64 entries, 28 GiB
         m = random_euclidean_metric(50, seed=1)
-        with pytest.raises(MetricError, match="N = 61250 points needing 30012500000 bytes") as info:
+        with pytest.raises(MetricError, match="N = 61250 points needing 30012500000 bytes "
+                                              "exceeds cap"):
             well_conditioned_reduction(m, 10)
-        assert info.value.kind == "cap"
 
     def test_lift_lands_in_max_scale_cluster(self):
         m = validate([[0, 1, 3], [1, 0, 2], [3, 2, 0]])

@@ -101,12 +101,14 @@ def matchings_sharing(ell, j):
 
 
 def assign_reference(g, m, seeds_by_priority):
-    """Seed assignment with one full BFS per seed."""
+    """Seed assignment with one full BFS per seed, in true distances:
+    bfs_distances gives an unreachable vertex the value n, which is no
+    distance."""
     out = [None] * g.n
     for s in seeds_by_priority:
         row = bfs_distances(g, s)
         for v in range(g.n):
-            if out[v] is None and row[v] == m:
+            if out[v] is None and row[v] == m < g.n:
                 out[v] = s
     return out
 
@@ -132,14 +134,6 @@ def restriction_case(seed):
     eps = float(gen.uniform(0.5, 1.5)) / (2 * points)
     k = int(gen.integers(6, 17))
     return VertexMap(uniform_metric(points), assignment), eps, k, 2 * int(gen.integers(100, 300)) + 1
-
-
-def order_rank_from_permutation(pi, k):
-    """Ranks making the order on R = pi^{-1}([k]) the pullback of the natural
-    order on [k]: the i-th smallest element r of R gets rank pi[r]."""
-    inv = sorted(range(len(pi)), key=lambda v: pi[v])  # pi^{-1}
-    r_sorted = sorted(inv[:k])
-    return tuple(pi[r] for r in r_sorted)
 
 
 _INVARIANCE_SAMPLES = 20
@@ -175,15 +169,15 @@ class TestCanonicalRep:
 
 class TestDrawModel:
     def test_full_deletion_empties_the_graph(self):
-        d = draw_model(6, 3, 9, seed=1)
-        assert d.g_minus.m == 0
+        _, g_minus = draw_model(6, 3, 9, seed=1)
+        assert g_minus.m == 0
 
     def test_deletes_ell_edges_of_g(self):
         for seed in range(10):
-            d = draw_model(6, 3, 2, seed=seed)
-            assert d.g.regular_degree() == 3
-            assert set(d.g_minus.edges) < set(d.g.edges)
-            assert d.g.m - d.g_minus.m == 2
+            g, g_minus = draw_model(6, 3, 2, seed=seed)
+            assert g.regular_degree() == 3
+            assert set(g_minus.edges) < set(g.edges)
+            assert g.m - g_minus.m == 2
 
     def test_deterministic(self):
         a, b = draw_model(6, 3, 2, seed=7), draw_model(6, 3, 2, seed=7)
@@ -197,27 +191,32 @@ class TestDrawModel:
 
 
 class TestSeedMapG:
-    """The natural order: seed_map_h on the seeds [k] with identity ranks."""
+    """The natural order: seed_map_h on the seeds [k] in increasing order."""
 
     def test_p5_example(self):
-        t = seed_map_h(path_graph(5), 2, range(1), range(1))
+        t = seed_map_h(path_graph(5), 2, range(1))
         assert t == (None, None, 0, None, None)
 
     def test_radius_beyond_diameter(self):
         g = cycle_graph(6)
-        t = seed_map_h(g, diameter(g) + 1, range(3), range(3))
+        t = seed_map_h(g, diameter(g) + 1, range(3))
         assert all(s is None for s in t)
+
+    def test_unreachable_vertices_get_no_seed(self):
+        # at m = n the vertices 2 and 3, which seed 0 cannot reach, are at no
+        # distance from it
+        assert seed_map_h(graph_from_edges(4, [(0, 1)]), 4, [0]) == (None,) * 4
 
     def test_all_seeds_radius_one(self):
         g = cycle_graph(5)
-        t = seed_map_h(g, 1, range(5), range(5))
+        t = seed_map_h(g, 1, range(5))
         for v in range(5):
             assert t[v] == min(g.adjacency[v])
 
     def test_distance_invariant(self):
         for seed in range(5):
             g = random_regular(12, 3, seed=seed)
-            t = seed_map_h(g, 2, range(4), range(4))
+            t = seed_map_h(g, 2, range(4))
             for v, s in enumerate(t):
                 if s is not None:
                     assert bfs_distances(g, v)[s] == 2
@@ -227,14 +226,14 @@ class TestSeedMapH:
     def test_natural_order_matches_reference(self):
         g = random_regular(10, 3, seed=4)
         k = 4
-        th = seed_map_h(g, m=2, seed_set=range(k), order_rank=range(k))
+        th = seed_map_h(g, m=2, seeds=range(k))
         assert th == tuple(assign_reference(g, 2, range(k)))
 
     def test_reversed_order_picks_other_candidate(self):
         g = path_graph(5)
         # sphere(2, 2) = {0, 4}; seeds {0, 4}
-        natural = seed_map_h(g, 2, [0, 4], [0, 1])
-        reversed_ = seed_map_h(g, 2, [0, 4], [1, 0])
+        natural = seed_map_h(g, 2, [0, 4])
+        reversed_ = seed_map_h(g, 2, [4, 0])
         assert natural[2] == 0
         assert reversed_[2] == 4
 
@@ -245,8 +244,7 @@ class TestSeedMapH:
         counts = Counter()
         draws = 4000
         for _ in range(draws):
-            rank = tuple(int(x) for x in gen.permutation(2))
-            t = seed_map_h(g, 2, [2, 6], rank)
+            t = seed_map_h(g, 2, np.array([2, 6])[gen.permutation(2)])
             counts[t[0]] += 1
         chi2 = sum((counts[s] - draws / 2) ** 2 / (draws / 2) for s in (2, 6))
         assert stats.chi2.sf(chi2, df=1) > 0.01
@@ -254,22 +252,21 @@ class TestSeedMapH:
     @pytest.mark.parametrize("m", [0, -1, 7])
     def test_radius_out_of_range_rejected(self, m):
         with pytest.raises(GraphError, match="1 <= m <= n"):
-            seed_map_h(cycle_graph(6), m, [0, 3], [0, 1])
+            seed_map_h(cycle_graph(6), m, [0, 3])
 
     @pytest.mark.parametrize("n,k,m", [(24, 5, 2), (100, 8, 3)])
     def test_seed_consistency_with_permutation(self, n, k, m):
         """The natural-order seed map of the relabelled graph is the
-        permutation image of the order-adjusted seed map of the original."""
+        permutation image of the seed map of the original with the seeds
+        R = pi^{-1}([k]) in the pulled-back order pi^{-1}(0), pi^{-1}(1), ..."""
         for seed in range(10):
             u = random_regular(n, 3, seed=seed)
             gen = derive_rng(seed, "consistency")
             pi = tuple(int(x) for x in gen.permutation(n))
             h = relabel(u, pi)
-            inv = sorted(range(n), key=lambda v: pi[v])
-            r_set = sorted(inv[:k])
-            rank = order_rank_from_permutation(pi, k)
-            th = seed_map_h(h, m, range(k), range(k))
-            tu = seed_map_h(u, m, r_set, rank)
+            inv = sorted(range(n), key=lambda v: pi[v])  # pi^{-1}
+            th = seed_map_h(h, m, range(k))
+            tu = seed_map_h(u, m, inv[:k])
             for v in range(n):
                 lhs = th[v]
                 pre = tu[inv[v]]
@@ -447,27 +444,20 @@ class TestRestrictionScorer:
 
 class TestTypicalVertexSets:
     def test_zero_deletion_makes_v_empty(self):
-        d = draw_model(6, 3, 0, seed=2)
-        v, vp, vpp = typical_vertex_sets(d, m=1, seed_set=range(3),
-                                         order_rank=range(3), j_pairs=())
+        g, g_minus = draw_model(6, 3, 0, seed=2)
+        v, vp, vpp = typical_vertex_sets(g, g_minus, m=1, seeds=range(3))
         assert v == set() and vp == set() and vpp == set()
 
-    def test_all_pairs_in_j_empties_v_prime(self):
-        d = draw_model(8, 3, 3, seed=4)
-        all_pairs = list(itertools.combinations(range(8), 2))
-        v, vp, vpp = typical_vertex_sets(d, m=1, seed_set=range(4),
-                                         order_rank=range(4), j_pairs=all_pairs)
-        assert vp == set()
-        assert vp <= v and vpp <= v
-
     def test_membership_conditions(self):
-        d = draw_model(8, 3, 3, seed=6)
-        v, vp, vpp = typical_vertex_sets(d, m=2, seed_set=range(4),
-                                         order_rank=range(4), j_pairs=())
-        seeds = seed_map_h(d.g_minus, 2, range(4), range(4))
+        g, g_minus = draw_model(8, 3, 3, seed=6)
+        v, vp, vpp = typical_vertex_sets(g, g_minus, m=2, seeds=range(4))
+        seeds_minus = seed_map_h(g_minus, 2, range(4))
+        seeds_full = seed_map_h(g, 2, range(4))
+        assert vp <= v and vpp <= v
         for x in v:
-            assert d.g_minus.degree(x) == 2
-            assert seeds[x] is not None
+            assert g_minus.degree(x) == 2
+            assert seeds_minus[x] is not None
+            assert (x in vp) == (seeds_full[x] == seeds_minus[x])
 
     def test_experiment_runs(self):
         rows = typical_sets_experiment(n=120, d=3, big_k=6.0, m=3, trials=3, seed=5)
@@ -746,15 +736,17 @@ class TestBlockDrawnAgainstReference:
             assert r.empirical == matching_reference(ell, y, c, trials, 0)
 
     def test_seed_assignment(self):
+        """seed_map_h over every radius it accepts, m = 1..n, including m = n,
+        where the unreachable vertices get no seed."""
         graphs = [random_regular(14, 3, seed=s) for s in range(3)]
         graphs += [disjoint_union(random_regular(8, 3, seed=s), cycle_graph(5)) for s in range(2)]
         graphs += [graph_from_edges(9, [(0, 1), (1, 2), (4, 5)]), path_graph(7)]
         gen = derive_rng(5, "assign")
         for g in graphs:
-            for m in range(g.n + 2):
+            for m in range(1, g.n + 1):
                 k = int(gen.integers(1, g.n + 1))
                 order = [int(x) for x in gen.choice(g.n, size=k, replace=False)]
-                assert models._assign_by_priority(g, m, order) == assign_reference(g, m, order)
+                assert seed_map_h(g, m, order) == tuple(assign_reference(g, m, order))
 
 
 class TestVerifierDomains:

@@ -295,7 +295,8 @@ class TestGammaLowerSearch:
             m = random_euclidean_metric(2 + seed % 2, seed=seed)
             exact = gamma_exact(g, m, 1).gamma
             found = gamma_lower_search(g, m, 1, iters=2000, seed=seed).gamma
-            assert found <= exact + 1e-9
+            # the two sum the costs in different orders
+            assert found <= exact * (1 + 4 * np.finfo(float).eps)
             cases += 1
             hits += abs(found - exact) < 1e-9
         assert hits / cases >= 0.8

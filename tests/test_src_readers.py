@@ -71,14 +71,19 @@ def test_every_src_name_has_a_reader():
 
 
 def class_members(tree):
-    """(class name, statement, name) for each field, method and property
-    that a top-level class body defines."""
+    """(class name, node, name) for each field, method and property that a
+    top-level class body defines, and for each attribute that its methods
+    assign to self (the node is then the assigned attribute)."""
     for cls in tree.body:
         if not isinstance(cls, ast.ClassDef):
             continue
         for node in cls.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield cls.name, node, node.name
+                for leaf in ast.walk(node):
+                    if (isinstance(leaf, ast.Attribute) and isinstance(leaf.ctx, ast.Store)
+                            and isinstance(leaf.value, ast.Name) and leaf.value.id == "self"):
+                        yield cls.name, leaf, leaf.attr
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
@@ -87,13 +92,18 @@ def class_members(tree):
 
 
 def attribute_loads(tree, skip=None):
-    """The attribute names a tree loads (x.name), leaving out the subtree skip."""
+    """The attribute names a tree loads (x.name), leaving out the subtree skip
+    and the names of the modules that import statements bind (np.indices)."""
+    modules = {alias.asname or alias.name.partition(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
     out, stack = set(), [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and not (isinstance(node.value, ast.Name) and node.value.id in modules)):
             out.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return out
@@ -103,7 +113,8 @@ def test_every_src_member_has_a_reader():
     """A member that overrides its base class is read by the base class's
     code (argparse calls _Parser.error), and a dunder method by Python or
     dataclasses, so both are exempt.  The scan matches names, not types: a
-    member whose name is loaded for another object (.n, .q, math.pi) passes."""
+    member whose name is loaded for another object (.n, .q) passes, though
+    not through a module's own names (np.indices, math.pi)."""
     trees = {path: ast.parse(path.read_text()) for path in READERS}
     loads = {path: attribute_loads(tree) for path, tree in trees.items()}
     traced = set(traced_names(trees[ROOT / "perfbench" / "tracing.py"]))
