@@ -12,6 +12,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .extrapolation import ExtrapolationVerdict, check_extrapolation, check_nonconcentrated
 from .embeddings import (default_delta, embedding_distortion, jls_embedding,
@@ -168,7 +170,7 @@ def cmd_gamma(args) -> None:
         raise CliError("instance is degenerate: no non-constant maps")
     report = gamma_of_map(g, res.witness, args.q)
     _emit(args, "n,d,N,q,ave,dirichlet,ratio,Qtau,concentrated",
-          [csv_row(g.n, g.regular_degree(), metric.size, report.q, report.ave,
+          [csv_row(g.n, g.regular_degree(), metric.size, args.q, report.ave,
                    report.dirichlet, report.ratio, report.quantile_tau, report.concentrated)])
     if args.map_out:
         Path(args.map_out).write_text(map_to_text(res.witness))
@@ -230,7 +232,7 @@ def cmd_witness(args) -> None:
     def certify(g: Graph) -> float:
         r = witness_certificate(g, log_n_points, q=args.q)
         p = r.params
-        rows.append(csv_row(g.n, p.d, p.k, p.s, p.s0, p.r0, args.q, r.ave,
+        rows.append(csv_row(g.n, g.regular_degree(), p.k, p.s, p.s0, p.r0, args.q, r.ave,
                             r.dirichlet, r.ratio, r.max_edge_cost))
         return r.ratio
 
@@ -275,7 +277,6 @@ def cmd_distort(args) -> None:
 
 def cmd_model(args) -> None:
     if args.lemma == "matchings":
-        import itertools
         for flag, value in (("--eps", args.eps), ("--c", args.c)):
             if not math.isfinite(value):
                 raise CliError(f"{flag} must be finite, got {value}")
@@ -284,11 +285,10 @@ def cmd_model(args) -> None:
         if not 0 < args.c <= args.eps:
             raise CliError(f"--c must lie in (0, --eps], got {args.c} with --eps {args.eps}")
         check_matching_ell(args.l)
-        pairs = list(itertools.combinations(range(args.l), 2))
+        pairs = np.column_stack(np.triu_indices(args.l, 1))
         gen = derive_rng(args.seed, "cli-y")
-        drop_count = math.floor(args.eps * len(pairs))
-        drop = set(int(x) for x in gen.choice(len(pairs), size=drop_count, replace=False))
-        y = [p for i, p in enumerate(pairs) if i not in drop]
+        drop = gen.choice(len(pairs), size=math.floor(args.eps * len(pairs)), replace=False)
+        y = np.delete(pairs, drop, axis=0)
         r = matching_avoidance_mc(args.l, y, c=args.c, trials=args.trials,
                                   seed=args.seed, eps=args.eps)
         _emit(args, "ell,eps,c,trials,empirical,analytic_bound",
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jls-embed", help="randomized grid embedding")
     common(p, graph=True)
-    p.add_argument("--distortion", "--D", type=float, default=3.0)
+    p.add_argument("--distortion", type=float, default=3.0)
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--retries", type=_int64, default=50)
     p.add_argument("--delta", type=_int64)

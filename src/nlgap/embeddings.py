@@ -16,7 +16,7 @@ import numpy as np
 from . import metrics
 from .graphs import Graph, GraphError, distance_matrix, is_connected
 from .metrics import _SUP_BLOCK, _check_exponent, _costs, sup_distance_blocks
-from .poincare import cost_ratio, edge_lipschitz
+from .poincare import cost_ratio
 from .rng import derive_rng
 
 
@@ -24,8 +24,6 @@ from .rng import derive_rng
 class WitnessParams:
     """Derived sizes for the witness construction at target cardinality N."""
 
-    n: int
-    d: int
     k: int                # truncation level, floor(log log N)
     s: int                # grid dimension, floor(log N / log(2k+1))
     s0: int               # seed count, min(n, s)
@@ -44,7 +42,7 @@ def witness_params(g: Graph, log_n_points: float) -> WitnessParams:
     s = math.floor(log_n_points / math.log(2 * k + 1))
     s0 = min(g.n, s)
     r0 = math.floor(math.log(g.n / s0) / math.log(d - 1))
-    return WitnessParams(n=g.n, d=d, k=k, s=s, s0=s0, r0=r0)
+    return WitnessParams(k=k, s=s, s0=s0, r0=r0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,14 +84,14 @@ def witness_map(g: Graph, log_n_points: float) -> tuple[GridMap, WitnessParams]:
     p = witness_params(g, log_n_points)
     nbrs = np.array(g.adjacency, dtype=np.intp)
     seeds = np.arange(p.s0)
-    coords = np.full((p.n, p.s0), p.k, dtype=np.min_scalar_type(-2 * p.k - 1))
+    coords = np.full((g.n, p.s0), p.k, dtype=np.min_scalar_type(-2 * p.k - 1))
     coords[seeds, seeds] = max(-p.r0, -p.k)
-    frontier = np.zeros((p.n, p.s0), dtype=bool)
+    frontier = np.zeros((g.n, p.s0), dtype=bool)
     frontier[seeds, seeds] = True
     reached, layer = frontier.copy(), np.empty_like(frontier)
-    rows = max(1, _SUP_BLOCK // (p.d * p.s0))
+    rows = max(1, _SUP_BLOCK // (nbrs.shape[1] * p.s0))
     for depth in range(1, p.r0 + p.k):
-        for a in range(0, p.n, rows):
+        for a in range(0, g.n, rows):
             frontier[nbrs[a:a + rows]].any(axis=1, out=layer[a:a + rows])
         layer &= ~reached
         if not layer.any():
@@ -107,7 +105,6 @@ def witness_map(g: Graph, log_n_points: float) -> tuple[GridMap, WitnessParams]:
 @dataclass(frozen=True)
 class WitnessReport:
     params: WitnessParams
-    q: float
     ave: float
     dirichlet: float
     ratio: float
@@ -130,7 +127,7 @@ def witness_certificate(g: Graph, log_n_points: float, q: float = 1.0) -> Witnes
                 / (g.n * g.n))
     edge_costs = grid.edge_costs(g)
     dir_ = float(np.power(np.asarray(edge_costs, dtype=np.float64), q).mean())
-    return WitnessReport(params=p, q=q, ave=ave, dirichlet=dir_, ratio=cost_ratio(ave, dir_),
+    return WitnessReport(params=p, ave=ave, dirichlet=dir_, ratio=cost_ratio(ave, dir_),
                          max_edge_cost=max(edge_costs))
 
 
@@ -156,7 +153,8 @@ def embedding_distortion(g: Graph, image_dist: np.ndarray) -> EmbeddingReport:
     if g.n < 2:
         raise GraphError("distortion needs a graph with at least two vertices")
     gd = distance_matrix(g)
-    lip = edge_lipschitz(g, img)
+    u, v = g.edge_array.T
+    lip = float(img[u, v].max())
     mask = ~np.eye(g.n, dtype=bool)
     with np.errstate(divide="ignore"):
         ratios = img[mask] / gd[mask]

@@ -104,9 +104,7 @@ def check_nonconcentrated(g: Graph, f: VertexMap, q: float, c_r: float, tau) -> 
         return NonConcVerdict(False, params, math.nan, math.nan, None, None)
     ave = empirical_average(f, q)
     dir_ = dirichlet(g, f, q)
-    log_lhs = math.log(ave) if ave > 0 else -math.inf
-    log_rhs = params.log_bound + (math.log(dir_) if dir_ > 0 else -math.inf)
-    slack = log_rhs - log_lhs
+    slack = params.log_bound + _safe_log(dir_) - _safe_log(ave)
     return NonConcVerdict(True, params, ave, dir_, slack >= 0.0, slack)
 
 
@@ -129,12 +127,10 @@ class ExtrapolationVerdict:
     rhs1_log: float
     lhs2_log: float        # log gamma_q vs rhs2 = max(C3, C4 gamma_p^(q/p))
     rhs2_log: float
-    pass1: bool
-    pass2: bool
 
     @property
     def passed(self) -> bool:
-        return self.pass1 and self.pass2
+        return self.lhs1_log <= self.rhs1_log and self.lhs2_log <= self.rhs2_log
 
     @property
     def slack1_log(self) -> float:
@@ -157,8 +153,7 @@ def verdict_from_gammas(gamma_p: float, gamma_q: float,
     lhs2 = _safe_log(gamma_q)
     rhs2 = max(consts.log_c3, consts.log_c4 + (q / p) * _safe_log(gamma_p))
     return ExtrapolationVerdict(p=p, q=q, gamma_p=gamma_p, gamma_q=gamma_q, consts=consts,
-                                lhs1_log=lhs1, rhs1_log=rhs1, lhs2_log=lhs2, rhs2_log=rhs2,
-                                pass1=lhs1 <= rhs1, pass2=lhs2 <= rhs2)
+                                lhs1_log=lhs1, rhs1_log=rhs1, lhs2_log=lhs2, rhs2_log=rhs2)
 
 
 def check_extrapolation(g: Graph, metric: FiniteMetric, p: float,

@@ -43,9 +43,6 @@ class Graph:
         a.flags.writeable = False
         return a
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
 
@@ -173,7 +170,7 @@ def _bfs(g: Graph, sources, radius: int | None) -> tuple[list[int], list[int], i
     return dist, order, start
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs shortest-path distances, cross-component entries equal n.
 
@@ -521,8 +518,9 @@ def _leading_images(n: int, key: int) -> np.ndarray:
 
 
 def _canonical_keys(n: int, keys) -> np.ndarray:
-    """The canonical key of each labelled graph on [n] (n <= 8), given and
-    returned as keys: the greatest key over its isomorphism class.
+    """The canonical key of each labelled graph on [n], given and returned
+    as keys: the greatest key over its isomorphism class.  Callers refuse
+    n > _CANON_CAP before they build a key.
 
     Each pass takes the first graph not yet classified, computes the keys of
     its leading relabellings (_leading_images), whose maximum is its
@@ -532,8 +530,6 @@ def _canonical_keys(n: int, keys) -> np.ndarray:
     images of one completion are exactly those completions, so such a batch
     takes one pass per class; any other graph takes a pass of its own.
     """
-    if n > _CANON_CAP:
-        raise GraphError(f"canonical form is brute-force only, n <= {_CANON_CAP}")
     distinct, inverse = np.unique(np.asarray(keys, dtype=np.int64), return_inverse=True)
     canon = np.full(len(distinct), -1)
     while (todo := np.flatnonzero(canon < 0)).size:

@@ -127,20 +127,22 @@ def matching_avoidance_mc(ell: int, y_pairs, c: float, trials: int, seed: int,
     """Estimate the probability that a uniform matching of [ell] meets the
     pair set Y at most c*ell/2 times, alongside the analytic bound."""
     check_matching_ell(ell)
-    y = {tuple(sorted(p)) for p in y_pairs}
-    full = ell * (ell - 1) // 2
-    if len(y) < (1.0 - eps) * full - 1e-9:
-        raise GraphError(f"|Y| = {len(y)} below (1-eps) * C(ell,2) = {(1 - eps) * full}")
+    y = np.sort(np.fromiter(y_pairs, dtype=(np.intp, 2)), axis=1)
+    bad = (y[:, 0] < 0) | (y[:, 1] >= ell) | (y[:, 0] == y[:, 1])
+    if bad.any():
+        raise GraphError(f"pair {tuple(y[bad][0].tolist())} of Y is not two distinct "
+                         f"elements of 0..{ell - 1}")
+    in_y = np.zeros((ell, ell), dtype=bool)
+    in_y[y[:, 0], y[:, 1]] = True
+    size, full = int(np.count_nonzero(in_y)), ell * (ell - 1) // 2
+    if size < (1.0 - eps) * full - 1e-9:
+        raise GraphError(f"|Y| = {size} below (1-eps) * C(ell,2) = {(1 - eps) * full}")
     if not 0 < c <= eps <= 0.5:
         raise GraphError(f"need 0 < c <= eps <= 1/2, got c={c}, eps={eps}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     gen = derive_rng(seed, "matching-mc", ell)
     threshold = c * ell / 2.0
-    in_y = np.zeros((ell, ell), dtype=bool)
-    for a, b in y:
-        if 0 <= a < b < ell:
-            in_y[a, b] = True
     # one draw per block yields each trial's partner ranks with the values of
     # random_perfect_matching's scalar draws; the last bound, 1, draws nothing
     highs = np.arange(ell - 1, 0, -2)
@@ -237,7 +239,7 @@ def typical_vertex_sets(g: Graph, g_minus: Graph, m: int, seeds):
     seed_minus = seed_map_h(g_minus, m, seeds)
     seed_full = seed_map_h(g, m, seeds)
     v_set = {v for v in range(g.n)
-             if g_minus.degree(v) == d - 1 and seed_minus[v] is not None}
+             if len(g_minus.adjacency[v]) == d - 1 and seed_minus[v] is not None}
     v_prime = {v for v in v_set if seed_full[v] == seed_minus[v]}
     fiber = Counter(seed_full[v] for v in v_set if seed_full[v] is not None)
     cap = (d - 1) ** m / m

@@ -59,7 +59,6 @@ class GammaReport:
     """Per-map statistics: average, Dirichlet form, their ratio, quantile,
     and the concentration verdict at K = 5^q and tau = 1/2."""
 
-    q: float
     ave: float
     dirichlet: float
     ratio: float          # ave/dirichlet; inf if dirichlet = 0 < ave; nan if both vanish
@@ -142,14 +141,8 @@ def gamma_of_map(g: Graph, f: VertexMap, q: float) -> GammaReport:
     ave = _average(f, costs)
     dir_ = _dirichlet(g, f, costs)
     quant = empirical_quantile(f, Fraction(1, 2))
-    return GammaReport(q=q, ave=ave, dirichlet=dir_, ratio=cost_ratio(ave, dir_),
+    return GammaReport(ave=ave, dirichlet=dir_, ratio=cost_ratio(ave, dir_),
                        quantile_tau=quant, concentrated=ave <= 5.0 ** q * quant ** q)
-
-
-def edge_lipschitz(g: Graph, img: np.ndarray) -> float:
-    """Largest entry of the image-distance matrix img across an edge of g."""
-    u, v = g.edge_array.T
-    return float(img[u, v].max())
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import json
 import re
 import signal
 import subprocess
@@ -675,33 +676,87 @@ def with_flag(base: tuple, flag: str, value: str) -> list[str]:
     return argv
 
 
+def short(arg: str) -> str:
+    """An argument as a test id shows it: one past 100 characters is cut."""
+    return arg if len(arg) <= 100 else f"{arg[:20]}...({len(arg)} chars)"
+
+
+def mode_of(base) -> str:
+    """The command of a valid command line and, for a command of cli.MODES,
+    the mode it runs in.  Test ids name a base row by this and not by its
+    whole argv, so editing a value of a base row renames no id."""
+    if base[0] not in cli.MODES:
+        return base[0]
+    return f"{base[0]} {cli.MODES[base[0]][0](cli.build_parser().parse_args(base))}"
+
+
 def table_cases():
-    """(argv, files): one flag or file out of its domain per call.  The files
-    g.txt, m.txt and f.map hold a valid graph, metric and map unless
-    overridden."""
-    cases = [(["gamma", "--gen", "cycle:4", "--metric", "uniform:2", "--q", "abc"], {}),
-             (["gamma", "--gen", "cycle:4"], {}), (["model", "--lemma", "nope"], {}), ([], {})]
+    """(id, argv, files): one flag or file out of its domain per call.  The
+    files g.txt, m.txt and f.map hold a valid graph, metric and map unless
+    overridden.  The id names the mode and what the case varies."""
+    cases = [("gamma|--q='abc'",
+              ["gamma", "--gen", "cycle:4", "--metric", "uniform:2", "--q", "abc"], {}),
+             ("gamma|no --metric", ["gamma", "--gen", "cycle:4"], {}),
+             ("model|--lemma='nope'", ["model", "--lemma", "nope"], {}),
+             ("no command", [], {})]
     for base, flags in SUBCOMMANDS:
-        cases += [(with_flag(base, flag, v), {}) for flag, values in flags.items()
-                  for v in values]
-    cases += [(["gamma", "--graph", p, "--metric", "m.txt"], {}) for p in IN_PATH]
-    cases += [(["distort", "--graph", "g.txt", "--metric", "uniform:2", "--map", p], {})
-              for p in IN_PATH]
+        cases += [(f"{mode_of(base)}|{flag}={short(v)!r}", with_flag(base, flag, v), {})
+                  for flag, values in flags.items() for v in values]
     graph_cmd = ["gamma", "--graph", "g.txt", "--metric", "m.txt"]
-    cases += [(graph_cmd, {"g.txt": t}) for t in GRAPH_FILES]
-    cases += [(graph_cmd, {"m.txt": t}) for t in METRIC_FILES]
+    map_cmd = ["distort", "--graph", "g.txt", "--metric", "uniform:2", "--map", "f.map"]
+    cases += [(f"{mode_of(graph_cmd)}|--graph={p!r}", with_flag(graph_cmd, "--graph", p), {})
+              for p in IN_PATH]
+    cases += [(f"distort|--map={p!r}", with_flag(map_cmd, "--map", p), {}) for p in IN_PATH]
+    cases += [(f"{mode_of(graph_cmd)}|{name}={t!r}", graph_cmd, {name: t})
+              for name, texts in (("g.txt", GRAPH_FILES), ("m.txt", METRIC_FILES))
+              for t in texts]
     for cmd in ("distort", "nonconc"):
-        cases += [([cmd, "--graph", "g.txt", "--metric", "uniform:2", "--map", "f.map"],
-                   {"f.map": t}) for t in MAP_FILES]
+        cases += [(f"{cmd}|f.map={t!r}", [cmd, *map_cmd[1:]], {"f.map": t}) for t in MAP_FILES]
     return cases
 
 
 TABLE_CASES = table_cases()
+# a count or size of 10^21 or of 5000 digits, as a whole field of an
+# argument or a file (10^HUGE is a valid --N)
+HUGE_FIELD = re.compile(rf"(?<![\d^])(?:{HUGE}|9{{5000}})(?!\d)")
+# the memory column: one interpreter limited to 2 GiB of address space runs
+# the rows [argv, files] it reads as JSON, each in a directory of its own
+# under argv[1] and under an alarm, and writes [exit code or exception name,
+# stderr] per row
+MEMORY_CHILD = """
+import contextlib, io, json, os, resource, signal, sys
+from pathlib import Path
+
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from nlgap import cli
 
 
-def short(arg: str) -> str:
-    """An argument as a test id shows it: one past 100 characters is cut."""
-    return arg if len(arg) <= 100 else f"{arg[:20]}...({len(arg)} chars)"
+def overtime(signum, frame):
+    raise TimeoutError
+
+
+signal.signal(signal.SIGALRM, overtime)
+os.chdir(sys.argv[1])
+limit, rows = json.load(sys.stdin)
+results = []
+for i, (argv, files) in enumerate(rows):
+    os.mkdir(str(i))
+    os.chdir(str(i))
+    for name, text in files.items():
+        Path(name).write_text(text)
+    err = io.StringIO()
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except BaseException as exc:
+        code = type(exc).__name__
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    os.chdir("..")
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
 
 
 class Overtime(Exception):
@@ -722,10 +777,11 @@ class TestNoTracebackTable:
 
     TIME_LIMIT_S = 5.0
 
-    @pytest.mark.parametrize("argv,files", TABLE_CASES,
-                             ids=[" ".join(short(x) for x in a) + "|"
-                                  + ";".join(f"{k}={v!r}" for k, v in f.items())
-                                  for a, f in TABLE_CASES])
+    def test_ids_unique(self):
+        ids = [case[0] for case in TABLE_CASES]
+        assert len(set(ids)) == len(ids)
+
+    @pytest.mark.parametrize("argv,files", [pytest.param(a, f, id=i) for i, a, f in TABLE_CASES])
     def test_exits_cleanly(self, argv, files, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         for name, text in {**FILES, **files}.items():
@@ -752,6 +808,21 @@ class TestNoTracebackTable:
                 assert phrase not in captured.err
         if code == 2:
             assert captured.err.startswith("property check failed: ")
+
+    def test_huge_sizes_refused_within_two_gib(self, tmp_path):
+        """The rows with a huge count or size, run in one child process
+        under a 2 GiB address-space limit: each exits 1 with one line, and
+        none raises MemoryError or runs past TIME_LIMIT_S."""
+        rows = [(i, argv, {**FILES, **files}) for i, argv, files in TABLE_CASES
+                if any(HUGE_FIELD.search(x) for x in [*argv, *files.values()])]
+        assert len(rows) > 200
+        res = subprocess.run([sys.executable, "-c", MEMORY_CHILD, str(tmp_path)],
+                             input=json.dumps([self.TIME_LIMIT_S, [r[1:] for r in rows]]),
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        bad = [(i, code, err) for (i, _, _), (code, err) in zip(rows, json.loads(res.stdout))
+               if not (code == 1 and err.startswith("error: ") and err.count("\n") == 1)]
+        assert bad == []
 
 
 # ------------------------------------------------------------------ flag gate
@@ -847,7 +918,7 @@ class TestEveryFlagActs:
                       if base[0] == command]
             assert {pick(args) for args in parsed} == set(reads), command
 
-    @pytest.mark.parametrize("base,flag", CASES, ids=[f"{' '.join(b)}|{f}" for b, f in CASES])
+    @pytest.mark.parametrize("base,flag", CASES, ids=[f"{mode_of(b)}|{f}" for b, f in CASES])
     def test_flag_acts_or_is_refused(self, base, flag, tmp_path, monkeypatch, capsys):
         before = outcome(list(base), tmp_path / "base", monkeypatch, capsys)
         after = outcome(with_other(base, flag), tmp_path / "flag", monkeypatch, capsys)

@@ -125,9 +125,9 @@ class TestWitnessMapOracle:
         g = complete_graph(300)
         log_n_points = math.log(10.0) * 1000
         p = witness_params(g, log_n_points)
-        assert (p.d, p.s0) == (299, 300)
+        assert (g.regular_degree(), p.s0) == (299, 300)
         tables = g.n * p.s0   # bytes of one (n, s0) table of int8 or bool
-        neighbours = g.n * p.d * np.dtype(np.intp).itemsize
+        neighbours = g.n * g.regular_degree() * np.dtype(np.intp).itemsize
         tracemalloc.start()
         try:
             grid, _ = witness_map(g, log_n_points)

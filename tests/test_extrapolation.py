@@ -168,7 +168,7 @@ class TestCheckExtrapolation:
             m = random_euclidean_metric(3, seed=seed)
             for (p, q) in [(1, 2), (1, 3), (2, 3)]:
                 v = check_extrapolation(g, m, p, q)
-                assert v.pass1 and v.pass2, (seed, p, q)
+                assert v.passed, (seed, p, q)
 
     def test_snowflake_route(self):
         g = complete_graph(4)

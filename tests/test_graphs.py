@@ -176,7 +176,7 @@ class TestConstruction:
 
     def test_adjacency_consistent(self, corpus):
         for g in corpus.values():
-            assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+            assert sum(len(g.adjacency[v]) for v in range(g.n)) == 2 * g.m
             for u, v in g.edges:
                 assert v in g.adjacency[u] and u in g.adjacency[v]
 
@@ -239,6 +239,12 @@ class TestDistances:
             m = distance_matrix(g)
             assert (m == m.T).all()
             assert (np.diag(m) == 0).all()
+
+    def test_matrix_cache_holds_one_graph(self):
+        # its repeat caller, the JLS retry loop, asks for one graph at a time
+        distance_matrix(cycle_graph(5))
+        distance_matrix(path_graph(5))
+        assert distance_matrix.cache_info().currsize == 1
 
 
 def networkx_oracle_graphs():
@@ -710,6 +716,12 @@ class TestPairingSampler:
 
 
 class TestCanonical:
+    def test_refused_past_the_cap_before_any_pair_table(self):
+        graphs._pairs.cache_clear()
+        with pytest.raises(GraphError, match="brute-force only, n <= 8"):
+            canonical_form(cycle_graph(9))
+        assert graphs._pairs.cache_info().currsize == 0
+
     def test_k4_fixed_point(self):
         g = complete_graph(4)
         assert canonical_form(g).edges == g.edges

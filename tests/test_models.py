@@ -355,6 +355,18 @@ class TestMatchings:
         with pytest.raises(GraphError):
             matching_avoidance_mc(5, [], c=0.1, trials=10, seed=0, eps=0.2)
 
+    @pytest.mark.parametrize("ell,y,eps,pair", [
+        # 200 pairs reach |Y| >= (1 - eps) C(20, 2) = 152, none of them in [20]
+        (20, [(a, a + 100) for a in range(200)], 0.2, r"\(0, 100\)"),
+        # three pairs reach (1 - eps) C(4, 2) = 3, but two are loops
+        (4, [(0, 1), (0, 0), (1, 1)], 0.5, r"\(0, 0\)"),
+        (4, [(0, 1), (0, 2), (-1, 3)], 0.5, r"\(-1, 3\)"),
+    ], ids=["outside", "loops", "negative"])
+    def test_pair_not_in_ell_refused(self, ell, y, eps, pair):
+        with pytest.raises(GraphError, match=rf"pair {pair} of Y is not two distinct "
+                                             rf"elements of 0\.\.{ell - 1}"):
+            matching_avoidance_mc(ell, y, c=0.1, trials=10, seed=1, eps=eps)
+
     def test_pair_table_budget(self):
         check_matching_ell(2048)  # the largest ell whose table fits
         with pytest.raises(GraphError, match="byte budget"):
@@ -455,7 +467,7 @@ class TestTypicalVertexSets:
         seeds_full = seed_map_h(g, 2, range(4))
         assert vp <= v and vpp <= v
         for x in v:
-            assert g_minus.degree(x) == 2
+            assert len(g_minus.adjacency[x]) == 2
             assert seeds_minus[x] is not None
             assert (x in vp) == (seeds_full[x] == seeds_minus[x])
 

@@ -12,7 +12,8 @@ from nlgap.graphs import (complete_graph, cycle_graph, graph_from_edges, path_gr
                           random_connected_regular)
 from nlgap.metrics import (MetricError, cost_matrix, linf_grid, random_euclidean_metric,
                            uniform_metric, validate)
-from nlgap.poincare import (CapExceeded, VertexMap, dirichlet, edge_lipschitz,
+from nlgap.embeddings import embedding_distortion
+from nlgap.poincare import (CapExceeded, VertexMap, dirichlet,
                             empirical_average, empirical_quantile, enumerate_map_statistics,
                             gamma_exact, gamma_lower_search, gamma_of_map, is_concentrated,
                             _low_block, _map_blocks)
@@ -497,6 +498,8 @@ class TestHolderAndQuantileBounds:
 
 class TestEdgeLipschitz:
     def test_matches_the_edge_loop(self):
+        """embedding_distortion's lip is the largest image distance across
+        an edge; the random graphs are trees plus chords, so connected."""
         gen = derive_rng(5, "edge-lipschitz")
         for _ in range(60):
             n = int(gen.integers(2, 12))
@@ -505,8 +508,8 @@ class TestEdgeLipschitz:
             f = VertexMap(metric, tuple(int(x) for x in gen.integers(0, metric.size, size=n)))
             img = f.image_distances()
             lip = max(float(img[u, v]) for u, v in g.edges)
-            assert edge_lipschitz(g, img) == lip
-            assert edge_lipschitz(g, img.astype(np.int64) * 3) == max(
+            assert embedding_distortion(g, img).lip == lip
+            assert embedding_distortion(g, img.astype(np.int64) * 3).lip == max(
                 float(3 * int(img[u, v])) for u, v in g.edges)
 
     def test_image_distances(self):
