@@ -65,6 +65,15 @@ def _read(path: str, what: str, parse):
     return parse(p.read_text())
 
 
+def _read_map(path: str, g: Graph, metric: FiniteMetric) -> VertexMap:
+    """The map file at path as a map of g into metric, refused before any
+    work unless it has one value for each vertex of g."""
+    f = VertexMap(metric, _read(path, "map", map_assignment_from_text))
+    if f.n != g.n:
+        raise CliError(f"map length {f.n} != graph order {g.n}")
+    return f
+
+
 # kind: (its fields, builder(seed, *fields)); a trailing [,field] may be left out
 GRAPH_SPECS = {
     "regular": ("n,d", lambda seed, n, d: random_regular(n, d, seed)),
@@ -214,8 +223,7 @@ def cmd_nonconc(args) -> None:
         if not math.isfinite(value):
             raise CliError(f"{flag} must be finite, got {value}")
     g = parse_graph_arg(args.gen, args.graph, args.seed)
-    metric = parse_metric_arg(args.metric, args.seed)
-    f = VertexMap(metric, _read(args.map, "map", map_assignment_from_text))
+    f = _read_map(args.map, g, parse_metric_arg(args.metric, args.seed))
     v = check_nonconcentrated(g, f, args.q, args.cr, Fraction(args.tau).limit_denominator(10 ** 6))
     _emit(args, "hypothesis_met,ell,log_bound,ave,dirichlet,holds,slack_log",
           [csv_row(v.hypothesis_met, v.params.ell, v.params.log_bound, v.ave,
@@ -269,8 +277,7 @@ def cmd_jls(args) -> None:
 
 def cmd_distort(args) -> None:
     g = parse_graph_arg(args.gen, args.graph, args.seed)
-    metric = parse_metric_arg(args.metric, args.seed)
-    f = VertexMap(metric, _read(args.map, "map", map_assignment_from_text))
+    f = _read_map(args.map, g, parse_metric_arg(args.metric, args.seed))
     r = embedding_distortion(g, f.image_distances())
     _emit(args, "lip,colip,distortion,scale", [csv_row(r.lip, r.colip, r.distortion, r.scale)])
 

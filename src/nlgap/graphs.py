@@ -132,17 +132,16 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return multi_source_distances(g, [source])
 
 
-def multi_source_distances(g: Graph, sources, radius: int | None = None) -> list[int]:
-    """BFS distances from the nearest vertex of a nonempty source set.
-
-    With a radius the search stops at that depth and every vertex beyond it
-    keeps the value n, so entries up to the radius equal the full BFS."""
-    return _bfs(g, sources, radius)[0]
+def multi_source_distances(g: Graph, sources) -> list[int]:
+    """BFS distances from the nearest vertex of a nonempty source set."""
+    return _bfs(g, sources, None)[0]
 
 
 def _bfs(g: Graph, sources, radius: int | None) -> tuple[list[int], list[int], int]:
     """The one BFS loop: the distances, the vertices reached in BFS order,
-    and where the layer at the last depth reached starts in that order."""
+    and where the layer at the last depth reached starts in that order.  A
+    radius stops the search at that depth, and every vertex beyond it keeps
+    the value n."""
     sources = list(sources)
     if not sources:
         raise GraphError("source set must be nonempty")

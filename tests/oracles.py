@@ -2,14 +2,14 @@
 package they check.  A plain module rather than conftest.py, so that test
 modules can import it by name even when another conftest.py is collected
 in the same run."""
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from nlgap.graphs import (GraphError, complete_graph, cycle_graph, distance_matrix,
-                          graph_from_edges, lambda2, multi_source_distances, path_graph,
-                          petersen_graph, prism_graph)
+from nlgap.graphs import (GraphError, _bfs, complete_graph, cycle_graph, distance_matrix,
+                          graph_from_edges, lambda2, path_graph, petersen_graph, prism_graph)
 from nlgap.metrics import _distinct_scales, validate
 
 
@@ -52,7 +52,7 @@ def diameter(g):
 
 def ball(g, S, radius):
     """All vertices at distance <= radius from the set S."""
-    dist = multi_source_distances(g, S, radius)
+    dist = _bfs(g, S, radius)[0]
     return {v for v in range(g.n) if dist[v] <= radius}
 
 
@@ -61,6 +61,21 @@ def cut_size(g, S):
     for v in S:
         inc[v] = True
     return sum(1 for u, v in g.edges if inc[u] != inc[v])
+
+
+def two_point_ratio(g, S) -> Fraction:
+    """The exact ratio of the map that sends the vertices of S to one point
+    of the uniform 2-point space and the rest to the other:
+    (2 s (n - s) / n^2) / (cut / |E|)."""
+    s = len(S)
+    return Fraction(2 * s * (g.n - s), g.n * g.n) / Fraction(cut_size(g, S), g.m)
+
+
+def two_point_oracle(g) -> Fraction:
+    """Gamma at q = 1 into the uniform 2-point space by subset enumeration:
+    the largest two_point_ratio over the subsets that some edge leaves."""
+    return max(two_point_ratio(g, S) for size in range(1, g.n)
+               for S in itertools.combinations(range(g.n), size) if cut_size(g, S))
 
 
 def all_perfect_matchings(k):

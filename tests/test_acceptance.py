@@ -13,7 +13,7 @@ import pytest
 
 from nlgap.embeddings import jls_embedding, witness_certificate
 from nlgap.extrapolation import constants, nonconc_params, one_sided_gamma
-from nlgap.graphs import (Graph, canonical_form, cheeger_bounds, cheeger_exact,
+from nlgap.graphs import (canonical_form, cheeger_bounds, cheeger_exact,
                           complete_graph, cycle_graph, distance_matrix,
                           enumerate_regular_graphs, graph_from_edges,
                           is_connected, lambda2, random_connected_regular,
@@ -24,7 +24,8 @@ from nlgap.models import (distribution_equality_mc, matching_avoidance_mc,
                           random_perfect_matching, restriction_concentration_mc)
 from nlgap.poincare import (VertexMap, enumerate_map_statistics, gamma_exact)
 from nlgap.rng import derive_rng
-from oracles import all_perfect_matchings, cut_size, matching_avoidance_law
+from oracles import (all_perfect_matchings, matching_avoidance_law, two_point_oracle,
+                     two_point_ratio)
 
 TAU_HALF = Fraction(1, 2)
 
@@ -154,19 +155,6 @@ def test_criterion_3_one_sided_functional(cubic_universe):
 
 # ---------------------------------------------------------------- criterion 4
 
-def two_point_oracle(g: Graph) -> Fraction:
-    best = None
-    for size in range(1, g.n):
-        for subset in itertools.combinations(range(g.n), size):
-            cut = cut_size(g, subset)
-            if cut == 0:
-                continue
-            val = Fraction(2 * size * (g.n - size), g.n * g.n) / Fraction(cut, g.m)
-            if best is None or val > best:
-                best = val
-    return best
-
-
 def test_criterion_4_two_point_cheeger_oracle(corpus):
     graphs = {name: g for name, g in corpus.items() if g.n <= 10}
     for s in range(4):
@@ -174,9 +162,7 @@ def test_criterion_4_two_point_cheeger_oracle(corpus):
         graphs[f"rand8-{s}"] = g
     for name, g in sorted(graphs.items()):
         res = gamma_exact(g, uniform_metric(2), 1.0)
-        S = [v for v, a in enumerate(res.witness.assignment) if a == 1]
-        s = len(S)
-        exact = Fraction(2 * s * (g.n - s), g.n * g.n) / Fraction(cut_size(g, S), g.m)
+        exact = two_point_ratio(g, [v for v, a in enumerate(res.witness.assignment) if a])
         oracle = two_point_oracle(g)
         if exact != oracle:
             report(4, "two-point subset oracle", False,
@@ -190,7 +176,9 @@ def test_universe_at_q1_is_the_two_point_value(cubic_universe):
     value.  Criteria 1-3 only bound these gammas; a kernel fault shows here."""
     two_point = {}
     for e in cubic_universe:
-        want = two_point.setdefault(e["gid"], float(two_point_oracle(e["g"])))
+        if e["gid"] not in two_point:
+            two_point[e["gid"]] = float(two_point_oracle(e["g"]))
+        want = two_point[e["gid"]]
         assert e["gammas"][1.0] == pytest.approx(want, rel=1e-12, abs=0), (e["gid"], e["mid"])
 
 

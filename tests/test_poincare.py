@@ -19,32 +19,8 @@ from nlgap.poincare import (CapExceeded, VertexMap, dirichlet,
                             _low_block, _map_blocks)
 from nlgap import poincare
 from nlgap.rng import derive_rng
-from oracles import (complete_bipartite_graph, cut_size, disjoint_union, gamma_euclidean_sq,
-                     path_metric, relabel)
-
-
-def two_point_gamma_oracle(g):
-    """Independent subset-enumeration formula for the uniform 2-point target:
-    max over cuts of (2 s (n-s) / n^2) / (cut / |E|), exact rationals."""
-    n = g.n
-    best = None
-    for size in range(1, n):
-        for S in itertools.combinations(range(n), size):
-            cut = cut_size(g, S)
-            if cut == 0:
-                continue
-            val = Fraction(2 * size * (n - size), n * n) / Fraction(cut, g.m)
-            if best is None or val > best:
-                best = val
-    return best
-
-
-def exact_ratio_of_witness(g, witness):
-    """Exact rational ratio of a two-point witness map."""
-    S = [v for v, a in enumerate(witness.assignment) if a == 1]
-    s = len(S)
-    cut = cut_size(g, S)
-    return Fraction(2 * s * (g.n - s), g.n * g.n) / Fraction(cut, g.m)
+from oracles import (complete_bipartite_graph, disjoint_union, gamma_euclidean_sq, path_metric,
+                     relabel, two_point_oracle, two_point_ratio)
 
 
 def half_half_map(n, metric=None):
@@ -246,8 +222,9 @@ class TestGammaExact:
                    random_connected_regular(14, 3, seed=32)]
         for g in graphs:
             r = gamma_exact(g, uniform_metric(2), 1)
-            oracle = two_point_gamma_oracle(g)
-            assert exact_ratio_of_witness(g, r.witness) == oracle
+            oracle = two_point_oracle(g)
+            S = [v for v, a in enumerate(r.witness.assignment) if a]
+            assert two_point_ratio(g, S) == oracle
             assert r.gamma == pytest.approx(float(oracle))
 
     def test_sup_dominates_every_map(self):
@@ -685,7 +662,8 @@ class TestMapUniverseKernel:
                 continue
             g = graph_from_edges(h.number_of_nodes(), h.edges())
             r = gamma_exact(g, uniform_metric(2), 1)
-            assert exact_ratio_of_witness(g, r.witness) == two_point_gamma_oracle(g)
+            S = [v for v, a in enumerate(r.witness.assignment) if a]
+            assert two_point_ratio(g, S) == two_point_oracle(g)
             checked += 1
         assert checked == 1 + 2 + 6 + 21 + 112  # OEIS A001349
 

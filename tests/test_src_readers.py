@@ -10,6 +10,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "nlgap").glob("*.py"))
 READERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
@@ -132,3 +134,71 @@ def test_every_src_member_has_a_reader():
             if name not in elsewhere and name not in attribute_loads(trees[path], skip=node):
                 unread.append(f"{path.name}:{cls}.{name}")
     assert unread == []
+
+
+def defaulted_parameters(tree):
+    """(def name, position, name) for each parameter with a default of each
+    def in tree, nested ones too.  The position counts the positional
+    arguments of a call, after a method's self; a keyword-only parameter
+    has none."""
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            positional = (a.posonlyargs + a.args)[id(node) in methods:]
+            for i in range(len(positional) - len(a.defaults), len(positional)):
+                yield node.name, i, positional[i].arg
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield node.name, None, arg.arg
+
+
+def passes(call, position, name) -> bool:
+    """Whether a call passes the parameter: by position, by keyword, or
+    through * or **."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position
+                                     or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+GUARD_DEFS = """
+def f(a, b=1, *, c=2): pass
+class K:
+    def m(self, x, y=0): pass
+"""
+
+
+@pytest.mark.parametrize("call,unpassed", [
+    ("f(0)", ["f(b)", "f(c)"]),
+    ("f(0, 1)", ["f(c)"]),
+    ("f(*xs, c=3)", []),
+    ("f(0, **kw)", []),
+    ("K().m(0)", ["m(y)"]),
+    ("K().m(0, 1)", []),
+])
+def test_guard_sees_each_way_of_passing(call, unpassed):
+    """The guard below counts a method's positions after self, and a
+    keyword-only parameter as passed only by keyword or **."""
+    node = ast.parse(call).body[0].value
+    assert [f"{fn}({name})" for fn, position, name in defaulted_parameters(ast.parse(GUARD_DEFS))
+            if fn == (getattr(node.func, "id", None) or node.func.attr)
+            and not passes(node, position, name)] == unpassed
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A parameter with a default that no call in the readers passes always
+    holds its default: it goes, and its value with it.  Calls match a def by
+    name, as the scans above do."""
+    trees = {path: ast.parse(path.read_text()) for path in READERS}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls.setdefault(getattr(func, "id", getattr(func, "attr", None)), []).append(node)
+    unpassed = [f"{path.name}:{fn}({name})" for path in SOURCES
+                for fn, position, name in defaulted_parameters(trees[path])
+                if not any(passes(call, position, name) for call in calls.get(fn, []))]
+    assert unpassed == []
