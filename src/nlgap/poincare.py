@@ -155,6 +155,9 @@ _BLOCK_MAPS = 1 << 14
 # the largest map universes gamma_exact and enumerate_map_statistics exhaust
 _EXACT_CAP = 10 ** 8
 _STATISTICS_CAP = 10 ** 7
+# gamma_lower_search's working-set budget in n x N float tables; it keeps
+# three and a bool mask, and a test holds its traced peak below five
+_SEARCH_TABLES = 5
 
 
 @lru_cache(maxsize=32)
@@ -285,26 +288,56 @@ def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
     part by a few ulps.  Deterministic given the seed.
 
     Each step scores every (vertex, point) move at once and takes the best
-    one, breaking ties by the smallest vertex, then the smallest point.
+    one, breaking ties by the smallest vertex, then the smallest point.  The
+    table of neighbour costs behind the scores is kept from step to step: a
+    restart sums it afresh, and a move sums again only the rows of the moved
+    vertex's neighbours, each from zero in adjacency order.  Refuses, before
+    any table is allocated, a working set of _SEARCH_TABLES n x N float
+    tables beyond metrics._METRIC_BYTES.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     if g.m == 0:
         raise ValueError("graph has no edges")
+    n, n_points = g.n, metric.size
+    if _SEARCH_TABLES * 8 * n * n_points > metrics._METRIC_BYTES:
+        raise MetricError(f"the search tables of n = {n} vertices by N = {n_points} points "
+                          f"exceed the {metrics._METRIC_BYTES}-byte budget")
     if not is_connected(g):
         raise ValueError("gamma_lower_search requires a connected graph")
-    n, n_points = g.n, metric.size
     costs = cost_matrix(metric, q)
     scale = g.m / (n * n)  # ratio = scale * pair_sum / edge_sum
     # vertices grouped by degree, so that each group's neighbour lists form
-    # one (vertices, degree) array in adjacency order
+    # one (vertices, degree) array in adjacency order; a vertex's neighbour
+    # list is row row_of[v] of group group_of[v]
     degrees = np.array(g.degrees())
     groups = []
+    group_of = np.empty(n, dtype=np.intp)
+    row_of = np.empty(n, dtype=np.intp)
     for d in sorted(set(g.degrees())):
         vs = np.flatnonzero(degrees == d)
         nbrs = np.array([g.adjacency[v] for v in vs], dtype=np.int64).reshape(vs.size, d)
+        group_of[vs], row_of[vs] = len(groups), np.arange(vs.size)
         groups.append((vs, nbrs))
-    everyone = np.arange(n)
+    row_start = np.arange(n) * n_points
+    # nbr[v, x] adds costs[x, current[u]] over the neighbours u of v one by
+    # one, in adjacency order; at x = current[v] it is v's own cost.  The
+    # step works in place in the other three tables
+    nbr = np.empty((n, n_points))
+    edge_new = np.empty_like(nbr)
+    ratios = np.empty_like(nbr)
+    degenerate = np.empty(nbr.shape, dtype=bool)
+    block = max(1, (1 << 14) // n_points)  # rows per 128 kB block of a sum
+
+    def resum(a: np.ndarray, vs: np.ndarray, nbrs: np.ndarray) -> None:
+        """Sum the rows nbr[vs] of the map a afresh from zero, a block of
+        rows at a time; validate refuses asymmetric metrics, so costs[a[u]]
+        is the column costs[:, a[u]]."""
+        for lo in range(0, len(vs), block):
+            part = np.zeros((len(vs[lo:lo + block]), n_points))
+            for slot in nbrs[lo:lo + block].T:
+                part += costs[a[slot]]
+            nbr[vs[lo:lo + block]] = part
 
     def full_sums(a: np.ndarray) -> tuple[np.ndarray, float, float]:
         cnt = np.bincount(a, minlength=n_points).astype(np.float64)
@@ -313,55 +346,63 @@ def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
     def ratio(pair: float, edge: float) -> float:
         return scale * pair / edge if edge > 0 else -math.inf
 
-    def fresh(restart: int) -> np.ndarray:
+    def fresh(restart: int) -> tuple[np.ndarray, np.ndarray]:
+        """The restart's random map, with all of nbr summed for it, and the
+        flat index of each vertex's own entry (v, a[v]) in an n x N table."""
         gen = derive_rng(seed, "gamma-search", restart)
         a = gen.integers(0, n_points, size=n)
         if len(set(a.tolist())) <= 1 and n_points > 1:
             a[int(gen.integers(0, n))] = (a[0] + 1) % n_points
-        return a
+        for vs, nbrs in groups:
+            resum(a, vs, nbrs)
+        return a, row_start + a
 
-    current = fresh(0)
+    current, own = fresh(0)
     cnt, pair, edge = full_sums(current)
     best, best_map = ratio(pair, edge), current.copy()
     restart = steps = 0
-    while steps < iters:
-        steps += 1
-        # steepest single-vertex ascent over the n x N move table: row v,
-        # column x holds the sums after moving v to point x.  validate
-        # refuses asymmetric metrics, so moved[v, x] = costs[x, current[v]]
-        moved = costs[current]
-        # vecdot rounds each row's dot product as costs[y] @ cnt does; a
-        # matrix-vector product may round differently
-        pair_new = pair + 2.0 * (costs @ cnt - np.vecdot(costs, cnt)[current][:, None] - moved)
-        # nbr[v, x] adds costs[x, current[u]] over the neighbours u of v one
-        # by one, in adjacency order; at x = current[v] it is v's own cost
-        nbr = np.empty((n, n_points))
-        for vs, nbrs in groups:
-            part = np.zeros((len(vs), n_points))
-            for slot in nbrs.T:
-                part += moved[slot]
-            nbr[vs] = part
-        edge_new = edge + nbr - nbr[everyone, current][:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(edge_new > 0, scale * pair_new / edge_new, -math.inf)
-        ratios[everyone, current] = -math.inf
-        v, x = divmod(int(np.argmax(ratios)), n_points)
-        if ratios[v, x] > ratio(pair, edge):
-            pair, edge = float(pair_new[v, x]), float(edge_new[v, x])
-            cnt[current[v]] -= 1
-            cnt[x] += 1
-            current[v] = x
-            if ratios[v, x] <= best:
-                continue
-        else:
-            restart += 1
-            current = fresh(restart)
-        # a restart or a move past the best: re-derive the sums so that the
-        # recorded value is drift-free
-        cnt, pair, edge = full_sums(current)
-        r = ratio(pair, edge)
-        if r > best:
-            best, best_map = r, current.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while steps < iters:
+            steps += 1
+            # steepest single-vertex ascent over the n x N move table: row v,
+            # column y holds the ratio after moving v to point y.  The pair
+            # sum depends on v only through its point a, as pair_new[a, y];
+            # vecdot rounds each row's dot product as costs[y] @ cnt does, a
+            # matrix-vector product may round differently
+            pair_new = pair + 2.0 * (costs @ cnt - np.vecdot(costs, cnt)[:, None] - costs)
+            np.add(edge, nbr, out=edge_new)
+            np.subtract(edge_new, nbr.take(own)[:, None], out=edge_new)
+            # current is in range; take's default mode buffers the whole output
+            (scale * pair_new).take(current, axis=0, out=ratios, mode="clip")
+            np.divide(ratios, edge_new, out=ratios)
+            np.less_equal(edge_new, 0, out=degenerate)
+            np.copyto(ratios, -math.inf, where=degenerate)
+            ratios.put(own, -math.inf)
+            v, x = divmod(int(ratios.argmax()), n_points)
+            if ratios[v, x] > ratio(pair, edge):
+                pair, edge = float(pair_new[current[v], x]), float(edge_new[v, x])
+                cnt[current[v]] -= 1
+                cnt[x] += 1
+                own[v] += x - current[v]
+                current[v] = x
+                # only the rows of v's neighbours change; sum them by group
+                by_group = {}
+                for u in g.adjacency[v]:
+                    by_group.setdefault(group_of[u], []).append(row_of[u])
+                for gi, rows in by_group.items():
+                    vs, nbrs = groups[gi]
+                    resum(current, vs[rows], nbrs[rows])
+                if ratios[v, x] <= best:
+                    continue
+            else:
+                restart += 1
+                current, own = fresh(restart)
+            # a restart or a move past the best: re-derive the sums so that
+            # the recorded value is drift-free
+            cnt, pair, edge = full_sums(current)
+            r = ratio(pair, edge)
+            if r > best:
+                best, best_map = r, current.copy()
     if best == -math.inf:
         return GammaExactResult(None, None, steps)
     return GammaExactResult(best, VertexMap(metric, tuple(int(x) for x in best_map)), steps)

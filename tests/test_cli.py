@@ -141,6 +141,21 @@ class TestVerdictCommands:
         assert capsys.readouterr().err == ("error: the distance matrix of n = 40 vertices "
                                            "exceeds the 10000-byte budget\n")
 
+    def test_heuristic_refuses_search_tables_beyond_the_budget(self, capsys, monkeypatch):
+        # five 160 MB tables: refused with one line before the first is allocated
+        monkeypatch.setattr(metrics, "_METRIC_BYTES", 10 ** 7)
+        tracemalloc.start()
+        try:
+            code = cli.main(["gamma", "--gen", "cycle:20000", "--metric", "uniform:1000",
+                             "--heuristic"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().err) == (
+            1, "error: the search tables of n = 20000 vertices by N = 1000 points "
+               "exceed the 10000000-byte budget\n")
+        assert peak < 8 * 20_000 * 1000 // 5
+
     @pytest.mark.parametrize("cmd", ["distort", "nonconc"])
     def test_map_of_another_order_refused_before_any_work(self, cmd, tmp_path, capsys):
         # refused before the 200 MB of image distances are built
@@ -486,6 +501,9 @@ PINNED = [
     ("gen-metric --type grid:1,12 --out unused.txt", "(2k+1)^s exceeds cap 1000 at k = 1, s = 12"),
     ("gamma --gen cycle:4 --metric grid:1,9 --heuristic",
      "(2k+1)^s exceeds cap 1000 at k = 1, s = 9"),
+    # five 240 MB search tables
+    ("gamma --gen cycle:30000 --metric uniform:1000 --heuristic", "the search tables of "
+     "n = 30000 vertices by N = 1000 points exceed the 1073741824-byte budget"),
     ("gen-metric --type grid:1000000,1000000 --out unused.txt",
      "(2k+1)^s exceeds cap 1000 at k = 1000000, s = 1000000"),
     ("gen-metric --type grid:0,1000000000 --out unused.txt", "need k >= 1 and s >= 1"),

@@ -17,7 +17,7 @@ from nlgap.poincare import (CapExceeded, VertexMap, dirichlet,
                             empirical_average, empirical_quantile, enumerate_map_statistics,
                             gamma_exact, gamma_lower_search, gamma_of_map, is_concentrated,
                             _low_block, _map_blocks)
-from nlgap import poincare
+from nlgap import metrics, poincare
 from nlgap.rng import derive_rng
 from oracles import (complete_bipartite_graph, disjoint_union, gamma_euclidean_sq, path_metric,
                      relabel, two_point_oracle, two_point_ratio)
@@ -298,6 +298,39 @@ class TestGammaLowerSearch:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
+    def test_peak_below_five_tables(self):
+        # the step keeps its neighbour-cost table between moves and works in
+        # place; five n x N float tables are what the working-set refusal allows
+        n, grid = 20_000, linf_grid(4, 2)
+        g = random_connected_regular(n, 3, seed=5)
+        tracemalloc.start()
+        try:
+            gamma_lower_search(g, grid, 1.0, iters=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * n * grid.size
+
+    def test_working_set_refused_before_allocation(self, monkeypatch):
+        # five 160 MB tables are one byte over the budget: refused before the
+        # first is allocated
+        g, m = cycle_graph(20_000), uniform_metric(1000)
+        monkeypatch.setattr(metrics, "_METRIC_BYTES", 5 * 8 * 20_000 * 1000 - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MetricError, match=r"^the search tables of n = 20000 vertices "
+                                                  r"by N = 1000 points exceed the "
+                                                  r"799999999-byte budget$"):
+                gamma_lower_search(g, m, 1.0, iters=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        # exactly five tables fit
+        monkeypatch.setattr(metrics, "_METRIC_BYTES", 5 * 8 * 40 * 2)
+        assert gamma_lower_search(cycle_graph(40), uniform_metric(2), 1.0, iters=5,
+                                  seed=0).maps_evaluated == 5
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_edgeless_graph_refused(self, n):
         # n = 0 once divided by zero
@@ -377,21 +410,36 @@ def search_reference(g, metric, q, iters, seed):
     return best, tuple(int(x) for x in best_map), steps
 
 
+def tree_with_chords(n, chords, gen):
+    """A random recursive tree on n vertices plus the given number of extra
+    edges: its leaves, path vertices and hubs give it many distinct degrees."""
+    edges = {(int(gen.integers(v)), v) for v in range(1, n)}
+    while len(edges) < n - 1 + chords:
+        edges.add(tuple(sorted(gen.choice(n, 2, replace=False).tolist())))
+    return graph_from_edges(n, edges)
+
+
 def oracle_instance(seed):
     """A small seeded (graph, metric, q) case; complete graphs reach
-    degree 11 and complete bipartite ones mix two degrees."""
+    degree 11, complete bipartite ones mix two degrees and trees with
+    chords more.  A third of the targets are uniform, where moves tie."""
     gen = np.random.default_rng(seed)
-    kind = seed % 4
+    kind = seed % 5
     if kind == 0:
         g = cycle_graph(int(gen.integers(3, 13)))
     elif kind == 1:
         g = complete_graph(int(gen.integers(2, 13)))
     elif kind == 2:
         g = random_connected_regular(2 * int(gen.integers(2, 7)), 3, seed=seed)
-    else:
+    elif kind == 3:
         g = complete_bipartite_graph(int(gen.integers(1, 4)), int(gen.integers(2, 10)))
+    else:
+        g = tree_with_chords(int(gen.integers(4, 13)), int(gen.integers(0, 4)), gen)
     n_points = int(gen.integers(2, 7))
-    metric = random_euclidean_metric(n_points, seed=seed)
+    if seed % 6 < 2:
+        metric = uniform_metric(n_points)
+    else:
+        metric = random_euclidean_metric(n_points, seed=seed)
     q = (1.0, 1.5, 2.0)[seed % 3]
     return g, metric, q
 
@@ -403,6 +451,23 @@ class TestSearchAgainstReference:
         got = gamma_lower_search(g, metric, q, iters=100, seed=seed)
         assert (got.gamma, got.witness.assignment, got.maps_evaluated) == \
             search_reference(g, metric, q, 100, seed)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_long_runs(self, seed):
+        # n >= 30 and 300 steps, so that many moves, each re-summing only the
+        # rows of the moved vertex's neighbours, fall between restarts
+        gen = np.random.default_rng(seed)
+        n = int(gen.integers(30, 48))
+        if seed % 2:
+            g = tree_with_chords(n, 6, gen)
+            assert len(set(g.degrees())) >= 3
+        else:
+            g = random_connected_regular(n + n % 2, 3 + seed % 4 // 2, seed=seed)
+        metric = uniform_metric(2 + seed % 4) if seed % 3 else linf_grid(1, 2)
+        q = (1.0, 2.0, 0.5)[seed % 3]
+        got = gamma_lower_search(g, metric, q, iters=300, seed=seed)
+        assert (got.gamma, got.witness.assignment, got.maps_evaluated) == \
+            search_reference(g, metric, q, 300, seed)
 
     def test_constant_first_draw(self):
         # seed 3 draws the constant map (1, 1, 1) for restart 0, and fresh()
