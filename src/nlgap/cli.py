@@ -279,7 +279,7 @@ def cmd_distort(args) -> None:
     g = parse_graph_arg(args.gen, args.graph, args.seed)
     f = _read_map(args.map, g, parse_metric_arg(args.metric, args.seed))
     r = embedding_distortion(g, f.image_distances())
-    _emit(args, "lip,colip,distortion,scale", [csv_row(r.lip, r.colip, r.distortion, r.scale)])
+    _emit(args, "lip,colip,distortion,scale", [csv_row(r.lip, r.colip, r.distortion, r.colip)])
 
 
 def cmd_model(args) -> None:

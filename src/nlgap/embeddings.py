@@ -140,7 +140,6 @@ class EmbeddingReport:
     lip: float         # max image distance across an edge (edge length 1)
     colip: float       # min over vertex pairs of image distance / graph distance
     distortion: float  # lip / colip, inf when a positive-distance pair collapses
-    scale: float       # the optimal scaling factor, equal to colip
 
 
 def embedding_distortion(g: Graph, image_dist: np.ndarray) -> EmbeddingReport:
@@ -160,7 +159,7 @@ def embedding_distortion(g: Graph, image_dist: np.ndarray) -> EmbeddingReport:
         ratios = img[mask] / gd[mask]
     colip = float(ratios.min())
     distortion = lip / colip if colip > 0 else math.inf
-    return EmbeddingReport(lip=lip, colip=colip, distortion=distortion, scale=colip)
+    return EmbeddingReport(lip=lip, colip=colip, distortion=distortion)
 
 
 # ----------------------------------------------------------------------

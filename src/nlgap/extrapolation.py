@@ -10,7 +10,7 @@ zero tolerance on the direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .graphs import Graph, cheeger_lower_bound
 from .metrics import FiniteMetric, _check_exponent, snowflake
@@ -21,8 +21,6 @@ from .poincare import VertexMap, dirichlet, empirical_average, gamma_exact, is_c
 class ExtrapolationConstants:
     """Log-space values of the four comparison constants for (d, h, p, q)."""
 
-    p: float
-    q: float
     log_c1: float
     log_c2: float
     log_c3: float
@@ -45,7 +43,7 @@ def constants(d: int, h: float, p: float, q: float) -> ExtrapolationConstants:
         + (2.0 * q - p) * math.log(88.0 * p * ratio * ratio)
     log_c3 = 64.0 * 4.0 ** q * ratio * math.log(d)
     log_c4 = q * math.log(5.0) + (q / p) * math.log(2.0)
-    return ExtrapolationConstants(p, q, log_c1, log_c2, log_c3, log_c4)
+    return ExtrapolationConstants(log_c1, log_c2, log_c3, log_c4)
 
 
 @dataclass(frozen=True)
@@ -145,9 +143,8 @@ def _safe_log(x: float) -> float:
     return math.log(x) if x > 0 else -math.inf
 
 
-def verdict_from_gammas(gamma_p: float, gamma_q: float,
+def verdict_from_gammas(gamma_p: float, gamma_q: float, p: float, q: float,
                         consts: ExtrapolationConstants) -> ExtrapolationVerdict:
-    p, q = consts.p, consts.q
     lhs1 = _safe_log(gamma_p)
     rhs1 = max(consts.log_c1, consts.log_c2 + max(0.0, _safe_log(gamma_q)))
     lhs2 = _safe_log(gamma_q)
@@ -176,8 +173,7 @@ def check_extrapolation(g: Graph, metric: FiniteMetric, p: float,
     if metric.size < 2:
         raise ValueError("the comparison needs a target with at least two points")
     target, p_run, q_run = (snowflake(metric, 1.0 - p), 1.0, q / p) if p < 1 else (metric, p, q)
-    v = verdict_from_gammas(gamma_exact(g, target, p_run).gamma,
-                            gamma_exact(g, target, q_run).gamma,
-                            constants(d, h, p_run, q_run))
-    # the caller's exponents, for reporting
-    return replace(v, p=p, q=q)
+    # report the caller's exponents; q/p = (q/p) / 1.0 = q_run / p_run exactly
+    return verdict_from_gammas(gamma_exact(g, target, p_run).gamma,
+                               gamma_exact(g, target, q_run).gamma,
+                               p, q, constants(d, h, p_run, q_run))

@@ -70,7 +70,8 @@ def graph_from_edges(n: int, edges) -> Graph:
     for u, v in sorted_edges:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n, sorted_edges, tuple(tuple(sorted(a)) for a in adj))
+    # ascending already: each u < x joins adj[x], in order, before each v > x
+    return Graph(n, sorted_edges, tuple(map(tuple, adj)))
 
 
 # a graph holds a Python tuple per edge and per vertex; K_500, the largest any
@@ -374,6 +375,7 @@ _PAIRING_PATIENCE = 10_000  # give up after this many times the expected draws
 def _simple_pairings(n: int, d: int, want: int, gen):
     """Yield blocks (lo, hi) of uniformly random simple pairings of d stubs
     per vertex of [n], want rows in all; row r pairs lo[r, i] < hi[r, i].
+    Both callers refuse a d outside 1..n-1 first.
 
     Each pairing sorts the stubs by uniform keys, so all pairings are equally
     likely, and a row is kept iff it has no loop and no repeated pair: the
@@ -388,8 +390,6 @@ def _simple_pairings(n: int, d: int, want: int, gen):
     sets the memory only: the rows are the first want simple ones of the
     key stream, and drawing stops in the block that holds the last of them.
     """
-    if not 1 <= d <= n - 1:
-        raise GraphError(f"degree d={d} must satisfy 1 <= d <= n-1 (n={n})")
     if (n * d) % 2 != 0:
         raise GraphError(f"n*d must be even, got n={n}, d={d}")
     accept = math.exp(-(d * d - 1) / 4)

@@ -101,7 +101,8 @@ def sup_distance_blocks(coords: np.ndarray):
 
 
 def validate(dist) -> FiniteMetric:
-    """Check the metric axioms and wrap the matrix.
+    """Check the metric axioms of a matrix read from outside the program and
+    wrap it, with each -0 made +0; the constructions below use _wrap.
 
     Raises MetricError naming the first violated axiom (non-finite entry,
     asymmetry, negative entry, nonzero diagonal, zero off-diagonal, triangle
@@ -141,13 +142,14 @@ def validate(dist) -> FiniteMetric:
             i, k = map(int, bad[0])
             raise MetricError(f"dist[{i},{k}] = {a[i, k]} > dist[{i},{j}] + dist[{j},{k}] "
                               f"= {a[i, j] + a[j, k]}")
-    return _wrap(a)
+    return _wrap(a + 0.0)  # -0 + 0.0 is +0; every other float is unchanged
 
 
 def _wrap(dist: np.ndarray) -> FiniteMetric:
-    """A read-only float64 copy of the matrix as a metric, unchecked: for the
-    constructions that are metrics by construction, whose O(N^3) triangle
-    pass took 5.7 s at N = 1000.  Tests keep validate as their oracle."""
+    """A read-only float64 copy of the matrix as a metric, unchecked: every
+    construction here is a metric by construction and skips validate's O(N^3)
+    triangle pass, which takes seconds at N = 1000.  Tests keep validate as
+    their oracle."""
     a = np.array(dist, dtype=np.float64)
     a.flags.writeable = False
     return FiniteMetric(a)
@@ -157,7 +159,7 @@ def snowflake(metric: FiniteMetric, eps: float) -> FiniteMetric:
     """The metric with every distance raised to the power 1 - eps."""
     if not 0.0 < eps < 1.0:
         raise MetricError("snowflake exponent must lie in (0,1)")
-    return validate(np.power(metric.dist, 1.0 - eps))
+    return _wrap(np.power(metric.dist, 1.0 - eps))
 
 
 def aspect_ratio(metric: FiniteMetric) -> float:
@@ -165,8 +167,8 @@ def aspect_ratio(metric: FiniteMetric) -> float:
     return metric.diam() / metric.min_distance()
 
 
-# validate scans the dense matrix in O(N^3), so no constructor builds more
-# points than this, and none allocates more bytes than the budget
+# every metric is a dense N x N matrix: no constructor builds more points
+# than this, and none allocates more bytes than the budget
 _POINT_CAP = 10 ** 3
 _METRIC_BYTES = 1 << 30
 
@@ -221,10 +223,9 @@ def random_euclidean_metric(n_points: int, seed: int, dim: int = 2) -> FiniteMet
     _check_size(n_points, 8 * n_points * n_points * dim)
     gen = derive_rng(seed, "metric", n_points, dim)
     pts = gen.random((n_points, dim))
+    # diff[i, i] = 0 and diff[j, i] = -diff[i, j] exactly: symmetric, zero diagonal
     diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    np.fill_diagonal(dist, 0.0)
-    return validate(np.maximum(dist, dist.T))
+    return _wrap(np.sqrt((diff ** 2).sum(axis=2)))
 
 
 # ----------------------------------------------------------------------
@@ -258,9 +259,9 @@ def _distinct_scales(metric: FiniteMetric) -> list[float]:
 def well_conditioned_reduction(metric: FiniteMetric, n: int) -> ReducedMetric:
     """Build the disjoint union of truncated copies, one per distance scale.
 
-    The result always validates, has between N and N^3 points, diameter at
-    most n^2 and minimum distance at least 1/n^2 (aspect ratio <= n^4).
-    Clusters are ordered by increasing scale.
+    The result is a metric by construction, with between N and N^3 points,
+    diameter at most n^2 and minimum distance at least 1/n^2 (aspect ratio
+    <= n^4).  Clusters are ordered by increasing scale.
     """
     if n < 2 or metric.size < 2:
         raise MetricError("reduction needs n >= 2, N >= 2")
@@ -276,5 +277,5 @@ def well_conditioned_reduction(metric: FiniteMetric, n: int) -> ReducedMetric:
         np.fill_diagonal(block, 0.0)
         sl = slice(t * nn, (t + 1) * nn)
         out[sl, sl] = block
-    return ReducedMetric(validate(out))
+    return ReducedMetric(_wrap(out))
 

@@ -36,8 +36,6 @@ def draw_model(n: int, d: int, ell: int, seed: int) -> tuple[Graph, Graph]:
     """Draw (G, G less ell edges), each stage from its own stream: G is
     uniform on the d-regular graphs and a uniform ell-subset of its edges
     goes."""
-    if (n * d) % 2 != 0:
-        raise GraphError("n*d must be even")
     if not 0 <= ell <= n * d // 2:
         raise GraphError(f"need 0 <= ell <= dn/2, got ell={ell}")
     g = random_regular(n, d, _subseed(seed, "model-g"))

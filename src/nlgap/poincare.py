@@ -87,15 +87,15 @@ def _average(f: VertexMap, costs: np.ndarray) -> float:
 def empirical_quantile(f: VertexMap, tau) -> float:
     """Smallest threshold t whose sublevel pair count reaches tau * n^2.
 
-    Level 0 counts the ordered pairs that share a point, since validate
-    refuses zero distances off the diagonal; when those already reach the
+    Level 0 counts the ordered pairs that share a point, since a metric has
+    no zero distance off the diagonal; when those already reach the
     mass the answer is 0, the infimum over t > 0.
     """
     if not 0 < tau < 1:
         raise ValueError("quantile level must lie in (0,1)")
     cnt = f.point_counts()
-    levels = np.unique(f.target.dist)
-    at_level = np.bincount(np.searchsorted(levels, f.target.dist).ravel(),
+    levels, level_of = np.unique(f.target.dist, return_inverse=True)
+    at_level = np.bincount(level_of.ravel(),
                            weights=np.outer(cnt, cnt).ravel(), minlength=len(levels))
     # the top level holds every pair, so some level meets tau < 1
     within = np.cumsum(at_level.astype(np.int64)).tolist()
@@ -331,7 +331,7 @@ def gamma_lower_search(g: Graph, metric: FiniteMetric, q: float,
 
     def resum(a: np.ndarray, vs: np.ndarray, nbrs: np.ndarray) -> None:
         """Sum the rows nbr[vs] of the map a afresh from zero, a block of
-        rows at a time; validate refuses asymmetric metrics, so costs[a[u]]
+        rows at a time; every metric is symmetric bit for bit, so costs[a[u]]
         is the column costs[:, a[u]]."""
         for lo in range(0, len(vs), block):
             part = np.zeros((len(vs[lo:lo + block]), n_points))

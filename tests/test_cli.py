@@ -34,6 +34,18 @@ class TestGamma:
         last = body_of(res.stdout).splitlines()[-1]
         assert last.split(",")[6] == "1.0"  # ratio column
 
+    def test_negative_zero_diagonal_prints_as_zero(self, tmp_path):
+        """A -0 on the diagonal passes the metric checks and leaves them +0."""
+        bodies = []
+        for text in ("2\n-0 1\n1 -0\n", "2\n0 1\n1 0\n"):
+            (tmp_path / "m.txt").write_text(text)
+            res = run_cli("gamma", "--gen", "cycle:4", "--metric", str(tmp_path / "m.txt"),
+                          "--q", "1")
+            assert res.returncode == 0, res.stderr
+            bodies.append(body_of(res.stdout))
+        assert bodies[0] == bodies[1]
+        assert bodies[0].splitlines()[-1].split(",")[7] == "0.0"  # Qtau column
+
     def test_heuristic_deterministic(self):
         argv = ("gamma", "--gen", "regular:12,3", "--metric", "grid:1,2",
                 "--heuristic", "--iters", "300", "--seed", "7")
@@ -363,6 +375,17 @@ NINES = "9" * 37 + "..."
 COST_BOUND = "a positive distance raised to q underflows to 0 or passes the cost bound 2^960"
 EDGE_CAP = "edges, which exceeds the edge cap 1000000"
 LOG_N = "--N must exceed 1 and have a finite log (write large values as BASE^EXP), got"
+# rows of in-range sizes that a byte budget refuses before anything is built;
+# the memory column runs them beside the huge rows
+IN_RANGE_REFUSALS = [
+    # five 240 MB search tables
+    ("gamma --gen cycle:30000 --metric uniform:1000 --heuristic", "the search tables of "
+     "n = 30000 vertices by N = 1000 points exceed the 1073741824-byte budget"),
+    # 8 * 11586^2 bytes pass 2^30
+    ("distort --gen cycle:11586 --metric uniform:2 --map f.map",
+     "the image distances of n = 11586 vertices exceed the 1073741824-byte budget",
+     {"f.map": "11586\n" + "".join(f"{v} {v % 2}\n" for v in range(11586))}),
+]
 # (command line, message[, files]): a row that exits 1 with the one line
 # "error: message", or 0 with no stderr for a message of None.  The files
 # are written beside FILES, and override them.
@@ -501,9 +524,6 @@ PINNED = [
     ("gen-metric --type grid:1,12 --out unused.txt", "(2k+1)^s exceeds cap 1000 at k = 1, s = 12"),
     ("gamma --gen cycle:4 --metric grid:1,9 --heuristic",
      "(2k+1)^s exceeds cap 1000 at k = 1, s = 9"),
-    # five 240 MB search tables
-    ("gamma --gen cycle:30000 --metric uniform:1000 --heuristic", "the search tables of "
-     "n = 30000 vertices by N = 1000 points exceed the 1073741824-byte budget"),
     ("gen-metric --type grid:1000000,1000000 --out unused.txt",
      "(2k+1)^s exceeds cap 1000 at k = 1000000, s = 1000000"),
     ("gen-metric --type grid:0,1000000000 --out unused.txt", "need k >= 1 and s >= 1"),
@@ -558,6 +578,10 @@ PINNED = [
     ("gamma --gen petersen --metric uniform:2 --heuristic", None),
     (f"gamma --gen cycle:{2 ** 63 - 1} --metric uniform:2 --heuristic",
      f"n = {2 ** 63 - 1} gives {2 ** 63 - 1} {EDGE_CAP}"),
+    # the largest random metric is built without validate's triangle pass,
+    # which at N = 1000 ran past the alarm
+    ("gamma --gen cycle:4 --metric random:1000 --heuristic --iters 10", None),
+    *IN_RANGE_REFUSALS,
 ]
 
 
@@ -706,12 +730,16 @@ class TestNoTracebackTable:
             assert code != 1 or out == ""
 
     def test_huge_sizes_refused_within_two_gib(self, tmp_path):
-        """The rows with a huge count or size, run in one child process
-        under a 2 GiB address-space limit: each exits 1 with one line, and
-        none raises MemoryError or runs past TIME_LIMIT_S."""
+        """The rows with a huge count or size, and the in-range rows that a
+        byte budget refuses, run in one child process under a 2 GiB
+        address-space limit: each exits 1 with one line, and none raises
+        MemoryError or runs past TIME_LIMIT_S."""
+        in_range = [line for line, *_ in IN_RANGE_REFUSALS]
         rows = [(i, argv, {**FILES, **files}) for i, argv, files, _ in TABLE_CASES
-                if any(HUGE_FIELD.search(x) for x in [*argv, *files.values()])]
+                if any(HUGE_FIELD.search(x) for x in [*argv, *files.values()])
+                or " ".join(argv) in in_range]
         assert len(rows) > 200
+        assert sum(" ".join(argv) in in_range for _, argv, _ in rows) == len(in_range)
         res = subprocess.run([sys.executable, "-c", MEMORY_CHILD, str(tmp_path)],
                              input=json.dumps([TIME_LIMIT_S, [r[1:] for r in rows]]),
                              capture_output=True, text=True, timeout=300)

@@ -166,7 +166,7 @@ class TestDistortion:
             f = VertexMap(path_metric(g), tuple(range(g.n)))
             r = embedding_distortion(g, f.image_distances())
             assert r.distortion == pytest.approx(1.0)
-            assert r.scale == pytest.approx(1.0)
+            assert r.colip == pytest.approx(1.0)
 
     def test_collapsed_pair_infinite(self):
         g = cycle_graph(4)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -175,7 +174,7 @@ class TestCheckExtrapolation:
         m = random_euclidean_metric(3, seed=33)
         v = check_extrapolation(g, m, 0.5, 1.0)
         # the constants are those of (1, q/p) on the snowflake
-        assert (v.consts.p, v.consts.q) == (1.0, 2.0)
+        assert v.consts == constants(3, cheeger_lower_bound(g), 1.0, 2.0)
         assert v.passed
         # the reported optimal ratios live on the snowflake
         flake = snowflake(m, 0.5)
@@ -211,11 +210,10 @@ def extrapolation_reference(g, metric, p, q):
         reduced = snowflake(metric, 1.0 - p)
         gamma_p = gamma_exact(g, reduced, 1.0).gamma
         gamma_q = gamma_exact(g, reduced, q / p).gamma
-        v = verdict_from_gammas(gamma_p, gamma_q, constants(d, h, 1.0, q / p))
-        return replace(v, p=p, q=q)
+        return verdict_from_gammas(gamma_p, gamma_q, p, q, constants(d, h, 1.0, q / p))
     gamma_p = gamma_exact(g, metric, p).gamma
     gamma_q = gamma_exact(g, metric, q).gamma
-    return verdict_from_gammas(gamma_p, gamma_q, constants(d, h, p, q))
+    return verdict_from_gammas(gamma_p, gamma_q, p, q, constants(d, h, p, q))
 
 
 class TestExtrapolationAgainstReference:
@@ -229,13 +227,15 @@ class TestExtrapolationAgainstReference:
                 for p, q in exponents:
                     v = check_extrapolation(g, metric, p, q)
                     assert v == extrapolation_reference(g, metric, p, q), (g.n, p, q)
-                    assert (v.p, v.q, v.consts.p) == (p, q, max(p, 1.0))
+                    run = (1.0, q / p) if p < 1 else (p, q)
+                    assert (v.p, v.q) == (p, q)
+                    assert v.consts == constants(g.regular_degree(), cheeger_lower_bound(g), *run)
 
 
 class TestVerdictFromGammas:
     def test_log_space_comparison(self):
         c = constants(3, 1.0, 1, 2)
-        v = verdict_from_gammas(2.0, 3.0, c)
+        v = verdict_from_gammas(2.0, 3.0, 1, 2, c)
         assert v.rhs1_log == pytest.approx(max(c.log_c1, c.log_c2 + math.log(3.0)))
         assert v.rhs2_log == pytest.approx(max(c.log_c3, c.log_c4 + 2 * math.log(2.0)))
         assert v.passed

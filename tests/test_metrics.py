@@ -42,6 +42,11 @@ class TestValidate:
         with pytest.raises(MetricError, match=rf"^dist\[0,1\] = {x} is not finite$"):
             validate([[0, x], [x, 0]])
 
+    def test_signed_zero_made_positive(self):
+        m = validate([[-0.0, 1], [1, -0.0]])
+        assert not np.signbit(m.dist).any()
+        assert np.array_equal(m.dist, [[0, 1], [1, 0]])
+
     def test_path_metrics_are_valid(self, corpus):
         for name, g in corpus.items():
             path_metric(g)  # validates internally
@@ -69,7 +74,7 @@ class TestSnowflake:
     @settings(max_examples=200, deadline=None)
     def test_always_validates(self, seed, eps):
         m = random_euclidean_metric(5, seed=seed)
-        snowflake(m, eps)  # raises on any axiom failure
+        validate(snowflake(m, eps).dist)  # raises on any axiom failure
 
     @given(st.integers(2, 12), st.integers(0, 10 ** 6), st.integers(1, 4),
            st.floats(0.01, 0.99), st.floats(0.5, 8.0))
@@ -160,7 +165,7 @@ class TestGridAndUniform:
         m = uniform_metric(3)
         assert (m.dist[~np.eye(3, dtype=bool)] == 1).all()
 
-    # uniform_metric and linf_grid skip validate's triangle pass; it stays their oracle
+    # the constructions skip validate's triangle pass; it stays their oracle
     @pytest.mark.parametrize("n_points", [2, 3, 4, 7, 16, 65, 200])
     def test_uniform_validates(self, n_points):
         m = uniform_metric(n_points)
@@ -171,6 +176,28 @@ class TestGridAndUniform:
                                       (2, 3), (3, 3), (1, 4), (1, 5)])
     def test_grid_validates(self, k, s):
         m = linf_grid(k, s)
+        assert m.dist.dtype == np.float64 and not m.dist.flags.writeable
+        assert np.array_equal(validate(m.dist).dist, m.dist)
+
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 7, 40, 200])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_random_validates(self, n_points, dim):
+        m = random_euclidean_metric(n_points, seed=n_points * dim, dim=dim)
+        assert m.dist.dtype == np.float64 and not m.dist.flags.writeable
+        assert np.array_equal(validate(m.dist).dist, m.dist)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-3, 0.3, 0.5, 0.9, 1 - 1e-3, 1 - 1e-9])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_snowflake_validates(self, eps, dim):
+        m = snowflake(random_euclidean_metric(40, seed=dim, dim=dim), eps)
+        assert m.dist.dtype == np.float64 and not m.dist.flags.writeable
+        assert np.array_equal(validate(m.dist).dist, m.dist)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("n_points, dim", [(2, 1), (4, 2), (6, 3), (8, 4)])
+    def test_reduction_validates(self, n, n_points, dim):
+        base = random_euclidean_metric(n_points, seed=n, dim=dim)
+        m = well_conditioned_reduction(base, n).metric
         assert m.dist.dtype == np.float64 and not m.dist.flags.writeable
         assert np.array_equal(validate(m.dist).dist, m.dist)
 

@@ -72,6 +72,17 @@ def test_every_src_name_has_a_reader():
     assert unread == []
 
 
+def test_validate_checks_only_metric_files():
+    """A metric is checked where it is read: the one call of validate in the
+    package is io.metric_from_text's.  Every construction is a metric by
+    construction and wraps its matrix; the tests keep validate as its oracle."""
+    callers = [f"{path.stem}.{getattr(top, 'name', '<module>')}"
+               for path in SOURCES for top in ast.parse(path.read_text()).body
+               for node in ast.walk(top) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "validate"]
+    assert callers == ["io.metric_from_text"]
+
+
 def class_members(tree):
     """(class name, node, name) for each field, method and property that a
     top-level class body defines, and for each attribute that its methods
